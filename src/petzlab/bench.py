@@ -14,6 +14,7 @@ measured wall times are written only when timing output is requested.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -196,12 +197,23 @@ def parse_config(text: str) -> SweepConfig:
 
 
 def _series_values(setting: str, p: float, wanted: tuple[str, ...], tol: float):
-    """Compute all requested series at one grid point."""
-    rho, ch = SETTINGS[setting].build(p)
-    pur = purify(rho)
-    sigma_rb = channel_on_purification(pur, ch)
-    kernel = decoders.RotatedFidelity(sigma_rb)
-    sigma_r = sigma_rb.marginal("R")
+    """Compute all requested series at one grid point.
+
+    No exception escapes: a failing series becomes a row flagged
+    ``error:<Type>``, and a failure in the shared per-point set-up flags
+    every series at that point.
+    """
+    try:
+        rho, ch = SETTINGS[setting].build(p)
+        pur = purify(rho)
+        sigma_rb = channel_on_purification(pur, ch)
+        kernel = decoders.RotatedFidelity(sigma_rb)
+        sigma_r = sigma_rb.marginal("R")
+    except Exception as exc:  # a lost point is a flagged row, never an aborted sweep
+        flags = f"error:{type(exc).__name__}"
+        return [CurvePoint(setting, p, series, math.nan, 0.0, flags) for series in wanted]
+    # Shared by lower_twirled and sw_original; computed on first use.
+    epsilon = functools.cache(lambda: infomeasures.epsilon_sw(sigma_rb))
 
     out: list[CurvePoint] = []
     for series in wanted:
@@ -238,15 +250,14 @@ def _series_values(setting: str, p: float, wanted: tuple[str, ...], tol: float):
                 w_r = matrix_power_on_support(sigma_r, -1.0)
                 value = 2.0 ** infomeasures.min_petz_mi_order2(sigma_rb, w_r)
             elif series == "lower_twirled":
-                value = 2.0 ** (-infomeasures.epsilon_sw(sigma_rb))
+                value = 2.0 ** (-epsilon())
             elif series == "upper_bk":
                 value = math.sqrt(kernel.petz())
             elif series == "sw_original":
-                eps = max(0.0, infomeasures.epsilon_sw(sigma_rb))
-                value = infomeasures.sw_original_bound(eps)
+                value = infomeasures.sw_original_bound(max(0.0, epsilon()))
             else:
                 raise ValidationError("series", f"unknown series {series!r}")
-        except PetzlabError as exc:
+        except Exception as exc:  # contained per (point, series); see the docstring
             value = math.nan
             flags = f"error:{type(exc).__name__}"
         out.append(

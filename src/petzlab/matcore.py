@@ -87,7 +87,14 @@ def herm_eig(h, tol: float = HERM_TOL) -> HermEig:
     asym = float(np.linalg.norm(h - dag(h)))
     if asym > tol * scale:
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds {tol:.1e} * {scale:.3e}")
-    w, v = np.linalg.eigh(herm_part(h))
+    try:
+        w, v = np.linalg.eigh(herm_part(h))
+    except np.linalg.LinAlgError:
+        # LAPACK's divide-and-conquer driver can fail to converge on a valid
+        # Hermitian matrix (seen on 32x32 NT-scaling products of the lncy4
+        # SDP). herm_part(h) is exactly Hermitian, so its upper triangle
+        # describes the same matrix and takes a different reduction path.
+        w, v = np.linalg.eigh(herm_part(h), UPLO="U")
     order = np.argsort(w)[::-1]
     return HermEig(eigenvalues=w[order], eigenvectors=v[:, order])
 

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: eigenvalues
 come from characteristic-polynomial roots, partial traces from explicit
 index loops, minimizations from parameter grids, integrals from dense
-trapezoids, and the SW decoder from a literal dense transcription of its
+trapezoids, the twirled Choi matrix from one rotated decoder per quadrature
+node, and the SW decoder from a literal dense transcription of its
 construction.
 """
 
@@ -12,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import minimize
 
-from petzlab.matcore import dag, psd_sqrt
-from petzlab.quantum import purify, stinespring_dilation
+from petzlab.decoders import build_rotated_petz
+from petzlab.matcore import dag, kron, matrix_power_on_support, partial_trace, psd_sqrt
+from petzlab.quantum import choi_of_channel, purify, stinespring_dilation
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -123,6 +125,19 @@ def beta0_trapezoid(g, t_max=10.0, n=1_000_001):
     beta = (np.pi / 2) / (np.cosh(np.pi * ts) + 1)
     vals = np.array([g(t) for t in ts])
     return float(np.trapezoid(beta * vals, ts))
+
+
+def twirled_choi_per_node(rho, ch, nodes, weights):
+    """sum_i w_i Choi(R^(t_i)) from one materialized rotated decoder per node,
+    renormalized to exact trace preservation."""
+    d_in, d_out = ch.dim_out, ch.dim_in
+    choi = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
+    for t_i, w_i in zip(nodes, weights):
+        rotated = build_rotated_petz(rho, ch, float(t_i))
+        choi += w_i * choi_of_channel(rotated.channel)
+    tr_out = partial_trace(choi, (d_in, d_out), keep=0)
+    fix = kron(matrix_power_on_support(tr_out, -0.5), np.eye(d_out))
+    return fix @ choi @ dag(fix)
 
 
 # -- Knill-Laflamme -----------------------------------------------------------

@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from petzlab import bench, decoders, infomeasures
 from petzlab.bench import (
+    BOUND_SERIES,
+    DECODER_SERIES,
     AuditReport,
     CurvePoint,
     SweepConfig,
@@ -202,6 +206,78 @@ def test_bitflip3_petz_equals_twirled_pointwise(tmp_path):
     by_key = {(c.series, round(c.p, 6)) : c.value for c in points}
     for p in (0.0, 0.25, 0.5, 0.75, 1.0):
         assert abs(by_key[("petz", p)] - by_key[("twirled", p)]) <= 1e-8
+
+
+# -- failure containment ----------------------------------------------------------
+
+
+def _all_series_config(tmp_path):
+    return SweepConfig(
+        setting="bitflip3",
+        p_start=0.25,
+        p_stop=0.75,
+        p_count=2,
+        decoders=DECODER_SERIES,
+        bounds=BOUND_SERIES,
+        tol=1e-7,
+        out=str(tmp_path / "all.csv"),
+    )
+
+
+def test_sweep_survives_linalg_error_in_one_series(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(decoders, "build_sw", broken)
+    points = run_sweep(_all_series_config(tmp_path))
+    assert len(points) == 2 * (len(DECODER_SERIES) + len(BOUND_SERIES))
+    for c in points:
+        if c.series == "sw":
+            assert c.flags == "error:LinAlgError" and math.isnan(c.value)
+        else:
+            assert c.flags == "ok" and np.isfinite(c.value), (c.series, c.p)
+
+
+def test_sweep_setup_failure_flags_every_series_at_that_point(tmp_path, monkeypatch):
+    real_purify = bench.purify
+    failures = [np.linalg.LinAlgError("eigh did not converge")]
+
+    def purify_failing_once(rho):
+        if failures:
+            raise failures.pop()
+        return real_purify(rho)
+
+    monkeypatch.setattr(bench, "purify", purify_failing_once)
+    points = run_sweep(_all_series_config(tmp_path))
+    wanted = len(DECODER_SERIES) + len(BOUND_SERIES)
+    assert len(points) == 2 * wanted
+    first, second = points[:wanted], points[wanted:]
+    assert all(c.p == 0.25 and c.flags == "error:LinAlgError" for c in first)
+    assert all(math.isnan(c.value) for c in first)
+    assert all(c.p == 0.75 and c.flags == "ok" for c in second)
+
+
+def test_sweep_computes_epsilon_sw_once_per_point(tmp_path, monkeypatch):
+    calls = []
+    real = infomeasures.epsilon_sw
+
+    def counting(sigma_rb):
+        calls.append(sigma_rb)
+        return real(sigma_rb)
+
+    monkeypatch.setattr(infomeasures, "epsilon_sw", counting)
+    cfg = dataclasses.replace(
+        _tiny_config(tmp_path), decoders=(), bounds=("lower_twirled", "sw_original")
+    )
+    points = run_sweep(cfg)
+    assert len(calls) == cfg.p_count
+    sigma_at = dict(zip(cfg.grid().tolist(), calls))
+    for c in points:
+        eps = real(sigma_at[c.p])
+        if c.series == "lower_twirled":
+            assert c.value == 2.0 ** (-eps)
+        else:
+            assert c.value == infomeasures.sw_original_bound(max(0.0, eps))
 
 
 # -- audit -----------------------------------------------------------------------

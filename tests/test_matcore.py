@@ -66,6 +66,26 @@ def test_herm_eig_invariants_random(rng):
         assert np.linalg.norm(dag(v) @ v - np.eye(dim)) <= 1e-12 * dim
 
 
+def test_herm_eig_retries_when_lapack_does_not_converge(rng, monkeypatch):
+    # LAPACK's divide-and-conquer eigh can fail on a valid Hermitian matrix;
+    # herm_eig then decomposes the same matrix from its upper triangle.
+    real_eigh = np.linalg.eigh
+    calls = []
+
+    def eigh_failing_on_lower(a, UPLO="L"):
+        calls.append(UPLO)
+        if UPLO == "L":
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigh(a, UPLO=UPLO)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_failing_on_lower)
+    h = oracles.random_hermitian(rng, 6)
+    eig = herm_eig(h)
+    assert calls == ["L", "U"]
+    assert np.linalg.norm(h - eig.reconstruct()) <= 1e-12 * np.linalg.norm(h)
+    assert np.all(np.diff(eig.eigenvalues) <= 0)
+
+
 def test_svd_reconstruction(rng):
     m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     rec = svd(m)

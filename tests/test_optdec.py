@@ -95,6 +95,18 @@ def test_solver_depolarizing_value():
     assert sol.primal == pytest.approx(0.25, abs=1e-7)
 
 
+@pytest.mark.parametrize("p", [0.9016513812394814, 0.972603605117725])
+def test_solver_converges_where_lapack_eigh_broke_down(p):
+    # At these lncy4 points LAPACK's eigh failed on an NT-scaling product and
+    # the solve raised NumericalBreakdown before herm_eig retried it.
+    rho = make_code_source("lncy4")
+    ch = make_channel("amplitude_damping", p, n=4)
+    sol = solve_sdp(reduce_problem(rho, ch)[0], tol=1e-7)
+    assert abs(sol.gap) <= 1e-7 * (1 + abs(sol.primal))
+    f_petz = fe_of_decoder(rho, ch, build_petz(rho, ch))
+    assert sol.primal**2 - 1e-6 <= f_petz <= sol.primal + 1e-6
+
+
 def test_solver_certificates(rng):
     rho, ch = _random_instance(rng, 3, 3)
     prob = build_fidelity_sdp(rho, ch)
