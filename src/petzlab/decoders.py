@@ -39,8 +39,8 @@ from .quantum import (
     StinespringIsometry,
     channel_from_choi,
     channel_on_purification,
+    dilate,
     purify,
-    stinespring_dilation,
     validate_cptp,
 )
 
@@ -492,8 +492,18 @@ class SwConstruction:
 
     @functools.cached_property
     def m_matrix(self) -> np.ndarray:
-        """Overlap matrix M on R'E' (dense)."""
-        return (self._m_left * self.s_r) @ self._m_right
+        """Overlap matrix M on R'E' (dense), in the padded frame d_E = d_A d_B
+        of :func:`~petzlab.quantum.stinespring_dilation`.
+
+        M vanishes outside supp sigma_E, so the extra environment slots of
+        that frame carry zero rows and columns.
+        """
+        d, d_e, d_pad = self.d_code, self.d_e, self.d_a * self.d_b
+        m = np.zeros((d, d_pad, d, d_pad), dtype=np.complex128)
+        m[:, :d_e, :, :d_e] = ((self._m_left * self.s_r) @ self._m_right).reshape(
+            d, d_e, d, d_e
+        )
+        return m.reshape(d * d_pad, d * d_pad)
 
     @functools.cached_property
     def u_matrix(self) -> np.ndarray:
@@ -547,13 +557,16 @@ class SwConstruction:
 def build_sw(rho_a: DensityOperator, ch: KrausChannel) -> tuple[Decoder, SwConstruction]:
     """Schumacher-Westmoreland decoder for (rho_A, N).
 
-    The environment is padded to d_E = d_A d_B and the reference system has
+    The environment has one slot per Kraus operator (after the Choi
+    reduction of :func:`~petzlab.quantum.dilate`), padded with zero slots
+    only up to ceil(d_B / rank(rho_A)) so that the input block
+    |0>_{R'A'} tensor B fits inside R'E'. The reference system has
     dimension rank(rho_A). Alignment unitaries come from rank-factored SVDs
     with deterministic null-space completions; the completions do not affect
     the decoder's action on the channel's output support.
     """
     pur = purify(rho_a)
-    iso = stinespring_dilation(ch)
+    iso = dilate(ch, -(-ch.dim_out // pur.rank))
     d, d_a, d_b, d_e = pur.rank, ch.dim_in, ch.dim_out, iso.dim_env
     n = d * d_e
 

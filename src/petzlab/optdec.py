@@ -17,9 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoders import Decoder, fe_closed_form, fe_of_decoder
+from .decoders import (
+    Decoder,
+    _channel_output,
+    _split_support,
+    fe_closed_form,
+    fe_of_decoder,
+)
 from .errors import BracketViolated, MaxIterations, NumericalBreakdown
-from .matcore import RANK_CUT, dag, herm_eig, herm_part, kron, partial_trace
+from .matcore import dag, herm_eig, herm_part, kron, partial_trace
 from .quantum import (
     DensityOperator,
     KrausChannel,
@@ -119,22 +125,14 @@ def build_fidelity_sdp(
     return prob
 
 
-def _support_isometry(p: np.ndarray) -> np.ndarray:
-    eig = herm_eig(p)
-    kept = eig.eigenvalues > RANK_CUT * max(float(eig.eigenvalues[0]), 0.0)
-    return eig.eigenvectors[:, kept]
-
-
 def reduce_problem(
     rho_a: DensityOperator, ch: KrausChannel
 ) -> tuple[SdpProblem, ReductionEmbedding]:
     """Fidelity SDP restricted to supp(N(rho)) on the input and supp(rho) on
     the output; the reduced optimum equals the full optimum."""
-    sigma_b = np.zeros((ch.dim_out, ch.dim_out), dtype=np.complex128)
-    for k in ch.kraus_ops:
-        sigma_b += k @ rho_a.matrix @ dag(k)
-    v_in = _support_isometry(sigma_b)
-    v_out = _support_isometry(rho_a.matrix)
+    _, eig_b = _channel_output(rho_a, ch)
+    _, v_in, _ = _split_support(eig_b)
+    _, v_out, _ = _split_support(herm_eig(rho_a.matrix))
     rho_red = density_operator(dag(v_out) @ rho_a.matrix @ v_out)
     ops = tuple(dag(v_in) @ k @ v_out for k in ch.kraus_ops)
     ch_red = KrausChannel(
@@ -206,13 +204,39 @@ def _schur_matrix(w: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     return p.transpose(0, 2, 1, 3).reshape(d_b * d_b, d_b * d_b)
 
 
+def _schur_solve(lc: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve lc vec(Y_k) = vec(H_k) for a stack of right-hand sides in one
+    real factorization.
+
+    ``lc`` is the matrix of a Hermitian-preserving map on d x d matrices
+    (:func:`_schur_matrix`) and ``rhs`` is k x d x d; only the Hermitian part
+    of each H_k is used. R(Y) = Re Y + Im Y maps Hermitian matrices
+    isometrically onto real ones, and R(L(Y)) = L_R R(Y) with
+    L_R = Re lc + Im(lc with transposed columns), which has the conditioning
+    of lc. The solutions come back through Y = ((1+i)R + (1-i)R^T)/2, so
+    they are exactly Hermitian.
+    """
+    k, d, _ = rhs.shape
+    n = d * d
+    lc_real = lc.real + lc.reshape(n, d, d).transpose(0, 2, 1).reshape(n, n).imag
+    herm = (rhs + rhs.conj().transpose(0, 2, 1)) / 2
+    r = np.linalg.solve(lc_real, (herm.real + herm.imag).reshape(k, n).T)
+    r = r.T.reshape(k, d, d)
+    rt = r.transpose(0, 2, 1)
+    return (r + rt) / 2 + 1j * ((r - rt) / 2)
+
+
 def solve_sdp(prob: SdpProblem, tol: float = 1e-7, max_iter: int = 100) -> SdpSolution:
     """Primal-dual path-following solve with NT scaling.
 
     The predictor (affine) step sets the centering weight via Mehrotra's
     heuristic sigma = (mu_aff/mu)^3; the combined step recenters. The
     Newton system is eliminated down to a Hermitian positive definite
-    Schur complement on the input system.
+    Schur complement on the input system. Its solution is linear in the
+    complementarity residual r_c, and the corrector's r_c = sigma mu Z^-1 - X
+    is the predictor's plus sigma mu Z^-1, so each iteration factors the
+    Schur matrix once, in real coordinates (:func:`_schur_solve`), for the
+    two right-hand sides tr_out[W r_d W - X] - r_p and tr_out[Z^-1].
     """
     g = herm_part(prob.objective)
     d_b, d_a = prob.dim_in, prob.dim_out
@@ -247,24 +271,24 @@ def solve_sdp(prob: SdpProblem, tol: float = 1e-7, max_iter: int = 100) -> SdpSo
 
         try:
             w = _nt_scaling(x, z)
-            lc = _schur_matrix(w, dims)
+            z_inv = herm_part(np.linalg.inv(z))
+            rhs_aff = _tr_out(w @ r_d @ w - x, dims) - r_p
+            dy_aff, dy_cen = _schur_solve(
+                _schur_matrix(w, dims), np.stack([rhs_aff, _tr_out(z_inv, dims)])
+            )
 
-            def direction(r_c):
-                rhs = _tr_out(r_c + w @ r_d @ w, dims) - r_p
-                dy = np.linalg.solve(lc, rhs.reshape(-1)).reshape(d_b, d_b)
-                dy = herm_part(dy)
+            def direction(r_c, dy):
                 dz = herm_part(kron(dy, eye_a) - r_d)
                 dx = herm_part(r_c - w @ dz @ w)
                 return dx, dy, dz
 
-            dx_a, _, dz_a = direction(-x)
+            dx_a, _, dz_a = direction(-x, dy_aff)
             ap = _psd_step(x, dx_a)
             ad = _psd_step(z, dz_a)
             mu_aff = float(np.vdot(x + ap * dx_a, z + ad * dz_a).real) / n
             sigma = min(1.0, max(1e-10, (max(mu_aff, 0.0) / mu) ** 3))
 
-            z_inv = np.linalg.inv(z)
-            dx, dy, dz = direction(herm_part(sigma * mu * z_inv) - x)
+            dx, dy, dz = direction(sigma * mu * z_inv - x, dy_aff + sigma * mu * dy_cen)
             ap = _psd_step(x, dx)
             ad = _psd_step(z, dz)
             x = herm_part(x + ap * dx)

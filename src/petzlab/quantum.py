@@ -219,25 +219,36 @@ class StinespringIsometry:
     dim_env: int
 
 
+def dilate(ch: KrausChannel, min_env: int) -> StinespringIsometry:
+    """Dilation V = sum_l K_l tensor |l>_E with one environment slot per Kraus
+    operator, zero-padded to ``min_env`` slots.
+
+    A Kraus list longer than d_A*d_B is first reduced through the Choi
+    matrix, so d_E = max(#Kraus, min_env) never needs more than
+    max(d_A*d_B, min_env) slots.
+    """
+    d_a, d_b = ch.dim_in, ch.dim_out
+    ops = list(ch.kraus_ops)
+    if len(ops) > d_a * d_b:
+        reduced = channel_from_choi(choi_of_channel(ch), (d_a, d_b))
+        ops = list(reduced.kraus_ops)
+        if len(ops) > d_a * d_b:
+            raise TooManyKraus(f"{len(ops)} Kraus operators exceed d_A*d_B = {d_a * d_b}")
+    d_e = max(len(ops), min_env)
+    v = np.zeros((d_b, d_e, d_a), dtype=np.complex128)
+    v[:, : len(ops), :] = np.stack(ops, axis=1)
+    v = v.reshape(d_b * d_e, d_a)
+    return StinespringIsometry(v=v, dim_in=d_a, dim_out=d_b, dim_env=d_e)
+
+
 def stinespring_dilation(ch: KrausChannel) -> StinespringIsometry:
     """Dilation V = sum_l K_l tensor |l>_E, zero-padded to d_E = d_A * d_B.
 
-    The environment dimension is fixed to d_A*d_B so that downstream
-    constructions have deterministic dimensional bookkeeping.
+    The padded environment is this function's public contract: its
+    dimension depends only on d_A and d_B. The SW construction does not
+    rely on it; it dilates with one slot per Kraus operator (:func:`dilate`).
     """
-    d_a, d_b = ch.dim_in, ch.dim_out
-    d_e = d_a * d_b
-    ops = list(ch.kraus_ops)
-    if len(ops) > d_e:
-        reduced = channel_from_choi(choi_of_channel(ch), (d_a, d_b))
-        ops = list(reduced.kraus_ops)
-        if len(ops) > d_e:
-            raise TooManyKraus(f"{len(ops)} Kraus operators exceed d_A*d_B = {d_e}")
-    v = np.zeros((d_b, d_e, d_a), dtype=np.complex128)
-    for l, k in enumerate(ops):
-        v[:, l, :] = k
-    v = v.reshape(d_b * d_e, d_a)
-    return StinespringIsometry(v=v, dim_in=d_a, dim_out=d_b, dim_env=d_e)
+    return dilate(ch, ch.dim_in * ch.dim_out)
 
 
 def complementary_channel(ch: KrausChannel, label_env: str = "E") -> KrausChannel:

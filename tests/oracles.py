@@ -4,8 +4,8 @@ Everything here deliberately avoids the code paths under test: eigenvalues
 come from characteristic-polynomial roots, partial traces from explicit
 index loops, minimizations from parameter grids, integrals from dense
 trapezoids, the twirled Choi matrix from one rotated decoder per quadrature
-node, and the SW decoder from a literal dense transcription of its
-construction.
+node, the SW decoder from a literal dense transcription of its
+construction, and the SDP Newton step from two complex Schur solves.
 """
 
 from __future__ import annotations
@@ -14,7 +14,16 @@ import numpy as np
 from scipy.optimize import minimize
 
 from petzlab.decoders import build_rotated_petz
-from petzlab.matcore import dag, kron, matrix_power_on_support, partial_trace, psd_sqrt
+from petzlab.errors import MaxIterations, NumericalBreakdown
+from petzlab.matcore import (
+    dag,
+    herm_part,
+    kron,
+    matrix_power_on_support,
+    partial_trace,
+    psd_sqrt,
+)
+from petzlab.optdec import SdpSolution, _nt_scaling, _psd_step, _schur_matrix
 from petzlab.quantum import choi_of_channel, purify, stinespring_dilation
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -224,3 +233,64 @@ def sw_decoder_literal(rho, ch):
         k_l = s_l @ u_mat @ w_mat
         kraus.append(k_l @ emb)
     return kraus, m_mat, u_mat, w_mat
+
+
+# -- SDP Newton step with two complex Schur solves -----------------------------
+
+
+def solve_sdp_two_solves(prob, tol=1e-7, max_iter=100):
+    """The interior-point loop of ``optdec.solve_sdp`` with the predictor and
+    the corrector direction each solved from its own right-hand side by a
+    complex ``np.linalg.solve`` on the Schur matrix."""
+    g = herm_part(prob.objective)
+    d_b, d_a = prob.dim_in, prob.dim_out
+    dims = (d_b, d_a)
+    n = prob.dim
+    eye_b, eye_a = np.eye(d_b), np.eye(d_a)
+
+    def tr_out(m):
+        return partial_trace(m, dims, keep=0)
+
+    x = np.eye(n, dtype=np.complex128) / d_a
+    y = (float(np.linalg.norm(g, 2)) + 1.0) * eye_b.astype(np.complex128)
+    z = herm_part(kron(y, eye_a) - g)
+    g_scale = 1.0 + float(np.linalg.norm(g))
+    feas_tol = 0.1 * tol
+
+    for it in range(1, max_iter + 1):
+        r_p = eye_b - tr_out(x)
+        r_d = herm_part(kron(y, eye_a) - g - z)
+        mu = float(np.vdot(x, z).real) / n
+        primal = float(np.trace(g @ x).real)
+        dual = float(np.trace(y).real)
+        gap = dual - primal
+        if (
+            np.linalg.norm(r_p) <= feas_tol
+            and np.linalg.norm(r_d) <= feas_tol * g_scale
+            and abs(gap) <= tol * (1 + abs(primal))
+        ):
+            return SdpSolution(x=x, y=y, primal=primal, dual=dual, gap=gap, iterations=it)
+        w = _nt_scaling(x, z)
+        lc = _schur_matrix(w, dims)
+
+        def direction(r_c):
+            rhs = tr_out(r_c + w @ r_d @ w) - r_p
+            dy = herm_part(np.linalg.solve(lc, rhs.reshape(-1)).reshape(d_b, d_b))
+            dz = herm_part(kron(dy, eye_a) - r_d)
+            dx = herm_part(r_c - w @ dz @ w)
+            return dx, dy, dz
+
+        dx_a, _, dz_a = direction(-x)
+        ap = _psd_step(x, dx_a)
+        ad = _psd_step(z, dz_a)
+        mu_aff = float(np.vdot(x + ap * dx_a, z + ad * dz_a).real) / n
+        sigma = min(1.0, max(1e-10, (max(mu_aff, 0.0) / mu) ** 3))
+        dx, dy, dz = direction(herm_part(sigma * mu * np.linalg.inv(z)) - x)
+        ap = _psd_step(x, dx)
+        ad = _psd_step(z, dz)
+        x = herm_part(x + ap * dx)
+        y = herm_part(y + ad * dy)
+        z = herm_part(z + ad * dz)
+        if not (np.isfinite(x).all() and np.isfinite(z).all()):
+            raise NumericalBreakdown(f"non-finite iterate at iteration {it}")
+    raise MaxIterations(f"no convergence within {max_iter} iterations")

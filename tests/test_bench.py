@@ -374,3 +374,17 @@ def test_sweep_lncy4_strict_ordering(tmp_path):
     assert vals["optimal"] >= vals["sw"] - 1e-7
     assert vals["sw"] > vals["petz"] + 1e-6
     assert vals["petz"] > vals["twirled"] + 1e-6
+
+
+@pytest.mark.parametrize("setting", ["bitflip3", "lncy4", "fivequbit", "identity"])
+def test_every_series_clean_at_extreme_noise(setting, tmp_path):
+    for p in (0.0, 1e-14, 1e-10, 1e-6, 1 - 1e-10, 1 - 1e-14, 1.0):
+        cfg = SweepConfig(
+            setting=setting, p_start=p, p_stop=p, p_count=1, out=str(tmp_path / "x.csv")
+        )
+        points = run_sweep(cfg)
+        assert len(points) == len(DECODER_SERIES) + len(BOUND_SERIES)
+        for c in points:
+            assert c.flags == "ok", (p, c.series, c.flags)
+            assert math.isfinite(c.value), (p, c.series)
+            assert -1e-10 <= c.value <= 1 + 1e-10, (p, c.series, c.value)

@@ -21,7 +21,9 @@ from petzlab.decoders import (
 from petzlab.matcore import dag
 from petzlab.quantum import (
     apply_channel,
+    channel_from_choi,
     channel_on_purification,
+    choi_of_channel,
     density_operator,
     kraus_channel,
     make_channel,
@@ -415,3 +417,67 @@ def test_sw_construction_invariants_lncy4():
     total = sum(dag(k) @ k for k in cons.kraus_full())
     assert np.linalg.norm(total - np.eye(n)) <= 1e-9 * n
     validate_cptp(dec.channel, tol=1e-9)
+
+
+# -- SW on the Kraus-count environment ---------------------------------------------------
+
+
+def _zero_padded(ch):
+    """The same channel with zero Kraus operators appended up to d_A*d_B, so
+    that build_sw dilates it into the padded environment of
+    stinespring_dilation."""
+    zero = np.zeros((ch.dim_out, ch.dim_in), dtype=complex)
+    ops = list(ch.kraus_ops) + [zero] * (ch.dim_in * ch.dim_out - len(ch.kraus_ops))
+    return kraus_channel(ops, label_in=ch.label_in, label_out=ch.label_out)
+
+
+def _assert_sw_matches_padded(rho, ch, rng):
+    dec, cons = build_sw(rho, ch)
+    ref, ref_cons = build_sw(rho, _zero_padded(ch))
+    assert ref_cons.d_e == ch.dim_in * ch.dim_out
+    assert cons.d_e == max(len(ch.kraus_ops), -(-ch.dim_out // cons.d_code))
+    assert np.linalg.norm(cons.m_matrix - ref_cons.m_matrix) <= 1e-10
+    assert abs(fe_of_decoder(rho, ch, dec) - fe_of_decoder(rho, ch, ref)) <= 1e-12
+    sigma_b = apply_channel(ch, rho.matrix)
+    probe = sigma_b @ oracles.random_psd(rng, ch.dim_out) @ sigma_b
+    diff = apply_channel(dec.channel, probe) - apply_channel(ref.channel, probe)
+    assert np.linalg.norm(diff) <= 1e-10
+
+
+@pytest.mark.parametrize("setting", ["bitflip3", "lncy4"])
+def test_sw_kraus_count_environment_matches_padded_on_grid(setting, rng):
+    for p in np.linspace(0.0, 1.0, 21):
+        rho, ch = SETTINGS[setting].build(float(p))
+        _assert_sw_matches_padded(rho, ch, rng)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_sw_kraus_count_environment_matches_padded_fivequbit(p, rng):
+    rho, ch = SETTINGS["fivequbit"].build(p)
+    _assert_sw_matches_padded(rho, ch, rng)
+
+
+def test_sw_environment_floor_fits_input_block(rng):
+    # one Kraus operator, rank 2, d_B = 8: the environment is padded to
+    # ceil(8 / 2) = 4 slots so that |0>_{R'A'} tensor B fits inside R'E'
+    rho, ch = SETTINGS["identity"].build(0.5)
+    _, cons = build_sw(rho, ch)
+    assert (len(ch.kraus_ops), cons.d_e, cons.dim) == (1, 4, 8)
+    _assert_sw_matches_padded(rho, ch, rng)
+
+
+def test_sw_kraus_count_environment_matches_padded_random(rng):
+    for d_a, d_b, rank, n_kraus in [(3, 2, 3, 2), (2, 3, 2, 2), (3, 4, 1, 2), (4, 3, 2, 3)]:
+        rho = density_operator(oracles.random_state(rng, d_a, rank=rank))
+        ch = kraus_channel(oracles.random_kraus(rng, d_a, d_b, n_kraus))
+        _assert_sw_matches_padded(rho, ch, rng)
+
+
+def test_sw_reduces_kraus_lists_longer_than_choi_rank(rng):
+    rho = density_operator(oracles.random_state(rng, 2))
+    ch = kraus_channel(oracles.random_kraus(rng, 2, 2, 6))
+    dec, cons = build_sw(rho, ch)
+    assert cons.d_e == 4
+    reduced = channel_from_choi(choi_of_channel(ch), (2, 2))
+    ref, _ = build_sw(rho, _zero_padded(reduced))
+    assert abs(fe_of_decoder(rho, ch, dec) - fe_of_decoder(rho, ch, ref)) <= 1e-12

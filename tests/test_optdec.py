@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from petzlab.bench import SETTINGS
 from petzlab.decoders import build_petz, build_sw, build_twirled_petz, fe_of_decoder
 from petzlab.matcore import dag, herm_part, kron, partial_trace
 from petzlab.optdec import (
     SdpProblem,
+    _schur_matrix,
+    _schur_solve,
     bk_bracket_check,
     build_fidelity_sdp,
     lift_choi,
@@ -246,3 +249,48 @@ def test_bracket_random_instances(rng):
         rho, ch = _random_instance(rng, 3, 2)
         report = bk_bracket_check(rho, ch, tol=1e-6)
         assert report.holds
+
+
+# -- one real Schur solve per iteration ---------------------------------------------------
+
+
+def test_schur_solve_real_form_matches_complex_solve(rng):
+    for d_b, d_a in [(1, 3), (2, 2), (3, 2), (4, 3)]:
+        n = d_b * d_a
+        w = oracles.random_psd(rng, n) + 0.1 * np.eye(n)
+        lc = _schur_matrix(w, (d_b, d_a))
+        rhs = np.stack([oracles.random_hermitian(rng, d_b) for _ in range(3)])
+        # an anti-Hermitian part of a right-hand side is ignored
+        skew = 1j * oracles.random_hermitian(rng, d_b)
+        dy = _schur_solve(lc, rhs + np.stack([skew, 0 * skew, 0 * skew]))
+        for k in range(3):
+            ref = np.linalg.solve(lc, rhs[k].reshape(-1)).reshape(d_b, d_b)
+            assert np.linalg.norm(dy[k] - ref) <= 1e-10 * np.linalg.norm(ref)
+            assert np.array_equal(dy[k], dag(dy[k]))
+
+
+def _assert_matches_two_solve_newton(prob):
+    sol = solve_sdp(prob)
+    ref = oracles.solve_sdp_two_solves(prob)
+    assert sol.iterations == ref.iterations
+    assert abs(sol.primal - ref.primal) <= 1e-9
+    assert abs(sol.dual - ref.dual) <= 1e-9
+
+
+@pytest.mark.parametrize("setting", ["bitflip3", "lncy4"])
+def test_solve_sdp_matches_two_solve_newton_on_grid(setting):
+    for p in np.linspace(0.0, 1.0, 21):
+        prob, _ = reduce_problem(*SETTINGS[setting].build(float(p)))
+        _assert_matches_two_solve_newton(prob)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5])
+def test_solve_sdp_matches_two_solve_newton_fivequbit(p):
+    prob, _ = reduce_problem(*SETTINGS["fivequbit"].build(p))
+    _assert_matches_two_solve_newton(prob)
+
+
+def test_solve_sdp_matches_two_solve_newton_random(rng):
+    for d_a, d_b in [(2, 2), (3, 2), (3, 3), (2, 4)]:
+        prob, _ = reduce_problem(*_random_instance(rng, d_a, d_b))
+        _assert_matches_two_solve_newton(prob)
