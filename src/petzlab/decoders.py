@@ -1,13 +1,16 @@
 """Petz, rotated-Petz, twirled-Petz, and Schumacher-Westmoreland decoders.
 
 Decoders are materialized as CPTP Kraus channels from B back to A. Their
-entanglement fidelities are available both by direct simulation and, for
-the Petz family, through closed-form expressions in the channeled
-purification sigma_RB. The twirled decoder averages the rotated decoders
-against the density beta0(t) = (pi/2) / (cosh(pi t) + 1): the adaptive
-quadrature evaluates the rotated fidelity spectrally at a whole panel of
-nodes per call, and the twirled Choi matrix is the Petz Choi matrix in the
-eigenbasis of (sigma_B, rho) multiplied entrywise by the averaged phases.
+entanglement fidelities follow from the Kraus-trace identity
+F_e = sum |tr(rho D_l K_k)|^2 and, for the Petz family, from closed-form
+expressions in the channeled purification sigma_RB. The Petz-family maps
+and the SDP reduction split the spectra of rho and sigma_B = N(rho) once
+per call (:func:`_spectra`). The twirled decoder averages the rotated
+decoders against the density beta0(t) = (pi/2) / (cosh(pi t) + 1): the
+adaptive quadrature evaluates the rotated fidelity spectrally at a whole
+panel of nodes per call, and the twirled Choi matrix is the Petz Choi
+matrix in the eigenbasis of (sigma_B, rho) multiplied entrywise by the
+averaged phases.
 """
 
 from __future__ import annotations
@@ -75,8 +78,21 @@ def identity_decoder(dim: int) -> Decoder:
     return Decoder(channel=ch, kind="identity")
 
 
-def _channel_output(rho_a: DensityOperator, ch: KrausChannel):
-    """sigma_B = N(rho) with its spectrum; raises if it is numerically zero."""
+def _split_support(eig: HermEig):
+    """Support eigenvalues and eigenvectors at the relative cut RANK_CUT, and
+    the kernel eigenvectors."""
+    kept = eig.eigenvalues > RANK_CUT * float(eig.eigenvalues[0])
+    return eig.eigenvalues[kept], eig.eigenvectors[:, kept], eig.eigenvectors[:, ~kept]
+
+
+def _spectra(rho_a: DensityOperator, ch: KrausChannel):
+    """Spectra of rho and of sigma_B = N(rho), each split once at RANK_CUT.
+
+    Returns ((lam, u_a), (mu, u_b, kernel)): the support eigenvalues
+    (descending) and eigenvectors of rho, and those of sigma_B together with
+    its kernel eigenvectors. Raises :class:`DegenerateChannelOutput` if
+    sigma_B is numerically zero.
+    """
     if ch.dim_in != rho_a.dim:
         raise DimensionMismatch(f"channel input {ch.dim_in} != source dim {rho_a.dim}")
     sigma_b = np.zeros((ch.dim_out, ch.dim_out), dtype=np.complex128)
@@ -85,14 +101,8 @@ def _channel_output(rho_a: DensityOperator, ch: KrausChannel):
     eig_b = herm_eig(sigma_b)
     if eig_b.eigenvalues[0] <= 1e-14:
         raise DegenerateChannelOutput("channel output state is numerically zero")
-    return sigma_b, eig_b
-
-
-def _split_support(eig: HermEig):
-    """Support eigenvalues and eigenvectors at the relative cut RANK_CUT, and
-    the kernel eigenvectors."""
-    kept = eig.eigenvalues > RANK_CUT * float(eig.eigenvalues[0])
-    return eig.eigenvalues[kept], eig.eigenvectors[:, kept], eig.eigenvectors[:, ~kept]
+    lam, u_a, _ = _split_support(herm_eig(rho_a.matrix))
+    return (lam, u_a), _split_support(eig_b)
 
 
 def _petz_family_kraus(rho_a: DensityOperator, ch: KrausChannel, t: float):
@@ -103,18 +113,15 @@ def _petz_family_kraus(rho_a: DensityOperator, ch: KrausChannel, t: float):
     of sigma_B and outputs the maximally mixed state on supp(rho), making
     the channel CPTP everywhere without affecting fidelities.
     """
-    sigma_b, eig_b = _channel_output(rho_a, ch)
-    rho_half = matrix_power_on_support(rho_a.matrix, (1 - 1j * t) / 2)
-    sig_inv_half = matrix_power_on_support(sigma_b, (-1 + 1j * t) / 2)
+    (lam, u_a), (mu, u_b, kernel) = _spectra(rho_a, ch)
+    rho_half = (u_a * np.exp((1 - 1j * t) / 2 * np.log(lam))) @ dag(u_a)
+    sig_inv_half = (u_b * np.exp((-1 + 1j * t) / 2 * np.log(mu))) @ dag(u_b)
     ops = [rho_half @ dag(k) @ sig_inv_half for k in ch.kraus_ops]
 
-    _, _, kernel = _split_support(eig_b)
-    if kernel.shape[1]:
-        _, support, _ = _split_support(herm_eig(rho_a.matrix))
-        r = support.shape[1]
-        for m in range(kernel.shape[1]):
-            for j in range(r):
-                ops.append(np.outer(support[:, j], kernel[:, m].conj()) / math.sqrt(r))
+    r = u_a.shape[1]
+    for m in range(kernel.shape[1]):
+        for j in range(r):
+            ops.append(np.outer(u_a[:, j], kernel[:, m].conj()) / math.sqrt(r))
     return ops
 
 
@@ -302,9 +309,7 @@ def _twirled_choi(
     C o (Z diag(w) Z^dagger). The kernel completion does not depend on t
     and enters with weight sum_i w_i.
     """
-    _, eig_b = _channel_output(rho_a, ch)
-    mu, u_b, kernel = _split_support(eig_b)
-    lam, u_a, _ = _split_support(herm_eig(rho_a.matrix))
+    (lam, u_a), (mu, u_b, kernel) = _spectra(rho_a, ch)
 
     # Petz Kraus operators rho^(1/2) K_i^dagger sigma_B^(-1/2) in the
     # eigenbases; the Choi vector of K has entries K[a, b] at index (b, a).
@@ -356,17 +361,16 @@ def build_twirled_petz(
 
 
 def fe_of_decoder(rho_a: DensityOperator, ch: KrausChannel, decoder: Decoder) -> float:
-    """Entanglement fidelity of decoder compose channel, by direct simulation."""
+    """Entanglement fidelity of decoder compose channel by the Kraus-trace
+    identity F_e = sum_(l,k) |tr(rho D_l K_k)|^2 (Schumacher,
+    quant-ph/9604023), clamped to [0, 1]; no purification is needed."""
+    if ch.dim_in != rho_a.dim:
+        raise DimensionMismatch(f"channel input {ch.dim_in} != source dim {rho_a.dim}")
     if decoder.channel.dim_in != ch.dim_out or decoder.channel.dim_out != ch.dim_in:
         raise DimensionMismatch("decoder dimensions do not invert the channel")
-    pur = purify(rho_a)
-    sigma_rb = channel_on_purification(pur, ch)
-    vec = pur.vector.reshape(pur.rank, ch.dim_in)
-    # <rho|(1 tensor D)(sigma_RB)|rho> = sum_l <w_l|sigma_RB|w_l>
-    # with |w_l> = (1 tensor D_l^dagger)|rho>.
-    w = np.stack([(vec @ k.conj()).reshape(-1) for k in decoder.channel.kraus_ops])
-    val = np.einsum("li,ij,lj->", w.conj(), sigma_rb.matrix, w, optimize=True)
-    return float(min(1.0, max(0.0, val.real)))
+    k_rho = np.stack(ch.kraus_ops) @ rho_a.matrix
+    traces = np.einsum("lab,kba->lk", np.stack(decoder.channel.kraus_ops), k_rho, optimize=True)
+    return float(min(1.0, max(0.0, np.sum(np.abs(traces) ** 2))))
 
 
 # ---------------------------------------------------------------------------

@@ -59,18 +59,33 @@ def _state_matrix(rho) -> np.ndarray:
 
 
 def _psd_eig(p):
+    """Eigenvalues clipped at 0, eigenvectors, and the mask of the support at
+    the relative cut RANK_CUT."""
     eig = herm_eig(p)
     w = np.clip(eig.eigenvalues.real, 0.0, None)
-    return w, eig.eigenvectors
+    return w, eig.eigenvectors, w > RANK_CUT * max(float(w[0]), 0.0)
 
 
-def _kernel_leak(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Mass of rho on the kernel of sigma (0 iff rho << sigma)."""
-    w, v = _psd_eig(sigma)
-    cut = RANK_CUT * max(float(w[0]), 0.0) if w.size else 0.0
-    kernel = v[:, w <= cut]
-    if kernel.shape[1] == 0:
-        return 0.0
+def _on_support(spec, f) -> np.ndarray:
+    """V diag(f(w)) V^dagger of a :func:`_psd_eig` spectrum, with f taken on
+    the support and 0 on the kernel."""
+    w, v, kept = spec
+    out = np.zeros(w.shape, dtype=np.complex128)
+    out[kept] = f(w[kept])
+    return (v * out) @ dag(v)
+
+
+def _power(spec, z: float) -> np.ndarray:
+    """The matrix of a :func:`_psd_eig` spectrum raised to z on its support,
+    with the arithmetic of :func:`~petzlab.matcore.matrix_power_on_support`."""
+    return _on_support(spec, lambda w: np.exp(complex(z) * np.log(w)))
+
+
+def _kernel_leak(rho: np.ndarray, spec) -> float:
+    """Mass of rho on the kernel of sigma, given sigma's :func:`_psd_eig`
+    spectrum (0 iff rho << sigma)."""
+    _, v, kept = spec
+    kernel = v[:, ~kept]
     return float(np.trace(dag(kernel) @ rho @ kernel).real)
 
 
@@ -79,20 +94,22 @@ def _orthogonal(rho: np.ndarray, sigma: np.ndarray) -> bool:
     return float(np.linalg.norm(rho @ sigma)) <= 1e-12 * scale
 
 
-def _log2_on_support(p: np.ndarray) -> np.ndarray:
-    w, v = _psd_eig(p)
-    cut = RANK_CUT * max(float(w[0]), 0.0)
-    out = np.zeros_like(w)
-    kept = w > cut
-    out[kept] = np.log2(w[kept])
-    return (v * out) @ dag(v)
+def _support_condition(rho: np.ndarray, sigma: np.ndarray, spec, alpha: float):
+    """Support condition of a Renyi divergence of order alpha != 1, or None
+    when the divergence is +inf. It is finite when rho << sigma, or when
+    alpha < 1 and rho is not orthogonal to sigma."""
+    if _kernel_leak(rho, spec) <= SUPPORT_LEAK_TOL:
+        return COND_AC
+    if alpha < 1 and not _orthogonal(rho, sigma):
+        return COND_NOT_ORTH
+    return None
 
 
 def entropy(rho, alpha: float | None = None) -> float:
     """Von Neumann entropy, or the Renyi entropy of order ``alpha`` if given."""
     m = _state_matrix(rho)
-    w, _ = _psd_eig(m)
-    w = w[w > RANK_CUT * max(float(w[0]), 0.0)]
+    w, _, kept = _psd_eig(m)
+    w = w[kept]
     if alpha is None:
         return float(-np.sum(w * np.log2(w)))
     if alpha <= 0 or alpha == 1:
@@ -128,9 +145,10 @@ def relative_entropy(rho, sigma) -> DivergenceResult:
     r, s = _state_matrix(rho), as_cmatrix(sigma)
     if r.shape != s.shape:
         raise DimensionMismatch(f"shapes {r.shape} and {s.shape} differ")
-    if _kernel_leak(r, s) > SUPPORT_LEAK_TOL:
+    spec = _psd_eig(s)
+    if _kernel_leak(r, spec) > SUPPORT_LEAK_TOL:
         return DivergenceResult(math.inf, COND_VIOLATED)
-    val = np.trace(r @ (_log2_on_support(r) - _log2_on_support(s))).real
+    val = np.trace(r @ (_on_support(_psd_eig(r), np.log2) - _on_support(spec, np.log2))).real
     return DivergenceResult(float(val), COND_AC)
 
 
@@ -148,21 +166,14 @@ def petz_divergence(rho, sigma, alpha: float) -> DivergenceResult:
         raise DimensionMismatch(f"shapes {r.shape} and {s.shape} differ")
     if alpha == 1:
         return relative_entropy(r, s)
-    ac = _kernel_leak(r, s) <= SUPPORT_LEAK_TOL
-    if alpha < 1:
-        if not ac and _orthogonal(r, s):
-            return DivergenceResult(math.inf, COND_VIOLATED)
-        condition = COND_AC if ac else COND_NOT_ORTH
-    else:
-        if not ac:
-            return DivergenceResult(math.inf, COND_VIOLATED)
-        condition = COND_AC
+    spec = _psd_eig(s)
+    condition = _support_condition(r, s, spec, alpha)
+    if condition is None:
+        return DivergenceResult(math.inf, COND_VIOLATED)
     if alpha == 0:
         pi = matrix_power_on_support(r, 0.0)
         return DivergenceResult(float(-np.log2(np.trace(pi @ s).real)), condition)
-    t = np.trace(
-        matrix_power_on_support(r, alpha) @ matrix_power_on_support(s, 1 - alpha)
-    ).real
+    t = np.trace(matrix_power_on_support(r, alpha) @ _power(spec, 1 - alpha)).real
     return DivergenceResult(float(np.log2(t) / (alpha - 1)), condition)
 
 
@@ -176,17 +187,12 @@ def sandwiched_divergence(rho, sigma, alpha: float) -> DivergenceResult:
         raise DimensionMismatch(f"shapes {r.shape} and {s.shape} differ")
     if alpha == 1:
         return relative_entropy(r, s)
-    ac = _kernel_leak(r, s) <= SUPPORT_LEAK_TOL
-    if alpha < 1:
-        if not ac and _orthogonal(r, s):
-            return DivergenceResult(math.inf, COND_VIOLATED)
-        condition = COND_AC if ac else COND_NOT_ORTH
-    else:
-        if not ac:
-            return DivergenceResult(math.inf, COND_VIOLATED)
-        condition = COND_AC
+    spec = _psd_eig(s)
+    condition = _support_condition(r, s, spec, alpha)
+    if condition is None:
+        return DivergenceResult(math.inf, COND_VIOLATED)
     exponent = (1 - alpha) / (2 * alpha)
-    half = matrix_power_on_support(s, exponent)
+    half = _power(spec, exponent)
     inner = half @ r @ half
     val = alpha / (alpha - 1) * np.log2(schatten_norm(inner, alpha))
     return DivergenceResult(float(val), condition)
@@ -245,7 +251,7 @@ def sandwiched_mi_up(sigma_rb: DensityOperator, w_r) -> float:
         raise DimensionMismatch(f"W_R is {w_r.shape}, expected {(d_r, d_r)}")
     sig_b = partial_trace(m, (d_r, d_b), keep=1)
     second = kron(w_r, sig_b)
-    if _kernel_leak(m, second) > SUPPORT_LEAK_TOL:
+    if _kernel_leak(m, _psd_eig(second)) > SUPPORT_LEAK_TOL:
         raise SupportViolation("state not absolutely continuous w.r.t. W_R tensor sigma_B")
     quarter = kron(
         matrix_power_on_support(w_r, -0.25), matrix_power_on_support(sig_b, -0.25)

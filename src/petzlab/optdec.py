@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoders import (
-    Decoder,
-    _channel_output,
-    _split_support,
-    fe_closed_form,
-    fe_of_decoder,
-)
+from .decoders import Decoder, _spectra, fe_closed_form, fe_of_decoder
 from .errors import BracketViolated, MaxIterations, NumericalBreakdown
 from .matcore import dag, herm_eig, herm_part, kron, partial_trace
 from .quantum import (
@@ -130,9 +124,7 @@ def reduce_problem(
 ) -> tuple[SdpProblem, ReductionEmbedding]:
     """Fidelity SDP restricted to supp(N(rho)) on the input and supp(rho) on
     the output; the reduced optimum equals the full optimum."""
-    _, eig_b = _channel_output(rho_a, ch)
-    _, v_in, _ = _split_support(eig_b)
-    _, v_out, _ = _split_support(herm_eig(rho_a.matrix))
+    (_, v_out), (_, v_in, _) = _spectra(rho_a, ch)
     rho_red = density_operator(dag(v_out) @ rho_a.matrix @ v_out)
     ops = tuple(dag(v_in) @ k @ v_out for k in ch.kraus_ops)
     ch_red = KrausChannel(

@@ -5,7 +5,9 @@ come from characteristic-polynomial roots, partial traces from explicit
 index loops, minimizations from parameter grids, integrals from dense
 trapezoids, the twirled Choi matrix from one rotated decoder per quadrature
 node, the SW decoder from a literal dense transcription of its
-construction, and the SDP Newton step from two complex Schur solves.
+construction, the SDP Newton step from two complex Schur solves, decoder
+fidelities from the canonical purification and sigma_RB, and the rotated
+Petz Kraus list from one matrix power per factor.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from scipy.optimize import minimize
 from petzlab.decoders import build_rotated_petz
 from petzlab.errors import MaxIterations, NumericalBreakdown
 from petzlab.matcore import (
+    RANK_CUT,
     dag,
     herm_part,
     kron,
@@ -24,7 +27,13 @@ from petzlab.matcore import (
     psd_sqrt,
 )
 from petzlab.optdec import SdpSolution, _nt_scaling, _psd_step, _schur_matrix
-from petzlab.quantum import choi_of_channel, purify, stinespring_dilation
+from petzlab.quantum import (
+    apply_channel,
+    channel_on_purification,
+    choi_of_channel,
+    purify,
+    stinespring_dilation,
+)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -147,6 +156,41 @@ def twirled_choi_per_node(rho, ch, nodes, weights):
     tr_out = partial_trace(choi, (d_in, d_out), keep=0)
     fix = kron(matrix_power_on_support(tr_out, -0.5), np.eye(d_out))
     return fix @ choi @ dag(fix)
+
+
+# -- decoder fidelity and the rotated Petz map, one step per factor ----------------
+
+
+def fe_of_decoder_purified(rho, ch, decoder):
+    """<rho|(1 tensor D o N)(|rho><rho|)|rho> from the canonical purification:
+    sum_l <w_l|sigma_RB|w_l> with |w_l> = (1 tensor D_l^dagger)|rho>,
+    clamped to [0, 1]."""
+    pur = purify(rho)
+    sigma_rb = channel_on_purification(pur, ch)
+    vec = pur.vector.reshape(pur.rank, ch.dim_in)
+    w = np.stack([(vec @ k.conj()).reshape(-1) for k in decoder.channel.kraus_ops])
+    val = np.einsum("li,ij,lj->", w.conj(), sigma_rb.matrix, w, optimize=True)
+    return float(min(1.0, max(0.0, val.real)))
+
+
+def rotated_petz_kraus_literal(rho, ch, t):
+    """Kraus list rho^((1-it)/2) K_i^dagger sigma_B^((-1+it)/2), each power
+    from its own matrix_power_on_support, plus the kernel completion
+    |u_j><k_m| / sqrt(r) over the support vectors u_j of rho (r of them) and
+    the kernel vectors k_m of sigma_B at the relative cut RANK_CUT."""
+    sigma_b = apply_channel(ch, rho.matrix)
+    rho_half = matrix_power_on_support(rho.matrix, (1 - 1j * t) / 2)
+    sig_inv_half = matrix_power_on_support(sigma_b, (-1 + 1j * t) / 2)
+    ops = [rho_half @ dag(k) @ sig_inv_half for k in ch.kraus_ops]
+    w_a, v_a = np.linalg.eigh(herm_part(rho.matrix))
+    w_b, v_b = np.linalg.eigh(herm_part(sigma_b))
+    support = v_a[:, w_a > RANK_CUT * w_a[-1]]
+    kernel = v_b[:, w_b <= RANK_CUT * w_b[-1]]
+    r = support.shape[1]
+    for m in range(kernel.shape[1]):
+        for j in range(r):
+            ops.append(np.outer(support[:, j], kernel[:, m].conj()) / np.sqrt(r))
+    return ops
 
 
 # -- Knill-Laflamme -----------------------------------------------------------

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from petzlab import bench, decoders, infomeasures
+import petzlab
+from petzlab import bench, decoders, infomeasures, matcore, optdec, quantum
 from petzlab.bench import (
     BOUND_SERIES,
     DECODER_SERIES,
@@ -280,6 +281,41 @@ def test_sweep_computes_epsilon_sw_once_per_point(tmp_path, monkeypatch):
             assert c.value == infomeasures.sw_original_bound(max(0.0, eps))
 
 
+def _count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` through every petzlab module that binds it."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in (petzlab, matcore, quantum, infomeasures, decoders, optdec, bench):
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_sweep_point_purifies_at_most_three_times(tmp_path, monkeypatch):
+    # the sweep set-up, build_sw and the SDP objective; fidelities of
+    # materialized decoders need no purification
+    calls = _count_calls(monkeypatch, quantum, "purify")
+    cfg = SweepConfig(
+        setting="lncy4", p_start=0.3, p_stop=0.3, p_count=1, out=str(tmp_path / "x.csv")
+    )
+    points = run_sweep(cfg)
+    assert [c.flags for c in points] == ["ok"] * (len(DECODER_SERIES) + len(BOUND_SERIES))
+    assert len(calls) <= 3
+
+
+def test_fe_of_decoder_makes_no_eigendecomposition(monkeypatch):
+    rho, ch = bench.SETTINGS["lncy4"].build(0.3)
+    dec, _ = decoders.build_sw(rho, ch)
+    calls = _count_calls(monkeypatch, matcore, "herm_eig")
+    assert 0.0 < decoders.fe_of_decoder(rho, ch, dec) <= 1.0
+    assert calls == []
+
+
 # -- audit -----------------------------------------------------------------------
 
 
@@ -287,6 +323,48 @@ def test_audit_identity_setting_passes():
     report = audit_invariants("identity", points=3)
     assert isinstance(report, AuditReport)
     assert report.ok, report.failures()
+
+
+def test_audit_contains_linalg_error_in_one_series(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(decoders, "build_sw", broken)
+    report = audit_invariants("bitflip3", points=2)
+    failed = report.failures()
+    assert [r.detail for r in failed if r.check == "sw"] == ["error:LinAlgError"] * 2
+    # the only check that reads the sw value fails on its NaN; the others pass
+    assert {r.check for r in failed} == {"sw", "cor1b_chain"}
+    assert main(["audit", "--setting", "bitflip3", "--points", "2"]) == 2
+    assert "[FAIL] bitflip3 p=0 sw: error:LinAlgError" in capsys.readouterr().out
+
+
+def test_audit_checks_the_sweep_rows(monkeypatch):
+    requested = []
+    real = bench._series_values
+
+    def petz_shifted(setting, p, wanted, tol):
+        requested.append(wanted)
+        rows = real(setting, p, wanted, tol)
+        return [
+            dataclasses.replace(c, value=c.value - 0.5) if c.series == "petz" else c
+            for c in rows
+        ]
+
+    monkeypatch.setattr(bench, "_series_values", petz_shifted)
+    report = audit_invariants("identity", points=3)
+    assert requested == [("petz", "twirled", "sw", "lower_sw", "lower_twirled", "optimal")] * 3
+    failed = {r.check for r in report.failures()}
+    assert failed == {"thm2_petz_closed_form", "cor2c_chain", "bk_bracket"}
+
+
+def test_audit_skipped_sdp_gives_no_bracket_row(monkeypatch):
+    monkeypatch.setattr(bench, "SDP_DIM_LIMIT", 0)
+    report = audit_invariants("identity", points=2)
+    assert report.ok, report.failures()
+    assert "bk_bracket" not in {r.check for r in report.rows}
+    no_sdp = audit_invariants("identity", points=2, include_sdp=False)
+    assert [r.check for r in no_sdp.rows] == [r.check for r in report.rows]
 
 
 def test_audit_unknown_setting():

@@ -481,3 +481,66 @@ def test_sw_reduces_kraus_lists_longer_than_choi_rank(rng):
     reduced = channel_from_choi(choi_of_channel(ch), (2, 2))
     ref, _ = build_sw(rho, _zero_padded(reduced))
     assert abs(fe_of_decoder(rho, ch, dec) - fe_of_decoder(rho, ch, ref)) <= 1e-12
+
+
+# -- Kraus-trace fidelity and shared spectra against the paths they replace ---------------
+
+FE_POINTS = {"bitflip3": GRID_21, "lncy4": GRID_21, "fivequbit": np.array([0.1, 0.5, 0.9])}
+
+
+def _rank_deficient_instances(rng):
+    """Random (rho, N) with rank-deficient rho and d_A != d_B; the single-Kraus
+    channels into a larger space leave sigma_B with a kernel."""
+    cases = [(3, 2, 2, 2), (2, 3, 1, 2), (4, 3, 2, 3), (3, 5, 2, 1), (4, 6, 3, 1)]
+    for d_a, d_b, rank, n_kraus in cases:
+        rho = density_operator(oracles.random_state(rng, d_a, rank=rank))
+        yield rho, kraus_channel(oracles.random_kraus(rng, d_a, d_b, n_kraus))
+
+
+def _assert_fe_matches_purification_oracle(rho, ch, rng):
+    decs = [build_petz(rho, ch), build_twirled_petz(rho, ch), build_sw(rho, ch)[0]]
+    if ch.dim_in == ch.dim_out:
+        decs.append(identity_decoder(ch.dim_in))
+    random_dec = kraus_channel(oracles.random_kraus(rng, ch.dim_out, ch.dim_in, 2), "B", "A")
+    decs.append(Decoder_from(random_dec))
+    for dec in decs:
+        reference = oracles.fe_of_decoder_purified(rho, ch, dec)
+        assert abs(fe_of_decoder(rho, ch, dec) - reference) <= 1e-12, dec.kind
+
+
+@pytest.mark.parametrize("setting", ["bitflip3", "lncy4", "fivequbit"])
+def test_fe_of_decoder_matches_purification_oracle(setting, rng):
+    for p in FE_POINTS[setting]:  # the 21-point grids include p = 0 and p = 1
+        rho, ch = SETTINGS[setting].build(float(p))
+        _assert_fe_matches_purification_oracle(rho, ch, rng)
+
+
+def test_fe_of_decoder_matches_purification_oracle_random(rng):
+    for rho, ch in _rank_deficient_instances(rng):
+        _assert_fe_matches_purification_oracle(rho, ch, rng)
+
+
+def _choi(ops):
+    """choi_of_channel as one matrix product: sum_k vec(K_k^T) vec(K_k^T)^dagger."""
+    vecs = np.stack([k.T.reshape(-1) for k in ops])
+    return vecs.T @ vecs.conj()
+
+
+def _assert_rotated_choi_matches_literal(rho, ch):
+    for t in (0.0, 0.7, -2.5):
+        dec = build_rotated_petz(rho, ch, t)
+        literal = oracles.rotated_petz_kraus_literal(rho, ch, t)
+        kraus_channel(literal, "B", "A")  # the oracle's list is trace preserving
+        diff = _choi(dec.channel.kraus_ops) - _choi(literal)
+        assert np.linalg.norm(diff) <= 1e-12, t
+
+
+@pytest.mark.parametrize("setting", ["bitflip3", "lncy4", "fivequbit"])
+def test_rotated_petz_choi_matches_literal_powers(setting):
+    for p in FE_POINTS[setting]:
+        _assert_rotated_choi_matches_literal(*SETTINGS[setting].build(float(p)))
+
+
+def test_rotated_petz_choi_matches_literal_powers_random(rng):
+    for rho, ch in _rank_deficient_instances(rng):
+        _assert_rotated_choi_matches_literal(rho, ch)

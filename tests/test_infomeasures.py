@@ -110,6 +110,22 @@ def test_petz_kernel_violation_is_infinite():
     assert res.support_condition == "support_violated"
 
 
+@pytest.mark.parametrize("divergence", [petz_divergence, sandwiched_divergence])
+def test_renyi_support_conditions(divergence):
+    half = np.diag([0.5, 0.5])
+    zero, one = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    # not absolutely continuous but not orthogonal: finite only below order 1
+    below = divergence(half, zero, 0.5)
+    assert below.support_condition == "not_orthogonal"
+    assert below.value == pytest.approx(1.0)
+    for rho, sigma, alpha in [(half, zero, 2), (one, zero, 0.5)]:
+        res = divergence(rho, sigma, alpha)
+        assert (res.value, res.support_condition) == (math.inf, "support_violated")
+    above = divergence(zero, half, 2)
+    assert above.support_condition == "absolutely_continuous"
+    assert above.value == pytest.approx(1.0)
+
+
 def test_petz_order_two_example():
     rho = np.diag([0.5, 0.5])
     sigma = np.diag([0.25, 0.75])

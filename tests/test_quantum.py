@@ -381,6 +381,20 @@ def test_ef_requires_endomorphic():
         entanglement_fidelity_direct(rho, ch)
 
 
+def test_ef_matches_purification_oracle(rng):
+    from petzlab.decoders import identity_decoder
+
+    cases = []
+    for d, rank, n_kraus in [(3, 3, 2), (3, 1, 2), (4, 2, 3), (4, 3, 1)]:
+        rho = density_operator(oracles.random_state(rng, d, rank=rank))
+        cases.append((rho, _random_channel(rng, d, d, n_kraus)))
+    for p in np.linspace(0.0, 1.0, 5):
+        cases.append((make_code_source("lncy4"), make_channel("amplitude_damping", p, n=4)))
+    for rho, ch in cases:
+        reference = oracles.fe_of_decoder_purified(rho, ch, identity_decoder(rho.dim))
+        assert abs(entanglement_fidelity_direct(rho, ch) - reference) <= 1e-12
+
+
 def test_bitflip3_perfect_at_zero_noise():
     rho = make_code_source("bitflip3")
     ch = make_channel("bitflip", 0.0, n=3)
