@@ -28,13 +28,12 @@ from .errors import (
     ToleranceNotMet,
 )
 from .matcore import (
-    RANK_CUT,
-    HermEig,
     dag,
     herm_eig,
     kron,
     matrix_power_on_support,
     partial_trace,
+    support_mask,
 )
 from .quantum import (
     DensityOperator,
@@ -78,15 +77,9 @@ def identity_decoder(dim: int) -> Decoder:
     return Decoder(channel=ch, kind="identity")
 
 
-def _split_support(eig: HermEig):
-    """Support eigenvalues and eigenvectors at the relative cut RANK_CUT, and
-    the kernel eigenvectors."""
-    kept = eig.eigenvalues > RANK_CUT * float(eig.eigenvalues[0])
-    return eig.eigenvalues[kept], eig.eigenvectors[:, kept], eig.eigenvectors[:, ~kept]
-
-
 def _spectra(rho_a: DensityOperator, ch: KrausChannel):
-    """Spectra of rho and of sigma_B = N(rho), each split once at RANK_CUT.
+    """Spectra of rho and of sigma_B = N(rho), each split once at the support
+    cut (:meth:`~petzlab.matcore.HermEig.split`).
 
     Returns ((lam, u_a), (mu, u_b, kernel)): the support eigenvalues
     (descending) and eigenvectors of rho, and those of sigma_B together with
@@ -101,8 +94,8 @@ def _spectra(rho_a: DensityOperator, ch: KrausChannel):
     eig_b = herm_eig(sigma_b)
     if eig_b.eigenvalues[0] <= 1e-14:
         raise DegenerateChannelOutput("channel output state is numerically zero")
-    lam, u_a, _ = _split_support(herm_eig(rho_a.matrix))
-    return (lam, u_a), _split_support(eig_b)
+    lam, u_a, _ = herm_eig(rho_a.matrix).split()
+    return (lam, u_a), eig_b.split()
 
 
 def _petz_family_kraus(rho_a: DensityOperator, ch: KrausChannel, t: float):
@@ -172,8 +165,8 @@ class RotatedFidelity:
         m = sigma_rb.matrix
         sig_r = sigma_rb.marginal(sigma_rb.labels[0])
         sig_b = sigma_rb.marginal(sigma_rb.labels[1])
-        lam_r, v_r, _ = _split_support(herm_eig(sig_r))
-        mu_b, v_b, _ = _split_support(herm_eig(sig_b))
+        lam_r, v_r, _ = herm_eig(sig_r).split()
+        mu_b, v_b, _ = herm_eig(sig_b).split()
         v = np.kron(v_r, v_b)
         s = dag(v) @ m @ v
         self._theta = (np.log(lam_r)[:, None] - np.log(mu_b)[None, :]).reshape(-1)
@@ -565,9 +558,11 @@ def build_sw(rho_a: DensityOperator, ch: KrausChannel) -> tuple[Decoder, SwConst
     reduction of :func:`~petzlab.quantum.dilate`), padded with zero slots
     only up to ceil(d_B / rank(rho_A)) so that the input block
     |0>_{R'A'} tensor B fits inside R'E'. The reference system has
-    dimension rank(rho_A). Alignment unitaries come from rank-factored SVDs
-    with deterministic null-space completions; the completions do not affect
-    the decoder's action on the channel's output support.
+    dimension rank(rho_A). Alignment unitaries come from SVDs factored on
+    the support of sigma_RE^(1/2) (the support mask applied to the singular
+    values of its coefficient matrix), with deterministic null-space
+    completions; the completions do not affect the decoder's action on the
+    channel's output support.
     """
     pur = purify(rho_a)
     iso = dilate(ch, -(-ch.dim_out // pur.rank))
@@ -583,10 +578,13 @@ def build_sw(rho_a: DensityOperator, ch: KrausChannel) -> tuple[Decoder, SwConst
     mu, e_mat = eig_e.eigenvalues, eig_e.eigenvectors
 
     # Coefficient matrix of |sigma> for the (RE)|(B) cut and its thin SVD;
-    # sigma_RE = X X^dagger.
+    # sigma_RE = X X^dagger. The support is cut on s, the spectrum of
+    # sigma_RE^(1/2), since the alignment acts on amplitudes: cutting s^2
+    # drops bitflip3's directions with s ~ 1e-7 * s_max at p = 1e-14, and the
+    # alignment check then rejects the decoder.
     x = psi3.transpose(0, 2, 1).reshape(n, d_b)
     u_full, s_full, vh_full = np.linalg.svd(x, full_matrices=False)
-    rank = int(np.sum(s_full > RANK_CUT * max(float(s_full[0]), 0.0)))
+    rank = int(np.count_nonzero(support_mask(s_full)))
     u_r, s_r, v_x = u_full[:, :rank], s_full[:rank], dag(vh_full[:rank, :])
 
     # T = sigma_hat^(1/2) sigma_RE^(1/2) = L diag(s_r) U_r^dagger and

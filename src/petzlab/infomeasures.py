@@ -19,15 +19,16 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidOrder, NegativeEpsilon, SupportViolation
 from .matcore import (
-    RANK_CUT,
     as_cmatrix,
     dag,
     herm_eig,
     kron,
     matrix_power_on_support,
+    on_support,
     partial_trace,
+    power_on_support,
+    psd_eig,
     psd_sqrt,
-    schatten_norm,
 )
 from .quantum import DensityOperator
 
@@ -58,34 +59,10 @@ def _state_matrix(rho) -> np.ndarray:
     return as_cmatrix(rho)
 
 
-def _psd_eig(p):
-    """Eigenvalues clipped at 0, eigenvectors, and the mask of the support at
-    the relative cut RANK_CUT."""
-    eig = herm_eig(p)
-    w = np.clip(eig.eigenvalues.real, 0.0, None)
-    return w, eig.eigenvectors, w > RANK_CUT * max(float(w[0]), 0.0)
-
-
-def _on_support(spec, f) -> np.ndarray:
-    """V diag(f(w)) V^dagger of a :func:`_psd_eig` spectrum, with f taken on
-    the support and 0 on the kernel."""
-    w, v, kept = spec
-    out = np.zeros(w.shape, dtype=np.complex128)
-    out[kept] = f(w[kept])
-    return (v * out) @ dag(v)
-
-
-def _power(spec, z: float) -> np.ndarray:
-    """The matrix of a :func:`_psd_eig` spectrum raised to z on its support,
-    with the arithmetic of :func:`~petzlab.matcore.matrix_power_on_support`."""
-    return _on_support(spec, lambda w: np.exp(complex(z) * np.log(w)))
-
-
-def _kernel_leak(rho: np.ndarray, spec) -> float:
-    """Mass of rho on the kernel of sigma, given sigma's :func:`_psd_eig`
-    spectrum (0 iff rho << sigma)."""
-    _, v, kept = spec
-    kernel = v[:, ~kept]
+def _kernel_leak(rho: np.ndarray, eig) -> float:
+    """Mass of rho on the kernel of sigma, given sigma's eigendecomposition
+    (0 iff rho << sigma)."""
+    kernel = eig.split()[2]
     return float(np.trace(dag(kernel) @ rho @ kernel).real)
 
 
@@ -94,11 +71,11 @@ def _orthogonal(rho: np.ndarray, sigma: np.ndarray) -> bool:
     return float(np.linalg.norm(rho @ sigma)) <= 1e-12 * scale
 
 
-def _support_condition(rho: np.ndarray, sigma: np.ndarray, spec, alpha: float):
+def _support_condition(rho: np.ndarray, sigma: np.ndarray, eig, alpha: float):
     """Support condition of a Renyi divergence of order alpha != 1, or None
     when the divergence is +inf. It is finite when rho << sigma, or when
     alpha < 1 and rho is not orthogonal to sigma."""
-    if _kernel_leak(rho, spec) <= SUPPORT_LEAK_TOL:
+    if _kernel_leak(rho, eig) <= SUPPORT_LEAK_TOL:
         return COND_AC
     if alpha < 1 and not _orthogonal(rho, sigma):
         return COND_NOT_ORTH
@@ -108,8 +85,7 @@ def _support_condition(rho: np.ndarray, sigma: np.ndarray, spec, alpha: float):
 def entropy(rho, alpha: float | None = None) -> float:
     """Von Neumann entropy, or the Renyi entropy of order ``alpha`` if given."""
     m = _state_matrix(rho)
-    w, _, kept = _psd_eig(m)
-    w = w[kept]
+    w = herm_eig(m).split()[0]
     if alpha is None:
         return float(-np.sum(w * np.log2(w)))
     if alpha <= 0 or alpha == 1:
@@ -145,10 +121,10 @@ def relative_entropy(rho, sigma) -> DivergenceResult:
     r, s = _state_matrix(rho), as_cmatrix(sigma)
     if r.shape != s.shape:
         raise DimensionMismatch(f"shapes {r.shape} and {s.shape} differ")
-    spec = _psd_eig(s)
-    if _kernel_leak(r, spec) > SUPPORT_LEAK_TOL:
+    eig = herm_eig(s)
+    if _kernel_leak(r, eig) > SUPPORT_LEAK_TOL:
         return DivergenceResult(math.inf, COND_VIOLATED)
-    val = np.trace(r @ (_on_support(_psd_eig(r), np.log2) - _on_support(spec, np.log2))).real
+    val = np.trace(r @ (on_support(herm_eig(r), np.log2) - on_support(eig, np.log2))).real
     return DivergenceResult(float(val), COND_AC)
 
 
@@ -166,20 +142,21 @@ def petz_divergence(rho, sigma, alpha: float) -> DivergenceResult:
         raise DimensionMismatch(f"shapes {r.shape} and {s.shape} differ")
     if alpha == 1:
         return relative_entropy(r, s)
-    spec = _psd_eig(s)
-    condition = _support_condition(r, s, spec, alpha)
+    eig = herm_eig(s)
+    condition = _support_condition(r, s, eig, alpha)
     if condition is None:
         return DivergenceResult(math.inf, COND_VIOLATED)
     if alpha == 0:
         pi = matrix_power_on_support(r, 0.0)
         return DivergenceResult(float(-np.log2(np.trace(pi @ s).real)), condition)
-    t = np.trace(matrix_power_on_support(r, alpha) @ _power(spec, 1 - alpha)).real
+    t = np.trace(matrix_power_on_support(r, alpha) @ power_on_support(eig, 1 - alpha)).real
     return DivergenceResult(float(np.log2(t) / (alpha - 1)), condition)
 
 
 def sandwiched_divergence(rho, sigma, alpha: float) -> DivergenceResult:
-    """Sandwiched Renyi divergence via the Schatten norm of
-    sigma^((1-alpha)/2alpha) rho sigma^((1-alpha)/2alpha)."""
+    """Sandwiched Renyi divergence log2(sum w^alpha) / (alpha - 1) over the
+    support eigenvalues w of the PSD sandwich sigma^x rho sigma^x,
+    x = (1-alpha)/2alpha; roundoff below the support cut does not enter."""
     if alpha <= 0:
         raise InvalidOrder(f"sandwiched order must be positive, got {alpha}")
     r, s = _state_matrix(rho), as_cmatrix(sigma)
@@ -187,15 +164,13 @@ def sandwiched_divergence(rho, sigma, alpha: float) -> DivergenceResult:
         raise DimensionMismatch(f"shapes {r.shape} and {s.shape} differ")
     if alpha == 1:
         return relative_entropy(r, s)
-    spec = _psd_eig(s)
-    condition = _support_condition(r, s, spec, alpha)
+    eig = herm_eig(s)
+    condition = _support_condition(r, s, eig, alpha)
     if condition is None:
         return DivergenceResult(math.inf, COND_VIOLATED)
-    exponent = (1 - alpha) / (2 * alpha)
-    half = _power(spec, exponent)
-    inner = half @ r @ half
-    val = alpha / (alpha - 1) * np.log2(schatten_norm(inner, alpha))
-    return DivergenceResult(float(val), condition)
+    half = power_on_support(eig, (1 - alpha) / (2 * alpha))
+    w = herm_eig(half @ r @ half).split()[0]
+    return DivergenceResult(float(np.log2(np.sum(w**alpha)) / (alpha - 1)), condition)
 
 
 def _bipartite(state: DensityOperator) -> tuple[np.ndarray, int, int]:
@@ -216,11 +191,12 @@ def min_petz_mi_order2(sigma_rb: DensityOperator, w_r) -> float:
     w_r = as_cmatrix(w_r)
     if w_r.shape != (d_r, d_r):
         raise DimensionMismatch(f"W_R is {w_r.shape}, expected {(d_r, d_r)}")
-    pi_w = matrix_power_on_support(w_r, 0.0)
+    eig = psd_eig(w_r)
+    pi_w = power_on_support(eig, 0.0)
     leak = np.trace(m @ kron(np.eye(d_r) - pi_w, np.eye(d_b))).real
     if leak > SUPPORT_LEAK_TOL:
         raise SupportViolation(f"state has mass {leak:.3e} outside supp(W_R) tensor 1")
-    w_inv_half = kron(matrix_power_on_support(w_r, -0.5), np.eye(d_b))
+    w_inv_half = kron(power_on_support(eig, -0.5), np.eye(d_b))
     y = partial_trace(w_inv_half @ m @ m @ w_inv_half, (d_r, d_b), keep=1)
     return float(2 * np.log2(np.trace(psd_sqrt(y)).real))
 
@@ -251,7 +227,7 @@ def sandwiched_mi_up(sigma_rb: DensityOperator, w_r) -> float:
         raise DimensionMismatch(f"W_R is {w_r.shape}, expected {(d_r, d_r)}")
     sig_b = partial_trace(m, (d_r, d_b), keep=1)
     second = kron(w_r, sig_b)
-    if _kernel_leak(m, _psd_eig(second)) > SUPPORT_LEAK_TOL:
+    if _kernel_leak(m, herm_eig(second)) > SUPPORT_LEAK_TOL:
         raise SupportViolation("state not absolutely continuous w.r.t. W_R tensor sigma_B")
     quarter = kron(
         matrix_power_on_support(w_r, -0.25), matrix_power_on_support(sig_b, -0.25)

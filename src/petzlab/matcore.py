@@ -4,6 +4,12 @@ Hermitian eigendecomposition, SVD, matrix powers on the support (including
 imaginary exponents), Schatten norms, partial trace, and fidelity. All
 functions operate on plain ``numpy`` arrays in row-major dense layout and
 reject non-finite input.
+
+Support policy: the support of a Hermitian matrix with descending spectrum
+w is the set of eigenvalues above RANK_CUT * max(w[0], 0); the rest is its
+kernel. :func:`support_mask` is the only place this cut is made. Every
+power on the support, purification rank, Kraus count, kernel completion,
+SW rank and entropy in the package takes its support from it.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from .errors import (
     NotState,
 )
 
-# Relative eigenvalue threshold below which "power on the support" treats a
-# direction as kernel. Matches double-precision spectral accuracy.
+# Relative eigenvalue threshold of the support (see :func:`support_mask`).
+# Matches double-precision spectral accuracy.
 RANK_CUT = 1e-12
 
 HERM_TOL = 1e-10
@@ -49,6 +55,12 @@ def herm_part(x: np.ndarray) -> np.ndarray:
     return (x + dag(x)) / 2
 
 
+def support_mask(w: np.ndarray) -> np.ndarray:
+    """Mask of the support of a descending spectrum: w > RANK_CUT * max(w[0], 0)."""
+    cut = RANK_CUT * max(float(w[0]), 0.0) if w.size else 0.0
+    return w > cut
+
+
 @dataclass(frozen=True)
 class HermEig:
     """Spectral decomposition H = V diag(w) V^dagger, eigenvalues descending."""
@@ -59,6 +71,13 @@ class HermEig:
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ dag(v)
+
+    def split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Support eigenvalues (all positive), support eigenvectors, and
+        kernel eigenvectors, at the cut of :func:`support_mask`."""
+        kept = support_mask(self.eigenvalues)
+        v = self.eigenvectors
+        return self.eigenvalues[kept], v[:, kept], v[:, ~kept]
 
 
 @dataclass(frozen=True)
@@ -106,33 +125,46 @@ def svd(m) -> Svd:
     return Svd(u=u, singular_values=s, vh=vh)
 
 
-def matrix_power_on_support(p, z: complex, rank_cut: float = RANK_CUT) -> np.ndarray:
-    """Power of a PSD matrix taken on its support.
+def on_support(eig: HermEig, f) -> np.ndarray:
+    """V diag(f(w)) V^dagger with f taken on the support of ``eig`` and 0 on
+    its kernel."""
+    w = eig.eigenvalues
+    kept = support_mask(w)
+    out = np.zeros(w.shape, dtype=np.complex128)
+    out[kept] = f(w[kept])
+    v = eig.eigenvectors
+    return (v * out) @ dag(v)
 
-    Eigenvalues below ``rank_cut`` times the largest are treated as kernel
-    and mapped to zero, so negative and complex exponents are well defined.
-    For purely imaginary ``z`` the result is unitary on the support.
-    """
+
+def power_on_support(eig: HermEig, z: complex) -> np.ndarray:
+    """The matrix of ``eig`` raised to z = exp(z ln w) on its support, 0 on
+    its kernel, so negative and complex exponents are well defined."""
+    z = np.asarray(z, dtype=np.complex128)
+    return on_support(eig, lambda w: np.exp(z * np.log(w)))
+
+
+def psd_eig(p) -> HermEig:
+    """Eigendecomposition of a matrix that must be PSD within HERM_TOL
+    (relative to max(1, largest eigenvalue)); raises :class:`NotPsd`."""
     eig = herm_eig(p)
     w = eig.eigenvalues
     if w.size and w[-1] < -HERM_TOL * max(1.0, float(w[0])):
         raise NotPsd(f"minimum eigenvalue {w[-1]:.3e} is negative beyond tolerance")
-    cut = rank_cut * max(float(w[0]), 0.0) if w.size else 0.0
-    kept = w > cut
-    powered = np.zeros(w.shape, dtype=np.complex128)
-    powered[kept] = np.exp(np.asarray(z, dtype=np.complex128) * np.log(w[kept]))
-    v = eig.eigenvectors
-    return (v * powered) @ dag(v)
+    return eig
 
 
-def psd_sqrt(p, rank_cut: float = RANK_CUT) -> np.ndarray:
+def matrix_power_on_support(p, z: complex) -> np.ndarray:
+    """Power of a PSD matrix taken on its support (:func:`support_mask`).
+
+    Kernel directions map to zero. For purely imaginary ``z`` the result is
+    unitary on the support.
+    """
+    return power_on_support(psd_eig(p), z)
+
+
+def psd_sqrt(p) -> np.ndarray:
     """Square root of a PSD matrix on its support."""
-    return herm_part(matrix_power_on_support(p, 0.5, rank_cut))
-
-
-def support_projector(p, rank_cut: float = RANK_CUT) -> np.ndarray:
-    """Orthogonal projector onto the support of a PSD matrix."""
-    return matrix_power_on_support(p, 0.0, rank_cut)
+    return herm_part(matrix_power_on_support(p, 0.5))
 
 
 def partial_trace(m, dims: tuple[int, int], keep: int) -> np.ndarray:

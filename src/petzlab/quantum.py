@@ -20,7 +20,7 @@ from .errors import (
     NotTracePreserving,
     TooManyKraus,
 )
-from .matcore import RANK_CUT, as_cmatrix, dag, herm_eig, kron
+from .matcore import as_cmatrix, dag, herm_eig, kron
 
 CPTP_TOL = 1e-10
 CHOI_TOL = 1e-8
@@ -293,11 +293,8 @@ def channel_from_choi(
         raise NotTracePreserving(
             f"Choi partial trace deviates from identity by {residual:.3e}", residual=residual
         )
-    cut = RANK_CUT * max(float(w[0]), 0.0)
-    ops = []
-    for lam, vec in zip(w, eig.eigenvectors.T):
-        if lam > cut:
-            ops.append(math.sqrt(lam) * vec.reshape(d_in, d_out).T)
+    lam, vecs, _ = eig.split()
+    ops = [math.sqrt(mu) * vec.reshape(d_in, d_out).T for mu, vec in zip(lam, vecs.T)]
     if not ops:
         raise NotPsd("Choi matrix is numerically zero")
     return KrausChannel(
@@ -337,13 +334,8 @@ class PurifiedSource:
 
 def purify(rho: DensityOperator, label_r: str = "R") -> PurifiedSource:
     """Canonical purification in the eigenbasis of the state."""
-    eig = herm_eig(rho.matrix)
-    w = eig.eigenvalues
-    cut = RANK_CUT * max(float(w[0]), 0.0)
-    kept = w > cut
-    lam = np.clip(w[kept].real, 0.0, None)
+    lam, basis_a, _ = herm_eig(rho.matrix).split()
     lam = lam / lam.sum()
-    basis_a = eig.eigenvectors[:, kept]
     d_r = int(lam.size)
     vec = (basis_a * np.sqrt(lam)).T.reshape(-1)  # index (r, a), row-major
     return PurifiedSource(

@@ -6,8 +6,9 @@ index loops, minimizations from parameter grids, integrals from dense
 trapezoids, the twirled Choi matrix from one rotated decoder per quadrature
 node, the SW decoder from a literal dense transcription of its
 construction, the SDP Newton step from two complex Schur solves, decoder
-fidelities from the canonical purification and sigma_RB, and the rotated
-Petz Kraus list from one matrix power per factor.
+fidelities from the canonical purification and sigma_RB, the rotated
+Petz Kraus list from one matrix power per factor, and the matrix power on
+the support from its own PSD check and its own inline rank cut.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ import numpy as np
 from scipy.optimize import minimize
 
 from petzlab.decoders import build_rotated_petz
-from petzlab.errors import MaxIterations, NumericalBreakdown
+from petzlab.errors import MaxIterations, NotPsd, NumericalBreakdown
 from petzlab.matcore import (
+    HERM_TOL,
     RANK_CUT,
     dag,
+    herm_eig,
     herm_part,
     kron,
     matrix_power_on_support,
@@ -86,6 +89,21 @@ def charpoly_eigenvalues(h):
         coeffs[k] = -np.trace(h @ m) / k
     roots = np.roots(coeffs)
     return np.sort(roots.real)[::-1]
+
+
+def matrix_power_on_support_inline(p, z):
+    """Power of a PSD matrix on its support, with the PSD check and the cut
+    at RANK_CUT * max(w[0], 0) written out inline."""
+    eig = herm_eig(p)
+    w = eig.eigenvalues
+    if w.size and w[-1] < -HERM_TOL * max(1.0, float(w[0])):
+        raise NotPsd(f"minimum eigenvalue {w[-1]:.3e} is negative beyond tolerance")
+    cut = RANK_CUT * max(float(w[0]), 0.0) if w.size else 0.0
+    kept = w > cut
+    powered = np.zeros(w.shape, dtype=np.complex128)
+    powered[kept] = np.exp(np.asarray(z, dtype=np.complex128) * np.log(w[kept]))
+    v = eig.eigenvectors
+    return (v * powered) @ dag(v)
 
 
 def partial_trace_loops(m, d_a, d_b, keep):

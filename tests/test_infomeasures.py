@@ -176,6 +176,24 @@ def test_alpha_to_one_continuity(rng):
         assert abs(petz_divergence(rho_c, sigma_c, alpha).value - target_c) <= 1e-3
 
 
+def test_sandwiched_rank_deficient_commuting_closed_form(rng):
+    """Commuting rho (rank 2) and sigma (rank 3) on C^4 in a random frame:
+    the sandwiched divergence is log2(sum p^alpha q^(1-alpha)) / (alpha - 1)
+    over the support of rho."""
+    for _ in range(10):
+        p = np.zeros(4)
+        q = np.zeros(4)
+        p[:2] = rng.dirichlet(np.ones(2))
+        q[:3] = rng.dirichlet(np.ones(3))
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        u = np.linalg.qr(g)[0]
+        rho = u @ np.diag(p) @ u.conj().T
+        sigma = u @ np.diag(q) @ u.conj().T
+        for alpha in (0.3, 0.5, 0.8, 2):
+            closed = np.log2(np.sum(p[:2] ** alpha * q[:2] ** (1 - alpha))) / (alpha - 1)
+            assert abs(sandwiched_divergence(rho, sigma, alpha).value - closed) <= 1e-12
+
+
 def test_sandwiched_monotone_in_alpha(rng):
     for _ in range(5):
         rho = oracles.random_state(rng, 3)

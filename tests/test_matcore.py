@@ -116,6 +116,67 @@ def test_power_rejects_non_psd():
         matrix_power_on_support(np.diag([1.0, -1.0]), 0.5)
 
 
+def test_power_matches_inline_cut_oracle(rng):
+    for dim, rank in [(4, 2), (5, 3), (6, 1), (6, 5), (3, 3)]:
+        p = oracles.random_state(rng, dim, rank)
+        for z in (0, 0.5, -0.5, -1, 1j, 0.3 - 0.7j):
+            expected = oracles.matrix_power_on_support_inline(p, z)
+            assert np.array_equal(matrix_power_on_support(p, z), expected), (dim, rank, z)
+
+
+def test_every_support_split_follows_rank_cut(monkeypatch):
+    """With RANK_CUT raised to 0.3, every site that splits a spectrum into
+    support and kernel drops the eigenvalues below 0.3 of the largest."""
+    from petzlab import matcore
+    from petzlab.decoders import RotatedFidelity, _spectra, build_sw
+    from petzlab.errors import AlignmentFailure
+    from petzlab.infomeasures import entropy
+    from petzlab.quantum import (
+        channel_from_choi,
+        choi_of_channel,
+        density_operator,
+        kraus_channel,
+        make_channel,
+        purify,
+    )
+
+    g = np.random.default_rng(3).standard_normal((3, 6)).view(np.complex128)
+    u = np.linalg.qr(g)[0]
+    rho = density_operator(u @ np.diag([0.6, 0.3, 0.1]) @ dag(u))
+    flip = make_channel("bitflip", 0.2)  # Choi eigenvalues 1.6 and 0.4
+    sigma_rb = density_operator(np.kron(np.diag([0.6, 0.3, 0.1]), np.diag([0.8, 0.2])), (3, 2))
+    half = density_operator(np.eye(2) / 2)
+    damping = make_channel("amplitude_damping", 0.9)  # sigma_RE^(1/2): sqrt(0.95), sqrt(0.05)
+
+    def observe():
+        (lam, _), (_, _, kernel) = _spectra(rho, kraus_channel([np.eye(3)]))
+        try:
+            sw_rank = build_sw(half, damping)[1].s_r.size
+        except AlignmentFailure as exc:
+            # the cut drops the direction with s = sqrt(0.05), which the
+            # decoder must map, so the alignment misses it by that much
+            assert "2.236e-01" in str(exc)
+            sw_rank = 1
+        return (
+            purify(rho).rank,
+            len(channel_from_choi(choi_of_channel(flip), (2, 2)).kraus_ops),
+            (lam.size, kernel.shape[1]),
+            RotatedFidelity(sigma_rb)._theta.size,
+            entropy(rho),
+            round(np.trace(matrix_power_on_support(rho.matrix, 0)).real, 9),
+            sw_rank,
+        )
+
+    default = observe()
+    assert default[:4] == (3, 2, (3, 0), 6)
+    assert default[5:] == (3.0, 2)
+    monkeypatch.setattr(matcore, "RANK_CUT", 0.3)
+    cut = observe()
+    assert cut[:4] == (2, 1, (2, 1), 2)
+    assert cut[4] == pytest.approx(-0.6 * np.log2(0.6) - 0.3 * np.log2(0.3), abs=1e-12)
+    assert cut[5:] == (2.0, 1)
+
+
 def test_power_composition(rng):
     p = oracles.random_psd(rng, 5)
     for z1, z2 in [(0.5, 0.5), (-0.5, 1.5), (0.3 + 1j, 0.7 - 1j)]:
