@@ -7,7 +7,8 @@ The CLI reproduces the decoder-comparison curve families as CSV data:
 
 Exit codes: 0 success, 2 invariant violation, 3 config error. The
 environment variable ``PETZLAB_WORKERS`` overrides the configured worker
-count. CSV output is deterministic byte-for-byte for a fixed config;
+count; like the config key, it must be an integer >= 1 (else a config
+error). CSV output is deterministic byte-for-byte for a fixed config;
 measured wall times are written only when timing output is requested.
 """
 
@@ -110,6 +111,17 @@ _CONFIG_KEYS = (
 )
 
 
+def _worker_count(field: str, text: str) -> int:
+    """Parse a worker count, an integer >= 1, given as ``field``."""
+    try:
+        workers = int(text)
+    except ValueError:
+        raise ValidationError(field, f"not an integer: {text!r}")
+    if workers < 1:
+        raise ValidationError(field, f"must be >= 1, got {workers}")
+    return workers
+
+
 def parse_config(text: str) -> SweepConfig:
     """Parse the flat ``key = value`` sweep-config format.
 
@@ -175,7 +187,7 @@ def parse_config(text: str) -> SweepConfig:
         bounds=parse_list("bounds", BOUND_SERIES, BOUND_SERIES),
         tol=parse_float("tol", 1e-7),
         out=raw.get("out", "curves.csv"),
-        workers=parse_int("workers", 1),
+        workers=_worker_count("workers", raw.get("workers", "1")),
     )
     if not 0.0 <= cfg.p_start <= 1.0:
         raise ValidationError("p_start", f"must be in [0, 1], got {cfg.p_start}")
@@ -187,8 +199,6 @@ def parse_config(text: str) -> SweepConfig:
         raise ValidationError("p_count", f"must be >= 1, got {cfg.p_count}")
     if not cfg.tol > 0:
         raise ValidationError("tol", f"must be positive, got {cfg.tol}")
-    if cfg.workers < 1:
-        raise ValidationError("workers", f"must be >= 1, got {cfg.workers}")
     if not cfg.decoders and not cfg.bounds:
         raise ValidationError("decoders", "decoder and bound lists are both empty")
     if not cfg.out:
@@ -278,7 +288,8 @@ def run_sweep(cfg: SweepConfig) -> list[CurvePoint]:
     point is recorded with its error, never dropped.
     """
     wanted = tuple(cfg.decoders) + tuple(cfg.bounds)
-    workers = int(os.environ.get("PETZLAB_WORKERS", cfg.workers))
+    env_workers = os.environ.get("PETZLAB_WORKERS")
+    workers = cfg.workers if env_workers is None else _worker_count("PETZLAB_WORKERS", env_workers)
     jobs = [(cfg.setting, float(p), wanted, cfg.tol) for p in cfg.grid()]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -431,7 +442,11 @@ def main(argv=None) -> int:
         except (OSError, ParseError, ValidationError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 3
-        points = run_sweep(cfg)
+        try:
+            points = run_sweep(cfg)
+        except ValidationError as exc:  # a bad PETZLAB_WORKERS
+            print(f"config error: {exc}", file=sys.stderr)
+            return 3
         emit_csv(points, cfg.out, timing=args.timing)
         errored = [c for c in points if c.flags.startswith("error")]
         for c in errored:

@@ -8,9 +8,11 @@ and the SDP reduction split the spectra of rho and sigma_B = N(rho) once
 per call (:func:`_spectra`). The twirled decoder averages the rotated
 decoders against the density beta0(t) = (pi/2) / (cosh(pi t) + 1): the
 adaptive quadrature evaluates the rotated fidelity spectrally at a whole
-panel of nodes per call, and the twirled Choi matrix is the Petz Choi
-matrix in the eigenbasis of (sigma_B, rho) multiplied entrywise by the
-averaged phases.
+panel of nodes per call. The twirled decoder's Kraus operators are the
+eigenvectors of its (r_B r_A)^2 core, the Petz Choi matrix in the
+eigenbases of (sigma_B, rho) multiplied entrywise by the averaged phases
+and renormalized to trace preservation on supp sigma_B; its kernel gets
+the completion the Petz map uses.
 """
 
 from __future__ import annotations
@@ -30,17 +32,17 @@ from .errors import (
 from .matcore import (
     dag,
     herm_eig,
-    kron,
     matrix_power_on_support,
     partial_trace,
+    psd_eig,
     support_mask,
 )
 from .quantum import (
     DensityOperator,
     KrausChannel,
     StinespringIsometry,
-    channel_from_choi,
     channel_on_purification,
+    choi_of_channel,
     dilate,
     purify,
     validate_cptp,
@@ -98,28 +100,31 @@ def _spectra(rho_a: DensityOperator, ch: KrausChannel):
     return (lam, u_a), eig_b.split()
 
 
+def _kernel_completion(u_a: np.ndarray, kernel: np.ndarray) -> list[np.ndarray]:
+    """Kraus operators |u_j><k_m| / sqrt(r) over the r support vectors u_j of
+    rho and the kernel vectors k_m of sigma_B: they measure the kernel of
+    sigma_B and output the maximally mixed state on supp(rho), which makes a
+    map on supp(sigma_B) CPTP everywhere without affecting fidelities."""
+    r = u_a.shape[1]
+    return [np.outer(u, k.conj()) / math.sqrt(r) for k in kernel.T for u in u_a.T]
+
+
 def _petz_family_kraus(rho_a: DensityOperator, ch: KrausChannel, t: float):
     """Kraus list of the rotated Petz map R^(t/2) plus its kernel completion.
 
     The map is rho^((1-it)/2) K_i^dagger sigma_B^((-1+it)/2) on the support
-    of sigma_B = N(rho); one completion branch measures the kernel projector
-    of sigma_B and outputs the maximally mixed state on supp(rho), making
-    the channel CPTP everywhere without affecting fidelities.
+    of sigma_B = N(rho); :func:`_kernel_completion` covers the kernel.
     """
     (lam, u_a), (mu, u_b, kernel) = _spectra(rho_a, ch)
     rho_half = (u_a * np.exp((1 - 1j * t) / 2 * np.log(lam))) @ dag(u_a)
     sig_inv_half = (u_b * np.exp((-1 + 1j * t) / 2 * np.log(mu))) @ dag(u_b)
     ops = [rho_half @ dag(k) @ sig_inv_half for k in ch.kraus_ops]
-
-    r = u_a.shape[1]
-    for m in range(kernel.shape[1]):
-        for j in range(r):
-            ops.append(np.outer(u_a[:, j], kernel[:, m].conj()) / math.sqrt(r))
-    return ops
+    return ops + _kernel_completion(u_a, kernel)
 
 
-def _petz_like(rho_a: DensityOperator, ch: KrausChannel, t: float, kind: str) -> Decoder:
-    ops = _petz_family_kraus(rho_a, ch, t)
+def _decoder(ops, ch: KrausChannel, kind: str, t: float | None = None) -> Decoder:
+    """The Kraus list ``ops``, checked to be CPTP, as a decoder from the output
+    of ``ch`` back to its input."""
     dec = KrausChannel(
         kraus_ops=tuple(ops),
         dim_in=ch.dim_out,
@@ -128,17 +133,17 @@ def _petz_like(rho_a: DensityOperator, ch: KrausChannel, t: float, kind: str) ->
         label_out=ch.label_in,
     )
     validate_cptp(dec)
-    return Decoder(channel=dec, kind=kind, t=t if kind == "rotated" else None)
+    return Decoder(channel=dec, kind=kind, t=t)
 
 
 def build_petz(rho_a: DensityOperator, ch: KrausChannel) -> Decoder:
     """Petz decoder X -> rho^(1/2) N^dagger(N(rho)^(-1/2) X N(rho)^(-1/2)) rho^(1/2)."""
-    return _petz_like(rho_a, ch, 0.0, "petz")
+    return _decoder(_petz_family_kraus(rho_a, ch, 0.0), ch, "petz")
 
 
 def build_rotated_petz(rho_a: DensityOperator, ch: KrausChannel, t: float) -> Decoder:
     """Rotated Petz decoder R^(t/2); t = 0 reproduces the Petz decoder exactly."""
-    return _petz_like(rho_a, ch, t, "rotated")
+    return _decoder(_petz_family_kraus(rho_a, ch, t), ch, "rotated", t)
 
 
 class RotatedFidelity:
@@ -193,16 +198,11 @@ class RotatedFidelity:
         return value
 
 
-def fe_closed_form(
-    sigma_rb: DensityOperator,
-    variant: str = "petz",
-    t: float = 0.0,
-    quad_tol: float = 1e-9,
-) -> float:
+def fe_closed_form(sigma_rb: DensityOperator, variant: str = "petz", t: float = 0.0) -> float:
     """Closed-form decoder fidelity from sigma_RB = N(|rho><rho|).
 
     ``variant`` is ``petz``, ``rotated`` (uses ``t``), or ``twirled``
-    (integrates the rotated expression against beta0 with ``quad_tol``).
+    (:meth:`RotatedFidelity.twirled` at its default tolerance).
     """
     kernel = RotatedFidelity(sigma_rb)
     if variant == "petz":
@@ -210,7 +210,7 @@ def fe_closed_form(
     if variant == "rotated":
         return kernel.value(t)
     if variant == "twirled":
-        return kernel.twirled(quad_tol)
+        return kernel.twirled()
     raise DimensionMismatch(f"unknown fidelity variant {variant!r}")
 
 
@@ -289,48 +289,56 @@ def beta0_quadrature(g, tol: float = 1e-9) -> float:
     return value
 
 
-def _twirled_choi(
+def _twirled_decoder(
     rho_a: DensityOperator, ch: KrausChannel, nodes: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """sum_i w_i Choi(R^(t_i)) of the rotated Petz maps, renormalized to trace preservation.
+) -> Decoder:
+    """sum_i w_i R^(t_i) over the rotated Petz maps, renormalized to trace
+    preservation, with its Kraus operators taken from the spectral core.
 
     R^t = rho^(-it/2) R^0(sigma_B^(it/2) . sigma_B^(-it/2)) rho^(it/2), so in
-    the product eigenbasis kron(conj(U_B), U_A) of (sigma_B*, rho), restricted
-    to the supports, Choi(R^t) is the Petz Choi matrix C multiplied entrywise
-    by z(t) z(t)^dagger with z_(b,a)(t) = exp(-i t theta_ab / 2) and
-    theta_ab = ln lam_a - ln mu_b. The weighted sum is therefore
-    C o (Z diag(w) Z^dagger). The kernel completion does not depend on t
-    and enters with weight sum_i w_i.
+    the eigenbases U_B of sigma_B and U_A of rho, restricted to the supports,
+    Choi(R^t) is the Petz core C times z(t) z(t)^dagger entrywise, with
+    z_(b,a)(t) = exp(-i t theta_ab / 2) and theta_ab = ln lam_a - ln mu_b. The
+    weighted sum is the (r_B r_A)^2 core C o (Z diag(w) Z^dagger), renormalized
+    here to tr_A = 1 on supp sigma_B. Each support eigenvector c of it, scaled
+    by the root of its eigenvalue and reshaped to r_B x r_A, gives the Kraus
+    operator U_A c^T U_B^dagger. The Petz map's kernel completion
+    (:func:`_kernel_completion`) does not depend on t, so its weight is 1.
     """
     (lam, u_a), (mu, u_b, kernel) = _spectra(rho_a, ch)
+    r_b, r_a = mu.size, lam.size
 
     # Petz Kraus operators rho^(1/2) K_i^dagger sigma_B^(-1/2) in the
     # eigenbases; the Choi vector of K has entries K[a, b] at index (b, a).
-    proj = dag(u_b) @ np.stack(ch.kraus_ops) @ u_a  # (L, r_b, r_a) = U_B^dag K_i U_A
+    proj = dag(u_b) @ np.stack(ch.kraus_ops) @ u_a  # (L, r_b, r_a)
     vecs = (proj.conj() * np.sqrt(lam) / np.sqrt(mu)[:, None]).reshape(len(ch.kraus_ops), -1)
-    petz = vecs.T @ vecs.conj()
     theta = (np.log(lam)[None, :] - np.log(mu)[:, None]).reshape(-1)
     z = np.exp(-0.5j * np.multiply.outer(theta, nodes))
-    basis = np.kron(u_b.conj(), u_a)
-    choi = basis @ (petz * ((z * weights) @ dag(z))) @ dag(basis)
-    if kernel.shape[1]:
-        completion = np.kron(kernel.conj() @ kernel.T, u_a @ dag(u_a)) / u_a.shape[1]
-        choi += float(np.sum(weights)) * completion
+    core = (vecs.T @ vecs.conj()) * ((z * weights) @ dag(z))
 
-    d_in, d_out = ch.dim_out, ch.dim_in
-    tr_out = partial_trace(choi, (d_in, d_out), keep=0)
-    fix = kron(matrix_power_on_support(tr_out, -0.5), np.eye(d_out))
-    return fix @ choi @ dag(fix)
+    tr_a = partial_trace(core, (r_b, r_a), keep=0)
+    fix = np.kron(matrix_power_on_support(tr_a, -0.5), np.eye(r_a))
+    w, c, _ = psd_eig(fix @ core @ dag(fix)).split()
+    c = (c * np.sqrt(w)).T.reshape(-1, r_b, r_a)
+    ops = list(u_a @ c.transpose(0, 2, 1) @ dag(u_b))
+    return _decoder(ops + _kernel_completion(u_a, kernel), ch, "twirled")
+
+
+def _twirled_choi(
+    rho_a: DensityOperator, ch: KrausChannel, nodes: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Choi matrix (input factor first) of :func:`_twirled_decoder`."""
+    return choi_of_channel(_twirled_decoder(rho_a, ch, nodes, weights).channel)
 
 
 def build_twirled_petz(
     rho_a: DensityOperator, ch: KrausChannel, tol: float = 1e-7
 ) -> Decoder:
-    """Twirled Petz decoder, materialized from the spectrum at the quadrature
-    nodes of the scalar fidelity formula (see :func:`_twirled_choi`).
+    """Twirled Petz decoder, materialized from the spectral core at the
+    quadrature nodes of the scalar fidelity formula (see :func:`_twirled_decoder`).
 
-    The averaged Choi matrix is renormalized to exact trace preservation;
-    the materialized fidelity is checked against the scalar twirled value
+    The averaged core is renormalized to exact trace preservation; the
+    materialized fidelity is checked against the scalar twirled value
     within 10 * tol.
     """
     pur = purify(rho_a)
@@ -339,11 +347,7 @@ def build_twirled_petz(
     quad_tol = min(1e-9, tol / 10)
     scalar_value, nodes, weights = _beta0_panels(kernel.value, quad_tol)
 
-    choi = _twirled_choi(rho_a, ch, nodes, weights)
-    dec = channel_from_choi(
-        choi, (ch.dim_out, ch.dim_in), label_in=ch.label_out, label_out=ch.label_in
-    )
-    decoder = Decoder(channel=dec, kind="twirled")
+    decoder = _twirled_decoder(rho_a, ch, nodes, weights)
     materialized = fe_of_decoder(rho_a, ch, decoder)
     if abs(materialized - scalar_value) > 10 * tol:
         raise ToleranceNotMet(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoders import Decoder, _spectra, fe_closed_form, fe_of_decoder
-from .errors import BracketViolated, MaxIterations, NumericalBreakdown
+from .errors import BracketViolated, DimensionMismatch, MaxIterations, NumericalBreakdown
 from .matcore import dag, herm_eig, herm_part, kron, partial_trace
 from .quantum import (
     DensityOperator,
@@ -32,6 +32,8 @@ from .quantum import (
 
 VALIDATION_SAMPLES = 20
 VALIDATION_TOL = 1e-9
+MAX_ITER = 100
+STEP_FRACTION = 0.98
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,33 +91,28 @@ def _random_cptp(rng: np.random.Generator, d_in: int, d_out: int, n_kraus: int) 
     )
 
 
-def build_fidelity_sdp(
-    rho_a: DensityOperator, ch: KrausChannel, validate: bool = True
-) -> SdpProblem:
+def build_fidelity_sdp(rho_a: DensityOperator, ch: KrausChannel) -> SdpProblem:
     """Objective matrix G with tr[Choi(D) G] = F_e(rho, D compose N) for CPTP D.
 
+    By the Kraus-trace identity of :func:`~petzlab.decoders.fe_of_decoder`,
+    F_e = sum_(l,k) |g_k^T vec(D_l^T)|^2 over the Choi vectors vec(D_l^T) and
+    the rows g_k = vec(K_k rho), so G = g^dagger g; no purification is built.
     Before use the functional is validated against direct simulation on a
     deterministic set of random CPTP decoders.
     """
-    pur = purify(rho_a)
-    sigma_rb = channel_on_purification(pur, ch)
-    d_r, d_b = sigma_rb.dims
-    d_a = rho_a.dim
-    psi = pur.vector.reshape(d_r, d_a)
-    sig4 = sigma_rb.matrix.reshape(d_r, d_b, d_r, d_b)
-    h = np.einsum("ra,rbsc,sd->bacd", psi.conj(), sig4, psi, optimize=True)
-    g = herm_part(h.reshape(d_b * d_a, d_b * d_a).T)
+    if ch.dim_in != rho_a.dim:
+        raise DimensionMismatch(f"channel input {ch.dim_in} != source dim {rho_a.dim}")
+    d_b, d_a = ch.dim_out, ch.dim_in
+    rows = (np.stack(ch.kraus_ops) @ rho_a.matrix).reshape(len(ch.kraus_ops), d_b * d_a)
+    g = herm_part(dag(rows) @ rows)
     prob = SdpProblem(objective=g, dim_in=d_b, dim_out=d_a)
-    if validate:
-        rng = np.random.default_rng(20240718)
-        for _ in range(VALIDATION_SAMPLES):
-            dec = Decoder(channel=_random_cptp(rng, d_b, d_a, 2), kind="custom")
-            lhs = float(np.trace(choi_of_channel(dec.channel) @ g).real)
-            rhs = fe_of_decoder(rho_a, ch, dec)
-            if abs(lhs - rhs) > VALIDATION_TOL:
-                raise NumericalBreakdown(
-                    f"objective validation failed: {lhs:.12g} vs {rhs:.12g}"
-                )
+    rng = np.random.default_rng(20240718)
+    for _ in range(VALIDATION_SAMPLES):
+        dec = Decoder(channel=_random_cptp(rng, d_b, d_a, 2), kind="custom")
+        lhs = float(np.trace(choi_of_channel(dec.channel) @ g).real)
+        rhs = fe_of_decoder(rho_a, ch, dec)
+        if abs(lhs - rhs) > VALIDATION_TOL:
+            raise NumericalBreakdown(f"objective validation failed: {lhs:.12g} vs {rhs:.12g}")
     return prob
 
 
@@ -155,8 +152,9 @@ def lift_choi(x_reduced: np.ndarray, emb: ReductionEmbedding) -> np.ndarray:
     return full
 
 
-def _psd_step(s: np.ndarray, ds: np.ndarray, fraction: float = 0.98) -> float:
-    """Largest step alpha <= 1 keeping s + alpha*ds positive definite."""
+def _psd_step(s: np.ndarray, ds: np.ndarray) -> float:
+    """Step alpha <= 1 that goes STEP_FRACTION of the way to where s + alpha*ds
+    stops being positive definite."""
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
@@ -165,7 +163,7 @@ def _psd_step(s: np.ndarray, ds: np.ndarray, fraction: float = 0.98) -> float:
     lam_min = float(np.linalg.eigvalsh(herm_part(inner))[0])
     if lam_min >= 0:
         return 1.0
-    return min(1.0, -fraction / lam_min)
+    return min(1.0, -STEP_FRACTION / lam_min)
 
 
 def _psd_half_powers(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,7 +216,7 @@ def _schur_solve(lc: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return (r + rt) / 2 + 1j * ((r - rt) / 2)
 
 
-def solve_sdp(prob: SdpProblem, tol: float = 1e-7, max_iter: int = 100) -> SdpSolution:
+def solve_sdp(prob: SdpProblem, tol: float = 1e-7) -> SdpSolution:
     """Primal-dual path-following solve with NT scaling.
 
     The predictor (affine) step sets the centering weight via Mehrotra's
@@ -250,7 +248,7 @@ def solve_sdp(prob: SdpProblem, tol: float = 1e-7, max_iter: int = 100) -> SdpSo
             and abs(sol.gap) <= tol * (1 + abs(sol.primal))
         )
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         r_p = eye_b - _tr_out(x, dims)
         r_d = herm_part(kron(y, eye_a) - g - z)
         mu = float(np.vdot(x, z).real) / n
@@ -291,7 +289,7 @@ def solve_sdp(prob: SdpProblem, tol: float = 1e-7, max_iter: int = 100) -> SdpSo
         if not (np.isfinite(x).all() and np.isfinite(z).all()):
             raise NumericalBreakdown(f"non-finite iterate at iteration {it}")
 
-    raise MaxIterations(f"no convergence within {max_iter} iterations")
+    raise MaxIterations(f"no convergence within {MAX_ITER} iterations")
 
 
 def optimal_fidelity(rho_a: DensityOperator, ch: KrausChannel, tol: float = 1e-7) -> float:

@@ -251,8 +251,8 @@ def stinespring_dilation(ch: KrausChannel) -> StinespringIsometry:
     return dilate(ch, ch.dim_in * ch.dim_out)
 
 
-def complementary_channel(ch: KrausChannel, label_env: str = "E") -> KrausChannel:
-    """Channel to the environment of the Stinespring dilation, X -> tr_B[V X V^dagger]."""
+def complementary_channel(ch: KrausChannel) -> KrausChannel:
+    """Channel to the environment E of the Stinespring dilation, X -> tr_B[V X V^dagger]."""
     iso = stinespring_dilation(ch)
     vt = iso.v.reshape(iso.dim_out, iso.dim_env, iso.dim_in)
     ops = tuple(vt[b] for b in range(iso.dim_out))
@@ -261,7 +261,7 @@ def complementary_channel(ch: KrausChannel, label_env: str = "E") -> KrausChanne
         dim_in=ch.dim_in,
         dim_out=iso.dim_env,
         label_in=ch.label_in,
-        label_out=label_env,
+        label_out="E",
     )
 
 
@@ -275,21 +275,19 @@ def choi_of_channel(ch: KrausChannel) -> np.ndarray:
     return c
 
 
-def channel_from_choi(
-    c, dims: tuple[int, int], label_in="A", label_out="B", tol: float = CHOI_TOL
-) -> KrausChannel:
-    """Recover a Kraus channel from a Choi matrix (input factor first)."""
+def channel_from_choi(c, dims: tuple[int, int]) -> KrausChannel:
+    """Recover a Kraus channel A -> B from a Choi matrix (input factor first)."""
     d_in, d_out = dims
     c = as_cmatrix(c)
     if c.shape != (d_in * d_out, d_in * d_out):
         raise DimensionMismatch(f"Choi matrix is {c.shape}, dims {dims} need {d_in * d_out}")
-    eig = herm_eig(c, tol=tol)
+    eig = herm_eig(c, tol=CHOI_TOL)
     w = eig.eigenvalues
-    if w[-1] < -tol * max(1.0, float(w[0])):
+    if w[-1] < -CHOI_TOL * max(1.0, float(w[0])):
         raise NotPsd(f"Choi matrix has eigenvalue {w[-1]:.3e}")
     tr_out = matcore.partial_trace(c, (d_in, d_out), keep=0)
     residual = float(np.linalg.norm(tr_out - np.eye(d_in)))
-    if residual > tol * math.sqrt(d_in):
+    if residual > CHOI_TOL * math.sqrt(d_in):
         raise NotTracePreserving(
             f"Choi partial trace deviates from identity by {residual:.3e}", residual=residual
         )
@@ -297,13 +295,7 @@ def channel_from_choi(
     ops = [math.sqrt(mu) * vec.reshape(d_in, d_out).T for mu, vec in zip(lam, vecs.T)]
     if not ops:
         raise NotPsd("Choi matrix is numerically zero")
-    return KrausChannel(
-        kraus_ops=tuple(ops),
-        dim_in=d_in,
-        dim_out=d_out,
-        label_in=label_in,
-        label_out=label_out,
-    )
+    return KrausChannel(kraus_ops=tuple(ops), dim_in=d_in, dim_out=d_out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,9 +311,7 @@ class PurifiedSource:
     rho: DensityOperator
     vector: np.ndarray  # unit vector on R tensor A
     schmidt_coeffs: np.ndarray  # probabilities, descending
-    basis_r: np.ndarray  # d_R x d_R (identity by convention)
     basis_a: np.ndarray  # d_A x d_R, orthonormal columns
-    label_r: str = "R"
 
     @property
     def rank(self) -> int:
@@ -332,20 +322,12 @@ class PurifiedSource:
         return self.rho.dim
 
 
-def purify(rho: DensityOperator, label_r: str = "R") -> PurifiedSource:
-    """Canonical purification in the eigenbasis of the state."""
+def purify(rho: DensityOperator) -> PurifiedSource:
+    """Canonical purification |rho>_RA in the eigenbasis of the state."""
     lam, basis_a, _ = herm_eig(rho.matrix).split()
     lam = lam / lam.sum()
-    d_r = int(lam.size)
     vec = (basis_a * np.sqrt(lam)).T.reshape(-1)  # index (r, a), row-major
-    return PurifiedSource(
-        rho=rho,
-        vector=vec,
-        schmidt_coeffs=lam,
-        basis_r=np.eye(d_r, dtype=np.complex128),
-        basis_a=basis_a,
-        label_r=label_r,
-    )
+    return PurifiedSource(rho=rho, vector=vec, schmidt_coeffs=lam, basis_a=basis_a)
 
 
 def channel_on_purification(pur: PurifiedSource, ch: KrausChannel) -> DensityOperator:
@@ -358,9 +340,7 @@ def channel_on_purification(pur: PurifiedSource, ch: KrausChannel) -> DensityOpe
     for k in ch.kraus_ops:
         branch = (psi @ k.T).reshape(-1)
         out += np.outer(branch, branch.conj())
-    return DensityOperator(
-        matrix=out, dims=(d_r, ch.dim_out), labels=(pur.label_r, ch.label_out)
-    )
+    return DensityOperator(matrix=out, dims=(d_r, ch.dim_out), labels=("R", ch.label_out))
 
 
 def entanglement_fidelity_direct(rho: DensityOperator, ch: KrausChannel) -> float:

@@ -4,11 +4,12 @@ Everything here deliberately avoids the code paths under test: eigenvalues
 come from characteristic-polynomial roots, partial traces from explicit
 index loops, minimizations from parameter grids, integrals from dense
 trapezoids, the twirled Choi matrix from one rotated decoder per quadrature
-node, the SW decoder from a literal dense transcription of its
-construction, the SDP Newton step from two complex Schur solves, decoder
-fidelities from the canonical purification and sigma_RB, the rotated
-Petz Kraus list from one matrix power per factor, and the matrix power on
-the support from its own PSD check and its own inline rank cut.
+node or from a dense Choi matrix and its full eigendecomposition, the SW
+decoder from a literal dense transcription of its construction, the SDP
+Newton step from two complex Schur solves, decoder fidelities and the SDP
+objective from the canonical purification and sigma_RB, the rotated Petz
+Kraus list from one matrix power per factor, and the matrix power on the
+support from its own PSD check and its own inline rank cut.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import minimize
 
-from petzlab.decoders import build_rotated_petz
+from petzlab.decoders import _spectra, build_rotated_petz
 from petzlab.errors import MaxIterations, NotPsd, NumericalBreakdown
 from petzlab.matcore import (
     HERM_TOL,
@@ -32,6 +33,7 @@ from petzlab.matcore import (
 from petzlab.optdec import SdpSolution, _nt_scaling, _psd_step, _schur_matrix
 from petzlab.quantum import (
     apply_channel,
+    channel_from_choi,
     channel_on_purification,
     choi_of_channel,
     purify,
@@ -176,7 +178,43 @@ def twirled_choi_per_node(rho, ch, nodes, weights):
     return fix @ choi @ dag(fix)
 
 
-# -- decoder fidelity and the rotated Petz map, one step per factor ----------------
+def twirled_decoder_dense(rho, ch, nodes, weights):
+    """The twirled decoder as a Kraus channel B -> A from its full
+    (d_B d_A)^2 Choi matrix: the spectral core C o (Z diag(w) Z^dagger) and
+    the kernel completion (weight sum_i w_i) in the full product basis,
+    renormalized through the d_B x d_B partial trace, then split into Kraus
+    operators by the eigendecomposition of :func:`channel_from_choi`."""
+    (lam, u_a), (mu, u_b, kernel) = _spectra(rho, ch)
+    proj = dag(u_b) @ np.stack(ch.kraus_ops) @ u_a
+    vecs = (proj.conj() * np.sqrt(lam) / np.sqrt(mu)[:, None]).reshape(len(ch.kraus_ops), -1)
+    petz = vecs.T @ vecs.conj()
+    theta = (np.log(lam)[None, :] - np.log(mu)[:, None]).reshape(-1)
+    z = np.exp(-0.5j * np.multiply.outer(theta, nodes))
+    basis = np.kron(u_b.conj(), u_a)
+    choi = basis @ (petz * ((z * weights) @ dag(z))) @ dag(basis)
+    if kernel.shape[1]:
+        completion = np.kron(kernel.conj() @ kernel.T, u_a @ dag(u_a)) / u_a.shape[1]
+        choi += float(np.sum(weights)) * completion
+    d_in, d_out = ch.dim_out, ch.dim_in
+    tr_out = partial_trace(choi, (d_in, d_out), keep=0)
+    fix = kron(matrix_power_on_support(tr_out, -0.5), np.eye(d_out))
+    return channel_from_choi(fix @ choi @ dag(fix), (d_in, d_out))
+
+
+# -- decoder fidelity, the SDP objective and the rotated Petz map, one step per factor ----
+
+
+def fidelity_objective_purified(rho, ch):
+    """Objective G of the fidelity SDP from the canonical purification |rho>
+    and sigma_RB: G^T[(b, a), (c, d)] = sum_(r, s) conj(psi[r, a])
+    sigma_RB[(r, b), (s, c)] psi[s, d], Hermitian part."""
+    pur = purify(rho)
+    sigma_rb = channel_on_purification(pur, ch)
+    d_r, d_b = sigma_rb.dims
+    psi = pur.vector.reshape(d_r, rho.dim)
+    sig4 = sigma_rb.matrix.reshape(d_r, d_b, d_r, d_b)
+    h = np.einsum("ra,rbsc,sd->bacd", psi.conj(), sig4, psi, optimize=True)
+    return herm_part(h.reshape(d_b * rho.dim, d_b * rho.dim).T)
 
 
 def fe_of_decoder_purified(rho, ch, decoder):

@@ -466,3 +466,34 @@ def test_every_series_clean_at_extreme_noise(setting, tmp_path):
             assert c.flags == "ok", (p, c.series, c.flags)
             assert math.isfinite(c.value), (p, c.series)
             assert -1e-10 <= c.value <= 1 + 1e-10, (p, c.series, c.value)
+
+
+def test_twirled_decoder_makes_no_dense_choi_eigendecomposition(monkeypatch):
+    # the Kraus operators come from the (r_B r_A)^2 = 64^2 spectral core, not
+    # from channel_from_choi's eigh of the 1024^2 Choi matrix
+    rho, ch = bench.SETTINGS["fivequbit"].build(0.5)
+    from_choi = _count_calls(monkeypatch, quantum, "channel_from_choi")
+    eighs = _count_calls(monkeypatch, matcore, "herm_eig")
+    decoders.build_twirled_petz(rho, ch)
+    assert from_choi == []
+    assert eighs and max(np.shape(args[0])[0] for args in eighs) <= 64
+
+
+def test_fidelity_objective_needs_no_purification(monkeypatch):
+    rho, ch = bench.SETTINGS["lncy4"].build(0.3)
+    calls = _count_calls(monkeypatch, quantum, "purify")
+    optdec.build_fidelity_sdp(rho, ch)
+    optdec.reduce_problem(rho, ch)
+    assert calls == []
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_env_worker_count_is_a_config_error(tmp_path, monkeypatch, capsys, value):
+    config = tmp_path / "sweep.txt"
+    config.write_text(f"setting = bitflip3\np_count = 2\nout = {tmp_path / 'out.csv'}\n")
+    monkeypatch.setenv("PETZLAB_WORKERS", value)
+    with pytest.raises(ValidationError, match="PETZLAB_WORKERS"):
+        run_sweep(_tiny_config(tmp_path))
+    assert main(["sweep", "--config", str(config)]) == 3
+    assert "config error: PETZLAB_WORKERS" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()

@@ -544,3 +544,33 @@ def test_rotated_petz_choi_matches_literal_powers(setting):
 def test_rotated_petz_choi_matches_literal_powers_random(rng):
     for rho, ch in _rank_deficient_instances(rng):
         _assert_rotated_choi_matches_literal(rho, ch)
+
+
+def _assert_twirled_matches_dense_oracle(rho, ch):
+    kernel = RotatedFidelity(_sigma_rb(rho, ch))
+    _, nodes, weights = _beta0_panels(kernel.value, 1e-9)  # build_twirled_petz's nodes
+    dense = oracles.twirled_decoder_dense(rho, ch, nodes, weights)
+    dec = build_twirled_petz(rho, ch)
+    diff = choi_of_channel(dec.channel) - choi_of_channel(dense)
+    assert np.linalg.norm(diff) <= 1e-12
+    reference = fe_of_decoder(rho, ch, Decoder_from(dense))
+    assert abs(fe_of_decoder(rho, ch, dec) - reference) <= 1e-12
+
+
+TWIRLED_PARITY_POINTS = {
+    "bitflip3": [*GRID_21, 1e-14, 1e-10, 1 - 1e-10],
+    "lncy4": [*GRID_21, 1e-14, 1e-10, 1 - 1e-10],
+    "identity": [1e-14, 1e-10, 1 - 1e-10],
+    "fivequbit": [0.5],
+}
+
+
+@pytest.mark.parametrize("setting", sorted(TWIRLED_PARITY_POINTS))
+def test_twirled_decoder_matches_dense_choi_oracle(setting):
+    for p in TWIRLED_PARITY_POINTS[setting]:
+        _assert_twirled_matches_dense_oracle(*SETTINGS[setting].build(float(p)))
+
+
+def test_twirled_decoder_matches_dense_choi_oracle_random(rng):
+    for rho, ch in _rank_deficient_instances(rng):
+        _assert_twirled_matches_dense_oracle(rho, ch)

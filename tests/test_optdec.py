@@ -15,7 +15,9 @@ from petzlab.optdec import (
     reduce_problem,
     solve_sdp,
 )
+from petzlab.errors import DimensionMismatch
 from petzlab.quantum import (
+    KrausChannel,
     choi_of_channel,
     density_operator,
     kraus_channel,
@@ -294,3 +296,43 @@ def test_solve_sdp_matches_two_solve_newton_random(rng):
     for d_a, d_b in [(2, 2), (3, 2), (3, 3), (2, 4)]:
         prob, _ = reduce_problem(*_random_instance(rng, d_a, d_b))
         _assert_matches_two_solve_newton(prob)
+
+
+# -- the objective from the Kraus-trace identity against the purified einsum ------------
+
+GRID_21 = np.linspace(0.0, 1.0, 21)
+OBJECTIVE_PARITY_POINTS = {
+    "bitflip3": [*GRID_21, 1e-14, 1e-10, 1 - 1e-10],
+    "lncy4": [*GRID_21, 1e-14, 1e-10, 1 - 1e-10],
+    "identity": [1e-14, 1e-10, 1 - 1e-10],
+    "fivequbit": [0.5],
+}
+
+
+def _assert_objective_matches_purified_oracle(rho, ch):
+    g = build_fidelity_sdp(rho, ch).objective
+    assert np.max(np.abs(g - oracles.fidelity_objective_purified(rho, ch))) <= 1e-14
+    prob, emb = reduce_problem(rho, ch)
+    rho_red = density_operator(dag(emb.v_out) @ rho.matrix @ emb.v_out)
+    ops = tuple(dag(emb.v_in) @ k @ emb.v_out for k in ch.kraus_ops)
+    ch_red = KrausChannel(ops, dim_in=emb.v_out.shape[1], dim_out=emb.v_in.shape[1])
+    reference = oracles.fidelity_objective_purified(rho_red, ch_red)
+    assert np.max(np.abs(prob.objective - reference)) <= 1e-14
+
+
+@pytest.mark.parametrize("setting", sorted(OBJECTIVE_PARITY_POINTS))
+def test_objective_matches_purified_oracle(setting):
+    for p in OBJECTIVE_PARITY_POINTS[setting]:
+        _assert_objective_matches_purified_oracle(*SETTINGS[setting].build(float(p)))
+
+
+def test_objective_matches_purified_oracle_random(rng):
+    for d_a, d_b, rank, n_kraus in [(3, 2, 2, 2), (2, 3, 1, 2), (4, 3, 2, 3), (3, 5, 2, 1)]:
+        rho = density_operator(oracles.random_state(rng, d_a, rank=rank))
+        ch = kraus_channel(oracles.random_kraus(rng, d_a, d_b, n_kraus))
+        _assert_objective_matches_purified_oracle(rho, ch)
+
+
+def test_objective_rejects_mismatched_dimensions():
+    with pytest.raises(DimensionMismatch):
+        build_fidelity_sdp(make_code_source("bitflip3"), make_channel("bitflip", 0.1))
