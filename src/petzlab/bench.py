@@ -40,8 +40,8 @@ from .quantum import (
 DECODER_SERIES = ("sw", "petz", "twirled", "optimal", "none")
 BOUND_SERIES = ("lower_sw", "lower_twirled", "upper_bk", "sw_original")
 
-# The optimal-decoder series is skipped (flagged) when the reduced SDP
-# variable would exceed this edge length.
+# The optimal-decoder series is skipped (flagged) when the variable of the
+# largest SDP sector (optdec._sector_problems) would exceed this edge length.
 SDP_DIM_LIMIT = 128
 
 QUAD_TOL = 1e-9
@@ -242,8 +242,9 @@ def _series_values(setting: str, p: float, wanted: tuple[str, ...], tol: float):
                     rho, ch, decoders.identity_decoder(rho.dim)
                 )
             elif series == "optimal":
-                prob, _ = optdec.reduce_problem(rho, ch)
-                if prob.dim > SDP_DIM_LIMIT:
+                problems = optdec._sector_problems(rho, ch)
+                largest = max(prob.dim for prob in problems)
+                if largest > SDP_DIM_LIMIT:
                     out.append(
                         CurvePoint(
                             setting,
@@ -251,11 +252,11 @@ def _series_values(setting: str, p: float, wanted: tuple[str, ...], tol: float):
                             series,
                             math.nan,
                             time.perf_counter() - start,
-                            f"skipped:sdp_dim_{prob.dim}",
+                            f"skipped:sdp_dim_{largest}",
                         )
                     )
                     continue
-                value = optdec.solve_sdp(prob, tol=tol).primal
+                value, _ = optdec._solve_sectors(problems, tol)
             elif series == "lower_sw":
                 w_r = matrix_power_on_support(sigma_r, -1.0)
                 value = 2.0 ** infomeasures.min_petz_mi_order2(sigma_rb, w_r)
@@ -285,11 +286,15 @@ def run_sweep(cfg: SweepConfig) -> list[CurvePoint]:
 
     Grid points are independent work items; results are collected in
     deterministic order regardless of completion order, and a failing
-    point is recorded with its error, never dropped.
+    point is recorded with its error, never dropped. A worker count that is
+    not an integer >= 1, configured or from ``PETZLAB_WORKERS``, raises
+    :class:`ValidationError`.
     """
     wanted = tuple(cfg.decoders) + tuple(cfg.bounds)
+    workers = _worker_count("workers", str(cfg.workers))
     env_workers = os.environ.get("PETZLAB_WORKERS")
-    workers = cfg.workers if env_workers is None else _worker_count("PETZLAB_WORKERS", env_workers)
+    if env_workers is not None:
+        workers = _worker_count("PETZLAB_WORKERS", env_workers)
     jobs = [(cfg.setting, float(p), wanted, cfg.tol) for p in cfg.grid()]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -497,3 +497,23 @@ def test_bad_env_worker_count_is_a_config_error(tmp_path, monkeypatch, capsys, v
     assert main(["sweep", "--config", str(config)]) == 3
     assert "config error: PETZLAB_WORKERS" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_sdp_dim_limit_applies_to_the_largest_sector(monkeypatch):
+    # the reduced fivequbit problem is 64 wide, its largest sector 8 * 2 = 16
+    monkeypatch.setattr(bench, "SDP_DIM_LIMIT", 32)
+    [row] = bench._series_values("fivequbit", 0.5, ("optimal",), 1e-7)
+    assert row.flags == "ok"
+    assert 0.0 < row.value <= 1.0
+    monkeypatch.setattr(bench, "SDP_DIM_LIMIT", 0)
+    [row] = bench._series_values("fivequbit", 0.5, ("optimal",), 1e-7)
+    assert row.flags == "skipped:sdp_dim_16"
+    assert math.isnan(row.value)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_bad_configured_worker_count_is_a_validation_error(tmp_path, monkeypatch, workers):
+    # a SweepConfig built in code is held to the config file's rule
+    monkeypatch.delenv("PETZLAB_WORKERS", raising=False)
+    with pytest.raises(ValidationError, match="workers: must be >= 1"):
+        run_sweep(_tiny_config(tmp_path, workers=workers))

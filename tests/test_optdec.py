@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from petzlab import optdec
 from petzlab.bench import SETTINGS
 from petzlab.decoders import build_petz, build_sw, build_twirled_petz, fe_of_decoder
 from petzlab.matcore import dag, herm_part, kron, partial_trace
@@ -336,3 +337,78 @@ def test_objective_matches_purified_oracle_random(rng):
 def test_objective_rejects_mismatched_dimensions():
     with pytest.raises(DimensionMismatch):
         build_fidelity_sdp(make_code_source("bitflip3"), make_channel("bitflip", 0.1))
+
+
+# -- the certified qubit-permutation sector split -----------------------------------------
+
+SECTOR_PARITY_POINTS = {
+    "bitflip3": GRID_21,
+    "lncy4": GRID_21,
+    "fivequbit": [0.1, 0.5, 0.9],
+}
+
+
+def _split_and_dense(rho, ch, tol=1e-7):
+    problems = optdec._sector_problems(rho, ch)
+    primal, gap = optdec._solve_sectors(problems, tol)
+    dense = solve_sdp(reduce_problem(rho, ch)[0], tol=tol)
+    # both values are within their certified gaps of the same optimum
+    assert abs(primal - dense.primal) <= abs(dense.gap) + abs(gap)
+    # sectors solved at tol/K meet the whole problem's gap rule together
+    assert abs(gap) <= tol * (1 + abs(primal))
+    return problems, primal, dense
+
+
+@pytest.mark.parametrize("setting", sorted(SECTOR_PARITY_POINTS))
+def test_sector_split_matches_dense_solve(setting):
+    for p in SECTOR_PARITY_POINTS[setting]:
+        rho, ch = SETTINGS[setting].build(float(p))
+        problems, _, _ = _split_and_dense(rho, ch)
+        dims = [q.dim_in for q in problems]
+        assert sum(dims) == reduce_problem(rho, ch)[1].v_in.shape[1]
+
+
+def test_sector_split_random_instances_stay_whole(rng):
+    instances = [_random_instance(rng, *dims) for dims in [(2, 2), (3, 2), (4, 4), (2, 8)]]
+    # a permutation-symmetric source through a channel without that symmetry:
+    # sectors are proposed, and the check on G rejects them
+    code = make_code_source("bitflip3")
+    asymmetric = kraus_channel(oracles.random_kraus(rng, 8, 8, 4))  # full-rank output
+    assert len(optdec._sector_bases(code, reduce_problem(code, asymmetric)[1].v_in)) > 1
+    instances.append((code, asymmetric))
+    for rho, ch in instances:
+        problems, primal, dense = _split_and_dense(rho, ch)
+        assert len(problems) == 1
+        assert primal == dense.primal
+
+
+@pytest.mark.parametrize(
+    "setting, sizes",
+    [("bitflip3", [2, 2, 4]), ("lncy4", [1, 3, 3, 3, 6]), ("fivequbit", [6, 6, 6, 6, 8])],
+)
+def test_sector_sizes(setting, sizes):
+    for p in (0.1, 0.5, 0.9):
+        problems = optdec._sector_problems(*SETTINGS[setting].build(p))
+        assert sorted(q.dim_in for q in problems) == sizes
+        assert {q.dim_out for q in problems} == {2}
+
+
+def test_sector_split_falls_back_on_one_perturbed_coupling(monkeypatch):
+    rho, ch = SETTINGS["lncy4"].build(0.3)
+    prob, emb = reduce_problem(rho, ch)
+    bases = optdec._sector_bases(rho, emb.v_in)
+    lift = kron(np.concatenate(bases, axis=1), np.eye(prob.dim_out))
+    g = dag(lift) @ prob.objective @ lift
+    g0 = g.copy()
+    # the first and the last row belong to different sectors
+    g[0, -1] += 1e-9 * np.linalg.norm(g)
+    g[-1, 0] = np.conj(g[0, -1])
+    dims = {"dim_in": prob.dim_in, "dim_out": prob.dim_out}
+    perturbed = SdpProblem(objective=lift @ g @ dag(lift), **dims)
+    monkeypatch.setattr(optdec, "reduce_problem", lambda rho_a, channel: (perturbed, emb))
+    assert optdec._sector_problems(rho, ch) == [perturbed]
+    assert optimal_fidelity(rho, ch) == solve_sdp(perturbed).primal
+    # the unperturbed objective, through the same round trip, is split
+    unperturbed = SdpProblem(objective=lift @ g0 @ dag(lift), **dims)
+    monkeypatch.setattr(optdec, "reduce_problem", lambda rho_a, channel: (unperturbed, emb))
+    assert len(optdec._sector_problems(rho, ch)) == len(bases) > 1
