@@ -17,11 +17,12 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import numbers
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .quantum import (
     DensityOperator,
     KrausChannel,
     channel_on_purification,
+    dilate,
     make_channel,
     make_code_source,
     purify,
@@ -72,6 +74,13 @@ SETTINGS = {
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """One sweep. The fields are the config file's keys, types and defaults.
+
+    Every rule is checked on construction, so a config built in code is held
+    to the same rules as a config file: a violation raises
+    :class:`ValidationError` naming the field.
+    """
+
     setting: str
     p_start: float = 0.0
     p_stop: float = 1.0
@@ -81,6 +90,34 @@ class SweepConfig:
     tol: float = 1e-7
     out: str = "curves.csv"
     workers: int = 1
+
+    def __post_init__(self):
+        if self.setting not in SETTINGS:
+            raise ValidationError("setting", f"unknown setting {self.setting!r}")
+        for name in ("p_start", "p_stop"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValidationError(name, f"must be in [0, 1], got {value}")
+        if self.p_stop < self.p_start:
+            raise ValidationError("p_stop", "p_stop is smaller than p_start")
+        _require_count("p_count", self.p_count)
+        for name, known in (("decoders", DECODER_SERIES), ("bounds", BOUND_SERIES)):
+            series = tuple(getattr(self, name))
+            object.__setattr__(self, name, series)
+            for item in series:
+                if item not in known:
+                    raise ValidationError(name, f"unknown series {item!r}")
+            if len(set(series)) != len(series):
+                raise ValidationError(name, "repeated series")
+        if not self.decoders and not self.bounds:
+            raise ValidationError("decoders", "decoder and bound lists are both empty")
+        if not self.tol > 0:
+            raise ValidationError("tol", f"must be positive, got {self.tol}")
+        if not self.tol < 1:
+            raise ValidationError("tol", f"must be below 1, got {self.tol}")
+        if not self.out:
+            raise ValidationError("out", "output path is empty")
+        _require_count("workers", self.workers)
 
     def grid(self) -> np.ndarray:
         if self.p_count == 1:
@@ -98,36 +135,37 @@ class CurvePoint:
     flags: str
 
 
-_CONFIG_KEYS = (
-    "setting",
-    "p_start",
-    "p_stop",
-    "p_count",
-    "decoders",
-    "bounds",
-    "tol",
-    "out",
-    "workers",
-)
+def _require_count(name: str, value) -> None:
+    """Check that ``value``, given as ``name``, is an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(name, f"not an integer: {value!r}")
+    if value < 1:
+        raise ValidationError(name, f"must be >= 1, got {value}")
 
 
-def _worker_count(field: str, text: str) -> int:
-    """Parse a worker count, an integer >= 1, given as ``field``."""
+def _parse_value(name: str, kind: str, text: str):
+    """Convert config text to a value of the annotation ``kind``. A series
+    list is comma-separated; empty items are dropped."""
+    if kind == "str":
+        return text
+    if kind == "tuple[str, ...]":
+        return tuple(s.strip() for s in text.split(",") if s.strip())
+    number, noun = (float, "a number") if kind == "float" else (int, "an integer")
     try:
-        workers = int(text)
+        return number(text)
     except ValueError:
-        raise ValidationError(field, f"not an integer: {text!r}")
-    if workers < 1:
-        raise ValidationError(field, f"must be >= 1, got {workers}")
-    return workers
+        raise ValidationError(name, f"not {noun}: {text!r}") from None
 
 
 def parse_config(text: str) -> SweepConfig:
     """Parse the flat ``key = value`` sweep-config format.
 
-    Blank lines and ``#`` comments are ignored. Unknown and duplicated keys
-    are errors; so are values outside their documented ranges.
+    Blank lines and ``#`` comments are ignored. The keys are the fields of
+    :class:`SweepConfig`, each value converted by its field's type. Unknown,
+    duplicated and missing required keys are errors, and the values are held
+    to the rules of :class:`SweepConfig`.
     """
+    keys = {f.name: f for f in fields(SweepConfig)}
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].rstrip()
@@ -139,71 +177,15 @@ def parse_config(text: str) -> SweepConfig:
         key, value = key.strip(), value.strip()
         if not key:
             raise ParseError("missing key before '='", lineno, 1)
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise ValidationError(key, "unknown config key")
         if key in raw:
             raise ValidationError(key, "duplicated config key")
         raw[key] = value
-
-    if "setting" not in raw:
-        raise ValidationError("setting", "required key is missing")
-    setting = raw["setting"]
-    if setting not in SETTINGS:
-        raise ValidationError("setting", f"unknown setting {setting!r}")
-
-    def parse_float(key: str, default: float) -> float:
-        if key not in raw:
-            return default
-        try:
-            return float(raw[key])
-        except ValueError:
-            raise ValidationError(key, f"not a number: {raw[key]!r}")
-
-    def parse_int(key: str, default: int) -> int:
-        if key not in raw:
-            return default
-        try:
-            return int(raw[key])
-        except ValueError:
-            raise ValidationError(key, f"not an integer: {raw[key]!r}")
-
-    def parse_list(key: str, default: tuple[str, ...], allowed: tuple[str, ...]):
-        if key not in raw:
-            return default
-        items = tuple(s.strip() for s in raw[key].split(",") if s.strip())
-        for item in items:
-            if item not in allowed:
-                raise ValidationError(key, f"unknown series {item!r}")
-        if len(set(items)) != len(items):
-            raise ValidationError(key, "repeated series")
-        return items
-
-    cfg = SweepConfig(
-        setting=setting,
-        p_start=parse_float("p_start", 0.0),
-        p_stop=parse_float("p_stop", 1.0),
-        p_count=parse_int("p_count", 101),
-        decoders=parse_list("decoders", DECODER_SERIES, DECODER_SERIES),
-        bounds=parse_list("bounds", BOUND_SERIES, BOUND_SERIES),
-        tol=parse_float("tol", 1e-7),
-        out=raw.get("out", "curves.csv"),
-        workers=_worker_count("workers", raw.get("workers", "1")),
-    )
-    if not 0.0 <= cfg.p_start <= 1.0:
-        raise ValidationError("p_start", f"must be in [0, 1], got {cfg.p_start}")
-    if not 0.0 <= cfg.p_stop <= 1.0:
-        raise ValidationError("p_stop", f"must be in [0, 1], got {cfg.p_stop}")
-    if cfg.p_stop < cfg.p_start:
-        raise ValidationError("p_stop", "p_stop is smaller than p_start")
-    if cfg.p_count < 1:
-        raise ValidationError("p_count", f"must be >= 1, got {cfg.p_count}")
-    if not cfg.tol > 0:
-        raise ValidationError("tol", f"must be positive, got {cfg.tol}")
-    if not cfg.decoders and not cfg.bounds:
-        raise ValidationError("decoders", "decoder and bound lists are both empty")
-    if not cfg.out:
-        raise ValidationError("out", "output path is empty")
-    return cfg
+    for f in keys.values():
+        if f.default is MISSING and f.name not in raw:
+            raise ValidationError(f.name, "required key is missing")
+    return SweepConfig(**{k: _parse_value(k, keys[k].type, v) for k, v in raw.items()})
 
 
 def _series_values(setting: str, p: float, wanted: tuple[str, ...], tol: float):
@@ -286,15 +268,16 @@ def run_sweep(cfg: SweepConfig) -> list[CurvePoint]:
 
     Grid points are independent work items; results are collected in
     deterministic order regardless of completion order, and a failing
-    point is recorded with its error, never dropped. A worker count that is
-    not an integer >= 1, configured or from ``PETZLAB_WORKERS``, raises
-    :class:`ValidationError`.
+    point is recorded with its error, never dropped. ``PETZLAB_WORKERS``
+    overrides ``cfg.workers`` and is held to the same rule: a value that is
+    not an integer >= 1 raises :class:`ValidationError`.
     """
-    wanted = tuple(cfg.decoders) + tuple(cfg.bounds)
-    workers = _worker_count("workers", str(cfg.workers))
+    wanted = cfg.decoders + cfg.bounds
+    workers = cfg.workers
     env_workers = os.environ.get("PETZLAB_WORKERS")
     if env_workers is not None:
-        workers = _worker_count("PETZLAB_WORKERS", env_workers)
+        workers = _parse_value("PETZLAB_WORKERS", "int", env_workers)
+        _require_count("PETZLAB_WORKERS", workers)
     jobs = [(cfg.setting, float(p), wanted, cfg.tol) for p in cfg.grid()]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -349,6 +332,17 @@ BK_TOL = 1e-6
 BETA0_TOL = 1e-10
 
 
+def _complementary_petz(rho: DensityOperator, ch: KrausChannel) -> float:
+    """2^(-I_1/2(R;E)), the singly minimized Petz Renyi mutual information of
+    sigma_RE taken on the environment of :func:`~petzlab.quantum.dilate` with
+    one slot per Kraus operator (no d_A*d_B padding)."""
+    iso = dilate(ch, 1)
+    ops = iso.v.reshape(iso.dim_out, iso.dim_env, iso.dim_in)  # (<b| x 1_E) V
+    comp = KrausChannel(tuple(ops), dim_in=iso.dim_in, dim_out=iso.dim_env, label_out="E")
+    sigma_re = channel_on_purification(purify(rho), comp)
+    return 2.0 ** -infomeasures.singly_min_petz_mi_half(sigma_re)
+
+
 def audit_invariants(setting: str, points: int = 21, include_sdp: bool = True) -> AuditReport:
     """Per-point checks of the closed-form and inequality-chain guarantees.
 
@@ -358,12 +352,15 @@ def audit_invariants(setting: str, points: int = 21, include_sdp: bool = True) -
     then ``fe_of_decoder``), the Petz >= twirled >= 2^(-eps) chain, the
     SW >= 2^I >= 2^(-eps) chain, and (optionally) the optimality bracket
     optimal^2 - BK_TOL <= petz <= optimal + BK_TOL; plus one normalization
-    check of the beta0 quadrature. A series or simulation that raises gives
-    a failing row flagged ``error:<Type>``, and the checks that read its NaN
-    value fail; a skipped SDP gives no bracket row.
+    check of the beta0 quadrature. The paper's identity F_e(Petz) =
+    2^(-I_1/2(R;E)) is checked on the same simulation (``thm_complementary``).
+    A series that raises gives a failing row flagged ``error:<Type>``, and the
+    checks that read its NaN value fail; a simulation that raises fails both
+    rows it feeds. A skipped SDP gives no bracket row. The setting and
+    ``points`` (the grid's ``p_count`` on [0, 1]) are held to the rules of
+    :class:`SweepConfig`.
     """
-    if setting not in SETTINGS:
-        raise ValidationError("setting", f"unknown setting {setting!r}")
+    cfg = SweepConfig(setting, p_count=points)
     rows: list[AuditRow] = []
     norm = decoders.beta0_quadrature(lambda t: 1.0, 1e-12)
     rows.append(
@@ -377,20 +374,24 @@ def audit_invariants(setting: str, points: int = 21, include_sdp: bool = True) -
     )
     wanted = ("petz", "twirled", "sw", "lower_sw", "lower_twirled")
     wanted += ("optimal",) if include_sdp else ()
-    grid = np.linspace(0.0, 1.0, points) if points > 1 else np.array([0.0])
-    for p in grid:
+    for p in cfg.grid():
         p = float(p)
-        curve = _series_values(setting, p, wanted, SweepConfig.tol)
+        curve = _series_values(setting, p, wanted, cfg.tol)
         v = {c.series: c.value for c in curve}
         skipped = {c.series for c in curve if c.flags.startswith("skipped")}
         checks = [(c.series, False, c.flags) for c in curve if c.flags.startswith("error")]
         try:
             rho, ch = SETTINGS[setting].build(p)
             f_sim = decoders.fe_of_decoder(rho, ch, decoders.build_petz(rho, ch))
-            thm2 = (abs(f_sim - v["petz"]) <= THM2_TOL, f"|{f_sim:.12g} - {v['petz']:.12g}|")
+            f_comp = _complementary_petz(rho, ch)
+            error = None
         except Exception as exc:  # contained like a sweep row
-            thm2 = (False, f"error:{type(exc).__name__}")
-        checks.append(("thm2_petz_closed_form", *thm2))
+            f_sim = f_comp = math.nan
+            error = f"error:{type(exc).__name__}"
+        closed_forms = {"thm2_petz_closed_form": v["petz"], "thm_complementary": f_comp}
+        for name, value in closed_forms.items():
+            detail = error or f"|{f_sim:.12g} - {value:.12g}|"
+            checks.append((name, abs(f_sim - value) <= THM2_TOL, detail))
 
         petz, twirled, lower = v["petz"], v["twirled"], v["lower_twirled"]
         checks.append(

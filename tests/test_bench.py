@@ -517,3 +517,133 @@ def test_bad_configured_worker_count_is_a_validation_error(tmp_path, monkeypatch
     monkeypatch.delenv("PETZLAB_WORKERS", raising=False)
     with pytest.raises(ValidationError, match="workers: must be >= 1"):
         run_sweep(_tiny_config(tmp_path, workers=workers))
+
+
+# -- one schema: file and code configs share every rule ---------------------------
+
+# (assignments key -> (config-file text, SweepConfig value), expected error)
+RULE_CASES = {
+    "unknown_setting": ({"setting": ("nosuch", "nosuch")}, "setting: unknown setting 'nosuch'"),
+    "p_start_below_0": ({"p_start": ("-0.1", -0.1)}, "p_start: must be in [0, 1], got -0.1"),
+    "p_start_nan": ({"p_start": ("nan", math.nan)}, "p_start: must be in [0, 1], got nan"),
+    "p_stop_above_1": ({"p_stop": ("1.5", 1.5)}, "p_stop: must be in [0, 1], got 1.5"),
+    "reversed_range": (
+        {"p_start": ("0.5", 0.5), "p_stop": ("0.1", 0.1)},
+        "p_stop: p_stop is smaller than p_start",
+    ),
+    "p_count_0": ({"p_count": ("0", 0)}, "p_count: must be >= 1, got 0"),
+    "p_count_negative": ({"p_count": ("-3", -3)}, "p_count: must be >= 1, got -3"),
+    "unknown_decoder": (
+        {"decoders": ("sw,magic", ("sw", "magic"))},
+        "decoders: unknown series 'magic'",
+    ),
+    "repeated_decoder": (
+        {"decoders": ("petz,petz", ("petz", "petz"))},
+        "decoders: repeated series",
+    ),
+    "bound_as_decoder": (
+        {"bounds": ("upper_bk,petz", ("upper_bk", "petz"))},
+        "bounds: unknown series 'petz'",
+    ),
+    "repeated_bound": (
+        {"bounds": ("upper_bk,upper_bk", ("upper_bk", "upper_bk"))},
+        "bounds: repeated series",
+    ),
+    "both_lists_empty": (
+        {"decoders": ("", ()), "bounds": ("", ())},
+        "decoders: decoder and bound lists are both empty",
+    ),
+    "tol_zero": ({"tol": ("0", 0.0)}, "tol: must be positive, got 0.0"),
+    "tol_negative": ({"tol": ("-1e-7", -1e-7)}, "tol: must be positive, got -1e-07"),
+    "tol_nan": ({"tol": ("nan", math.nan)}, "tol: must be positive, got nan"),
+    "tol_inf": ({"tol": ("inf", math.inf)}, "tol: must be below 1, got inf"),
+    "tol_one": ({"tol": ("1", 1.0)}, "tol: must be below 1, got 1.0"),
+    "out_empty": ({"out": ("", "")}, "out: output path is empty"),
+    "workers_0": ({"workers": ("0", 0)}, "workers: must be >= 1, got 0"),
+    "workers_negative": ({"workers": ("-2", -2)}, "workers: must be >= 1, got -2"),
+}
+
+
+@pytest.mark.parametrize("case", RULE_CASES.values(), ids=RULE_CASES.keys())
+def test_config_rule_holds_for_file_and_code(case):
+    assignments, expected = case
+    assignments = {"setting": ("bitflip3", "bitflip3")} | assignments
+    text = "".join(f"{key} = {raw}\n" for key, (raw, _) in assignments.items())
+    with pytest.raises(ValidationError) as from_file:
+        parse_config(text)
+    with pytest.raises(ValidationError) as from_code:
+        SweepConfig(**{key: value for key, (_, value) in assignments.items()})
+    assert str(from_file.value) == str(from_code.value) == expected
+    assert from_file.value.field == from_code.value.field == expected.split(":")[0]
+
+
+def test_parse_rejects_missing_setting():
+    with pytest.raises(ValidationError, match="setting: required key is missing"):
+        parse_config("p_count = 3\n")
+
+
+@pytest.mark.parametrize(
+    "kw, expected",
+    [
+        ({"p_count": 2.5}, "p_count: not an integer: 2.5"),
+        ({"workers": True}, "workers: not an integer: True"),
+        ({"workers": "2"}, "workers: not an integer: '2'"),
+    ],
+)
+def test_code_built_counts_must_be_integers(kw, expected):
+    with pytest.raises(ValidationError) as err:
+        SweepConfig(setting="bitflip3", **kw)
+    assert str(err.value) == expected
+
+
+def test_code_built_series_lists_become_tuples():
+    cfg = SweepConfig(setting="bitflip3", decoders=["petz"], bounds=[], workers=np.int64(2))
+    assert cfg.decoders == ("petz",) and cfg.bounds == ()
+
+
+def test_cli_sweep_infinite_tol_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "inf.txt"
+    out = tmp_path / "inf.csv"
+    config.write_text(f"setting = lncy4\np_start = 0.3\np_count = 1\ntol = inf\nout = {out}\n")
+    assert main(["sweep", "--config", str(config)]) == 3
+    assert "config error: tol: must be below 1, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points", [0, -3])
+def test_audit_rejects_fewer_than_one_point(points, capsys):
+    with pytest.raises(ValidationError, match="must be >= 1"):
+        audit_invariants("identity", points=points)
+    assert main(["audit", "--setting", "identity", "--points", str(points)]) == 3
+    assert "[pass]" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("setting", ["bitflip3", "lncy4", "fivequbit", "identity"])
+def test_audit_checks_the_complementary_identity(setting):
+    report = audit_invariants(setting, points=5, include_sdp=False)
+    assert report.ok, report.failures()
+    rows = [r for r in report.rows if r.check == "thm_complementary"]
+    assert [r.p for r in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def test_audit_complementary_row_reads_the_mutual_information(monkeypatch):
+    real = infomeasures.singly_min_petz_mi_half
+    monkeypatch.setattr(
+        infomeasures, "singly_min_petz_mi_half", lambda sigma_re: real(sigma_re) + 0.1
+    )
+    report = audit_invariants("bitflip3", points=3, include_sdp=False)
+    assert {r.check for r in report.failures()} == {"thm_complementary"}
+    assert len(report.failures()) == 3
+
+
+def test_complementary_identity_uses_the_unpadded_environment(monkeypatch):
+    # one environment slot per Kraus operator: sigma_RE is 2 * 32 = 64 wide on
+    # fivequbit, not the 2 * 1024 of complementary_channel's padded E
+    rho, ch = bench.SETTINGS["fivequbit"].build(0.5)
+    padded = _count_calls(monkeypatch, quantum, "stinespring_dilation")
+    eighs = _count_calls(monkeypatch, matcore, "herm_eig")
+    f_comp = bench._complementary_petz(rho, ch)
+    f_sim = decoders.fe_of_decoder(rho, ch, decoders.build_petz(rho, ch))
+    assert abs(f_sim - f_comp) <= bench.THM2_TOL
+    assert padded == []
+    assert eighs and max(np.shape(args[0])[0] for args in eighs) <= 64
