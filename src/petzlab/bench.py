@@ -15,8 +15,10 @@ measured wall times are written only when timing output is requested.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
+import multiprocessing
 import numbers
 import os
 import sys
@@ -101,6 +103,10 @@ class SweepConfig:
         if self.p_stop < self.p_start:
             raise ValidationError("p_stop", "p_stop is smaller than p_start")
         _require_count("p_count", self.p_count)
+        if self.p_stop == self.p_start and self.p_count != 1:
+            raise ValidationError(
+                "p_count", f"must be 1 when p_stop == p_start, got {self.p_count}"
+            )
         for name, known in (("decoders", DECODER_SERIES), ("bounds", BOUND_SERIES)):
             series = tuple(getattr(self, name))
             object.__setattr__(self, name, series)
@@ -263,6 +269,32 @@ def _worker(args) -> list[CurvePoint]:
     return _series_values(*args)
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _worker_pool(workers: int):
+    """Process pool whose workers run BLAS on one thread.
+
+    The workers are spawned (not forked) while every variable of
+    ``_BLAS_THREAD_VARS`` is 1, so each imports numpy with a one-thread BLAS;
+    ``workers`` multi-threaded BLAS pools would oversubscribe the cores. The
+    caller's environment is restored when the pool has shut down.
+    """
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def run_sweep(cfg: SweepConfig) -> list[CurvePoint]:
     """Evaluate every requested series on the p-grid.
 
@@ -270,7 +302,8 @@ def run_sweep(cfg: SweepConfig) -> list[CurvePoint]:
     deterministic order regardless of completion order, and a failing
     point is recorded with its error, never dropped. ``PETZLAB_WORKERS``
     overrides ``cfg.workers`` and is held to the same rule: a value that is
-    not an integer >= 1 raises :class:`ValidationError`.
+    not an integer >= 1 raises :class:`ValidationError`. More than one worker
+    runs the points in a :func:`_worker_pool`, one BLAS thread per worker.
     """
     wanted = cfg.decoders + cfg.bounds
     workers = cfg.workers
@@ -280,7 +313,7 @@ def run_sweep(cfg: SweepConfig) -> list[CurvePoint]:
         _require_count("PETZLAB_WORKERS", workers)
     jobs = [(cfg.setting, float(p), wanted, cfg.tol) for p in cfg.grid()]
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _worker_pool(workers) as pool:
             chunks = list(pool.map(_worker, jobs))
     else:
         chunks = [_worker(job) for job in jobs]

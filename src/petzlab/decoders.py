@@ -38,8 +38,10 @@ from .matcore import (
     support_mask,
 )
 from .quantum import (
+    CPTP_TOL,
     DensityOperator,
     KrausChannel,
+    PurifiedSource,
     StinespringIsometry,
     channel_on_purification,
     choi_of_channel,
@@ -80,8 +82,8 @@ def identity_decoder(dim: int) -> Decoder:
 
 
 def _spectra(rho_a: DensityOperator, ch: KrausChannel):
-    """Spectra of rho and of sigma_B = N(rho), each split once at the support
-    cut (:meth:`~petzlab.matcore.HermEig.split`).
+    """Spectra of rho (its stored ``spectrum``) and of sigma_B = N(rho), each
+    split once at the support cut (:meth:`~petzlab.matcore.HermEig.split`).
 
     Returns ((lam, u_a), (mu, u_b, kernel)): the support eigenvalues
     (descending) and eigenvectors of rho, and those of sigma_B together with
@@ -96,7 +98,7 @@ def _spectra(rho_a: DensityOperator, ch: KrausChannel):
     eig_b = herm_eig(sigma_b)
     if eig_b.eigenvalues[0] <= 1e-14:
         raise DegenerateChannelOutput("channel output state is numerically zero")
-    lam, u_a, _ = herm_eig(rho_a.matrix).split()
+    lam, u_a, _ = rho_a.spectrum.split()
     return (lam, u_a), eig_b.split()
 
 
@@ -122,9 +124,11 @@ def _petz_family_kraus(rho_a: DensityOperator, ch: KrausChannel, t: float):
     return ops + _kernel_completion(u_a, kernel)
 
 
-def _decoder(ops, ch: KrausChannel, kind: str, t: float | None = None) -> Decoder:
-    """The Kraus list ``ops``, checked to be CPTP, as a decoder from the output
-    of ``ch`` back to its input."""
+def _decoder(
+    ops, ch: KrausChannel, kind: str, t: float | None = None, tol: float = CPTP_TOL
+) -> Decoder:
+    """The Kraus list ``ops``, checked to be CPTP within ``tol``, as a decoder
+    from the output of ``ch`` back to its input."""
     dec = KrausChannel(
         kraus_ops=tuple(ops),
         dim_in=ch.dim_out,
@@ -132,7 +136,7 @@ def _decoder(ops, ch: KrausChannel, kind: str, t: float | None = None) -> Decode
         label_in=ch.label_out,
         label_out=ch.label_in,
     )
-    validate_cptp(dec)
+    validate_cptp(dec, tol)
     return Decoder(channel=dec, kind=kind, t=t)
 
 
@@ -394,59 +398,55 @@ def _complement(columns: np.ndarray) -> np.ndarray:
 
 
 class SwConstruction:
-    """Intermediate objects of the SW decoder construction.
+    """Intermediate objects of the SW decoder construction for a purified
+    source and a Stinespring isometry of the channel.
 
-    Holds the Schmidt data, the Stinespring isometry, the spectral data of
-    sigma_E, and rank-factored forms of the overlap matrix M, its polar
-    unitary U, and the purification-alignment unitary W. Dense matrices are
-    materialized lazily; the decoder itself only needs the columns of U W
-    over the physical input block |0>_{R'A'} tensor B.
+    Holds the spectral data of sigma_E, the coefficient matrix of |sigma>
+    for the (RE)|(B) cut, and rank-factored forms of the overlap matrix M,
+    its polar unitary U, and the purification-alignment unitary W. Dense
+    matrices are materialized lazily; the decoder itself only needs the
+    columns of U W over the physical input block |0>_{R'A'} tensor B.
     """
 
-    def __init__(
-        self,
-        schmidt_coeffs,
-        basis_a,
-        isometry,
-        env_eigenvalues,
-        env_eigenvectors,
-        x_coeff,
-        u_r,
-        s_r,
-        v_x,
-        m_left,
-        m_right,
-        m_singular_values,
-        u_thin_left,
-        u_thin_right,
-    ):
-        self.schmidt_coeffs = schmidt_coeffs
-        self.basis_a = basis_a
-        self.isometry: StinespringIsometry = isometry
-        self.env_eigenvalues = env_eigenvalues
-        self.env_eigenvectors = env_eigenvectors
-        self.x_coeff = x_coeff  # coefficient matrix of |sigma> for the (RE)|(B) cut
-        self.u_r = u_r  # eigenvectors of sigma_RE on its support
-        self.s_r = s_r  # singular values: sqrt of sigma_RE eigenvalues
-        self.v_x = v_x  # right Schmidt vectors of |sigma> on B
-        self._m_left = m_left  # M = m_left diag(s_r) m_right
-        self._m_right = m_right
-        self.m_singular_values = m_singular_values
-        self._u_thin_left = u_thin_left  # thin SVD factors of M
-        self._u_thin_right = u_thin_right
-        self.d_code = schmidt_coeffs.size
-        self.d_a = basis_a.shape[0]
-        self.d_e = env_eigenvalues.size
-        self.d_b = isometry.dim_out
-        self.dim = self.d_code * self.d_e  # dimension of R'E'
-        self.ref_index = 0  # |0>_{R'A'} is the first computational basis vector
+    def __init__(self, pur: PurifiedSource, iso: StinespringIsometry):
+        d, d_b, d_e = pur.rank, iso.dim_out, iso.dim_env
+        self.d_code, self.d_a, self.d_b, self.d_e = d, iso.dim_in, d_b, d_e
+        self.dim = d * d_e  # dimension of R'E'
+        self.basis_a = pur.basis_a
 
-    # -- applications of Omega = 1_R' tensor (E E^T) --------------------------
+        # |sigma>_RBE = (1_R tensor V)|rho>, stored as (R, B, E).
+        va = iso.v @ pur.basis_a  # (d_B d_E) x d
+        psi3 = (va * np.sqrt(pur.schmidt_coeffs)).T.reshape(d, d_b, d_e)
+        sigma_e = np.einsum("kbe,kbf->ef", psi3, psi3.conj(), optimize=True)
+        eig_e = herm_eig(sigma_e)
+        e = self.env_eigenvectors = eig_e.eigenvectors
+        self.omega_env = e @ e.T  # Omega = 1_R' tensor (E E^T)
 
-    @functools.cached_property
-    def omega_env(self) -> np.ndarray:
-        e = self.env_eigenvectors
-        return e @ e.T
+        # Coefficient matrix of |sigma> for the (RE)|(B) cut and its thin SVD;
+        # sigma_RE = X X^dagger. The support is cut on s, the spectrum of
+        # sigma_RE^(1/2), since the alignment acts on amplitudes: cutting s^2
+        # drops bitflip3's directions with s ~ 1e-7 * s_max at p = 1e-14, and the
+        # alignment check then rejects the decoder.
+        self.x_coeff = psi3.transpose(0, 2, 1).reshape(self.dim, d_b)
+        u_full, s_full, vh_full = np.linalg.svd(self.x_coeff, full_matrices=False)
+        rank = int(np.count_nonzero(support_mask(s_full)))
+        self.u_r = u_full[:, :rank]  # eigenvectors of sigma_RE on its support
+        self.s_r = s_full[:rank]  # singular values: sqrt of sigma_RE eigenvalues
+        self.v_x = dag(vh_full[:rank, :])  # right Schmidt vectors of |sigma> on B
+
+        # T = sigma_hat^(1/2) sigma_RE^(1/2) = L diag(s_r) U_r^dagger and
+        # M = Omega T^T Omega^* = m_left diag(s_r) m_right, all rank-factored.
+        sqrt_mu = np.sqrt(np.clip(eig_e.eigenvalues, 0.0, None))
+        ell = _apply_block_kron(np.sqrt(pur.schmidt_coeffs), (e * sqrt_mu) @ dag(e), self.u_r)
+        self._m_left = self._apply_omega(self.u_r.conj())
+        self._m_right = self._apply_omega(ell, conjugate=True).T
+
+        # Thin SVD of M through the QRs of its two factors.
+        q1, r1 = np.linalg.qr(self._m_left)
+        q2, r2 = np.linalg.qr(dag(self._m_right))
+        core_u, self.m_singular_values, core_vh = np.linalg.svd((r1 * self.s_r) @ dag(r2))
+        self._u_thin_left = q1 @ core_u
+        self._u_thin_right = core_vh @ dag(q2)
 
     def _apply_omega(self, x: np.ndarray, conjugate: bool = False) -> np.ndarray:
         om = self.omega_env.conj() if conjugate else self.omega_env
@@ -523,9 +523,7 @@ class SwConstruction:
 
     def psi_sigma_matrix(self) -> np.ndarray:
         """Coefficient matrix of |Psi^sigma> = sigma_RE^(1/2)|Omega> (dense)."""
-        left = self.u_r * self.s_r
-        right = self._apply_omega(self.u_r.conj()).T  # u_r^dagger applied to Omega
-        return left @ right
+        return (self.u_r * self.s_r) @ self._m_left.T  # m_left = Omega u_r^*
 
     def alignment_residual(self) -> float:
         """Frobenius residual of |Psi^sigma> = W (|sigma> tensor |0>)."""
@@ -539,20 +537,20 @@ class SwConstruction:
         val = complex(np.trace((self.s_r[:, None] * (b2u @ self._m_left)).T))
         return val.real, val.imag
 
+    def _to_a(self, cols: np.ndarray) -> list[np.ndarray]:
+        """Kraus operators (<sigma_E eigenvector l| on E', Schmidt basis of A on
+        R') applied to columns on R'E': one operator per environment slot."""
+        t = cols.reshape(self.d_code, self.d_e, cols.shape[1])
+        z = np.einsum("el,kec->klc", self.env_eigenvectors.conj(), t, optimize=True)
+        return list(np.einsum("ak,klc->lac", self.basis_a, z, optimize=True))
+
     def decoder_kraus(self) -> list[np.ndarray]:
         """Kraus operators of the decoder, K_l (|0>_{R'A'} tensor 1_B)."""
-        t2 = self.uw_input_block.reshape(self.d_code, self.d_e, self.d_b)
-        z1 = np.einsum("el,keb->klb", self.env_eigenvectors.conj(), t2, optimize=True)
-        ops = np.einsum("ak,klb->lab", self.basis_a, z1, optimize=True)
-        return [ops[l] for l in range(self.d_e)]
+        return self._to_a(self.uw_input_block)
 
     def kraus_full(self) -> list[np.ndarray]:
         """Kraus operators K_l of the full R'E' -> A stage (dense)."""
-        uw = self.u_matrix @ self.w_matrix
-        t2 = uw.reshape(self.d_code, self.d_e, self.dim)
-        z1 = np.einsum("el,kec->klc", self.env_eigenvectors.conj(), t2, optimize=True)
-        ops = np.einsum("ak,klc->lac", self.basis_a, z1, optimize=True)
-        return [ops[l] for l in range(self.d_e)]
+        return self._to_a(self.u_matrix @ self.w_matrix)
 
 
 def build_sw(rho_a: DensityOperator, ch: KrausChannel) -> tuple[Decoder, SwConstruction]:
@@ -569,74 +567,11 @@ def build_sw(rho_a: DensityOperator, ch: KrausChannel) -> tuple[Decoder, SwConst
     channel's output support.
     """
     pur = purify(rho_a)
-    iso = dilate(ch, -(-ch.dim_out // pur.rank))
-    d, d_a, d_b, d_e = pur.rank, ch.dim_in, ch.dim_out, iso.dim_env
-    n = d * d_e
-
-    # |sigma>_RBE = (1_R tensor V)|rho>, stored as (R, B, E).
-    va = iso.v @ pur.basis_a  # (d_B d_E) x d
-    psi3 = (va * np.sqrt(pur.schmidt_coeffs)).T.reshape(d, d_b, d_e)
-
-    sigma_e = np.einsum("kbe,kbf->ef", psi3, psi3.conj(), optimize=True)
-    eig_e = herm_eig(sigma_e)
-    mu, e_mat = eig_e.eigenvalues, eig_e.eigenvectors
-
-    # Coefficient matrix of |sigma> for the (RE)|(B) cut and its thin SVD;
-    # sigma_RE = X X^dagger. The support is cut on s, the spectrum of
-    # sigma_RE^(1/2), since the alignment acts on amplitudes: cutting s^2
-    # drops bitflip3's directions with s ~ 1e-7 * s_max at p = 1e-14, and the
-    # alignment check then rejects the decoder.
-    x = psi3.transpose(0, 2, 1).reshape(n, d_b)
-    u_full, s_full, vh_full = np.linalg.svd(x, full_matrices=False)
-    rank = int(np.count_nonzero(support_mask(s_full)))
-    u_r, s_r, v_x = u_full[:, :rank], s_full[:rank], dag(vh_full[:rank, :])
-
-    # T = sigma_hat^(1/2) sigma_RE^(1/2) = L diag(s_r) U_r^dagger and
-    # M = Omega T^T Omega^* = m_left diag(s_r) m_right, all rank-factored.
-    sqrt_mu = np.sqrt(np.clip(mu, 0.0, None))
-    sqrt_sigma_e = (e_mat * sqrt_mu) @ dag(e_mat)
-    ell = _apply_block_kron(np.sqrt(pur.schmidt_coeffs), sqrt_sigma_e, u_r)
-
-    om_e = e_mat @ e_mat.T
-    m_left = _apply_block_kron(np.ones(d), om_e, u_r.conj())
-    m_right = _apply_block_kron(np.ones(d), om_e.conj(), ell).T
-
-    q1, r1 = np.linalg.qr(m_left)
-    q2, r2 = np.linalg.qr(dag(m_right))
-    core_u, core_s, core_vh = np.linalg.svd((r1 * s_r) @ dag(r2))
-    u_thin_left = q1 @ core_u
-    u_thin_right = core_vh @ dag(q2)
-
-    cons = SwConstruction(
-        schmidt_coeffs=pur.schmidt_coeffs,
-        basis_a=pur.basis_a,
-        isometry=iso,
-        env_eigenvalues=mu,
-        env_eigenvectors=e_mat,
-        x_coeff=x,
-        u_r=u_r,
-        s_r=s_r,
-        v_x=v_x,
-        m_left=m_left,
-        m_right=m_right,
-        m_singular_values=core_s,
-        u_thin_left=u_thin_left,
-        u_thin_right=u_thin_right,
-    )
-
+    cons = SwConstruction(pur, dilate(ch, -(-ch.dim_out // pur.rank)))
     residual = cons.alignment_residual()
     if residual > ALIGNMENT_TOL:
         raise AlignmentFailure(f"alignment residual {residual:.3e} exceeds {ALIGNMENT_TOL}")
     re_mu, im_mu = cons.trace_mu_guard()
     if re_mu < -1e-9 or abs(im_mu) > 1e-9 * max(1.0, re_mu):
         raise AlignmentFailure(f"tr[MU] = {re_mu:.3e} + {im_mu:.3e}i is not real-positive")
-
-    dec = KrausChannel(
-        kraus_ops=tuple(cons.decoder_kraus()),
-        dim_in=d_b,
-        dim_out=d_a,
-        label_in=ch.label_out,
-        label_out=ch.label_in,
-    )
-    validate_cptp(dec, tol=1e-9)
-    return Decoder(channel=dec, kind="sw"), cons
+    return _decoder(cons.decoder_kraus(), ch, "sw", tol=1e-9), cons

@@ -196,7 +196,8 @@ def schatten_norm(m, p: float) -> float:
     return float(np.sum(s**p) ** (1.0 / p))
 
 
-def _check_state(rho: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
+def _check_state(rho: np.ndarray, tol: float = STATE_TOL) -> HermEig:
+    """Check that ``rho`` is a density matrix; returns its eigendecomposition."""
     rho = as_cmatrix(rho)
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > tol * 10:
@@ -204,7 +205,7 @@ def _check_state(rho: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
     eig = herm_eig(rho)
     if eig.eigenvalues[-1] < -tol * max(1.0, float(eig.eigenvalues[0])):
         raise NotState(f"minimum eigenvalue {eig.eigenvalues[-1]:.3e} is negative")
-    return rho
+    return eig
 
 
 def fidelity(rho, sigma) -> float:
@@ -212,9 +213,8 @@ def fidelity(rho, sigma) -> float:
     rho, sigma = as_cmatrix(rho), as_cmatrix(sigma)
     if rho.shape != sigma.shape:
         raise DimensionMismatch(f"shapes {rho.shape} and {sigma.shape} differ")
-    _check_state(rho)
-    _check_state(sigma)
-    prod = psd_sqrt(rho) @ psd_sqrt(sigma)
+    prod = herm_part(power_on_support(_check_state(rho), 0.5))
+    prod = prod @ herm_part(power_on_support(_check_state(sigma), 0.5))
     s = np.linalg.svd(prod, compute_uv=False)
     return float(min(1.0, np.sum(s)))
 

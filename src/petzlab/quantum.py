@@ -8,7 +8,7 @@ invariants at construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +40,8 @@ class DensityOperator:
     matrix: np.ndarray
     dims: tuple[int, ...]
     labels: tuple[str, ...]
+    # Eigendecomposition of ``matrix``, computed once by the state check.
+    spectrum: matcore.HermEig = field(init=False, repr=False)
 
     def __post_init__(self):
         m = as_cmatrix(self.matrix)
@@ -48,7 +50,7 @@ class DensityOperator:
             raise DimensionMismatch(f"matrix is {m.shape}, dims {self.dims} require {d}")
         if len(self.labels) != len(self.dims):
             raise DimensionMismatch("labels and dims have different lengths")
-        matcore._check_state(m)
+        object.__setattr__(self, "spectrum", matcore._check_state(m))
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -324,7 +326,7 @@ class PurifiedSource:
 
 def purify(rho: DensityOperator) -> PurifiedSource:
     """Canonical purification |rho>_RA in the eigenbasis of the state."""
-    lam, basis_a, _ = herm_eig(rho.matrix).split()
+    lam, basis_a, _ = rho.spectrum.split()
     lam = lam / lam.sum()
     vec = (basis_a * np.sqrt(lam)).T.reshape(-1)  # index (r, a), row-major
     return PurifiedSource(rho=rho, vector=vec, schmidt_coeffs=lam, basis_a=basis_a)

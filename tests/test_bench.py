@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -647,3 +648,40 @@ def test_complementary_identity_uses_the_unpadded_environment(monkeypatch):
     assert abs(f_sim - f_comp) <= bench.THM2_TOL
     assert padded == []
     assert eighs and max(np.shape(args[0])[0] for args in eighs) <= 64
+
+
+def test_one_point_range_needs_one_point(tmp_path, capsys):
+    expected = "p_count: must be 1 when p_stop == p_start, got 3"
+    with pytest.raises(ValidationError) as from_code:
+        SweepConfig(setting="bitflip3", p_start=0.3, p_stop=0.3, p_count=3)
+    assert str(from_code.value) == expected
+    config = tmp_path / "repeat.txt"
+    out = tmp_path / "repeat.csv"
+    config.write_text(
+        f"setting = bitflip3\np_start = 0.3\np_stop = 0.3\np_count = 3\nout = {out}\n"
+    )
+    assert main(["sweep", "--config", str(config)]) == 3
+    assert f"config error: {expected}" in capsys.readouterr().err
+    assert not out.exists()
+    one = SweepConfig(setting="bitflip3", p_start=0.3, p_stop=0.3, p_count=1)
+    assert one.grid().tolist() == [0.3]
+
+
+def test_purify_and_spectra_reuse_the_state_spectrum(monkeypatch):
+    rho, ch = bench.SETTINGS["lncy4"].build(0.3)
+    eighs = _count_calls(monkeypatch, matcore, "herm_eig")
+    quantum.purify(rho)
+    decoders._spectra(rho, ch)
+    assert not any(np.array_equal(args[0], rho.matrix) for args in eighs)
+
+
+def test_sweep_workers_see_one_blas_thread(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    with bench._worker_pool(2) as pool:
+        seen = list(pool.map(os.getenv, names))
+    assert seen == ["1", "1", "1"]
+    # the caller's environment is back as it was
+    assert [os.environ.get(name) for name in names] == ["4", None, None]
