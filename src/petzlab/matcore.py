@@ -46,8 +46,8 @@ def as_cmatrix(x) -> np.ndarray:
 
 
 def dag(x: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return x.conj().T
+    """Conjugate transpose, of each matrix of a stack (..., m, n)."""
+    return x.conj().swapaxes(-1, -2)
 
 
 def herm_part(x: np.ndarray) -> np.ndarray:
@@ -65,7 +65,7 @@ def support_mask(w: np.ndarray) -> np.ndarray:
 class HermEig:
     """Spectral decomposition H = V diag(w) V^dagger, eigenvalues descending."""
 
-    eigenvalues: np.ndarray  # real, sorted descending
+    eigenvalues: np.ndarray  # real, sorted descending (along the last axis of a stack)
     eigenvectors: np.ndarray  # unitary, columns are eigenvectors
 
     def reconstruct(self) -> np.ndarray:
@@ -95,17 +95,24 @@ class Svd:
 def herm_eig(h, tol: float = HERM_TOL) -> HermEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    The input must be Hermitian within ``tol`` (Frobenius, relative to the
-    matrix scale); small asymmetry is repaired by symmetrization, larger
-    asymmetry raises :class:`NotHermitian`.
+    ``h`` may also be a stack (..., n, n); each matrix then has its own
+    eigenvalues (..., n) and eigenvectors (..., n, n). The input must be
+    Hermitian within ``tol`` (Frobenius, relative to each matrix's scale);
+    small asymmetry is repaired by symmetrization, larger asymmetry raises
+    :class:`NotHermitian`.
     """
-    h = as_cmatrix(h)
-    if h.shape[0] != h.shape[1]:
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise DimensionMismatch(f"matrix is {h.shape}, not square")
-    scale = max(1.0, float(np.linalg.norm(h)))
-    asym = float(np.linalg.norm(h - dag(h)))
-    if asym > tol * scale:
-        raise NotHermitian(f"asymmetry {asym:.3e} exceeds {tol:.1e} * {scale:.3e}")
+    if not np.isfinite(h).all():
+        raise NonFinite("matrix contains NaN or Inf entries")
+    scale = np.maximum(1.0, np.linalg.norm(h, axis=(-2, -1)))
+    asym = np.linalg.norm(h - dag(h), axis=(-2, -1))
+    if np.any(asym > tol * scale):
+        worst = np.argmax(asym / scale)
+        raise NotHermitian(
+            f"asymmetry {asym.flat[worst]:.3e} exceeds {tol:.1e} * {scale.flat[worst]:.3e}"
+        )
     try:
         w, v = np.linalg.eigh(herm_part(h))
     except np.linalg.LinAlgError:
@@ -114,8 +121,8 @@ def herm_eig(h, tol: float = HERM_TOL) -> HermEig:
         # SDP). herm_part(h) is exactly Hermitian, so its upper triangle
         # describes the same matrix and takes a different reduction path.
         w, v = np.linalg.eigh(herm_part(h), UPLO="U")
-    order = np.argsort(w)[::-1]
-    return HermEig(eigenvalues=w[order], eigenvectors=v[:, order])
+    # eigh returns ascending eigenvalues
+    return HermEig(eigenvalues=w[..., ::-1].copy(), eigenvectors=v[..., ::-1].copy())
 
 
 def svd(m) -> Svd:

@@ -21,6 +21,12 @@ source and the support of the channel output invariant (the eigenspaces of
 one fixed combination of them, :func:`_sector_bases`); only the check that
 the coupling of G between sectors is at most SECTOR_TOL * ||G|| certifies a
 split. Without a certified split the reduced problem is solved whole.
+
+Sectors of the same shape are solved as one stacked interior-point run
+(:func:`_solve_stack`): each step acts on the k x n x n stack at once, which
+shares the Python-level cost of an iteration among the k members, while
+each member keeps its own step lengths, centering, tolerance tol/K and
+convergence test and leaves the stack once it has converged.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 
 from .decoders import Decoder, _spectra, fe_closed_form, fe_of_decoder
 from .errors import BracketViolated, DimensionMismatch, MaxIterations, NumericalBreakdown
-from .matcore import dag, herm_eig, herm_part, kron, partial_trace
+from .matcore import dag, herm_eig, herm_part, kron
 from .quantum import (
     DensityOperator,
     KrausChannel,
@@ -174,46 +180,58 @@ def lift_choi(x_reduced: np.ndarray, emb: ReductionEmbedding) -> np.ndarray:
     return full
 
 
-def _psd_step(s: np.ndarray, ds: np.ndarray) -> float:
-    """Step alpha <= 1 that goes STEP_FRACTION of the way to where s + alpha*ds
-    stops being positive definite."""
+def _psd_step(s: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """Steps alpha <= 1, one per matrix of the stack s (..., n, n), that go
+    STEP_FRACTION of the way to where s + alpha*ds stops being positive
+    definite."""
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
         raise NumericalBreakdown("iterate lost positive definiteness")
-    inner = np.linalg.solve(chol, np.linalg.solve(chol, ds).conj().T).conj().T
-    lam_min = float(np.linalg.eigvalsh(herm_part(inner))[0])
-    if lam_min >= 0:
-        return 1.0
-    return min(1.0, -STEP_FRACTION / lam_min)
+    inner = dag(np.linalg.solve(chol, dag(np.linalg.solve(chol, ds))))
+    lam_min = np.linalg.eigvalsh(herm_part(inner))[..., 0]
+    # 1 where lam_min >= -STEP_FRACTION, else -STEP_FRACTION / lam_min
+    return STEP_FRACTION / np.maximum(-lam_min, STEP_FRACTION)
 
 
 def _psd_half_powers(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eig = herm_eig(s)
-    w = np.clip(eig.eigenvalues.real, 1e-300, None)
+    w = np.clip(eig.eigenvalues.real, 1e-300, None)[..., None, :]
     v = eig.eigenvectors
     return (v * np.sqrt(w)) @ dag(v), (v / np.sqrt(w)) @ dag(v)
 
 
 def _nt_scaling(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Nesterov-Todd scaling point W with W Z W = X."""
+    """Nesterov-Todd scaling points W with W Z W = X, one per matrix of the stack."""
     z_half, z_inv_half = _psd_half_powers(z)
     inner_half, _ = _psd_half_powers(z_half @ x @ z_half)
     return herm_part(z_inv_half @ inner_half @ z_inv_half)
 
 
+def _tensor_eye(m: np.ndarray, d_a: int) -> np.ndarray:
+    """m tensor 1_(d_a), for each matrix of the stack m (..., d, d), as one
+    broadcast product: a fraction of the per-call cost of np.kron, which
+    runs three times per interior-point iteration."""
+    lead, d = m.shape[:-2], m.shape[-1]
+    out = m[..., :, None, :, None] * np.eye(d_a)[:, None, :]
+    return out.reshape(lead + (d * d_a, d * d_a))
+
+
 def _tr_out(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    return partial_trace(m, dims, keep=0)
+    d_b, d_a = dims
+    return np.trace(m.reshape(m.shape[:-2] + (d_b, d_a, d_b, d_a)), axis1=-3, axis2=-1)
 
 
 def _schur_matrix(w: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Matrix of Y -> tr_out[W (Y tensor 1) W] acting on vec(Y)."""
+    """Matrix of Y -> tr_out[W (Y tensor 1) W] acting on vec(Y), for each W
+    of the stack w (..., n, n)."""
     d_b, d_a = dims
-    wt = w.reshape(d_b, d_a, d_b, d_a)
-    m1 = wt.transpose(0, 2, 1, 3).reshape(d_b * d_b, d_a * d_a)
-    m2 = wt.transpose(3, 1, 2, 0).reshape(d_a * d_a, d_b * d_b)
-    p = (m1 @ m2).reshape(d_b, d_b, d_b, d_b)
-    return p.transpose(0, 2, 1, 3).reshape(d_b * d_b, d_b * d_b)
+    lead = w.shape[:-2]
+    wt = w.reshape(lead + (d_b, d_a, d_b, d_a))
+    m1 = wt.swapaxes(-3, -2).reshape(lead + (d_b * d_b, d_a * d_a))
+    m2 = wt.swapaxes(-4, -1).reshape(lead + (d_a * d_a, d_b * d_b))
+    p = (m1 @ m2).reshape(lead + (d_b,) * 4)
+    return p.swapaxes(-3, -2).reshape(lead + (d_b * d_b, d_b * d_b))
 
 
 def _schur_solve(lc: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -226,20 +244,23 @@ def _schur_solve(lc: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     isometrically onto real ones, and R(L(Y)) = L_R R(Y) with
     L_R = Re lc + Im(lc with transposed columns), which has the conditioning
     of lc. The solutions come back through Y = ((1+i)R + (1-i)R^T)/2, so
-    they are exactly Hermitian.
+    they are exactly Hermitian. A stack of maps lc (..., n, n) takes a
+    stack of right-hand sides (..., k, d, d).
     """
-    k, d, _ = rhs.shape
+    lead, (k, d, _) = rhs.shape[:-3], rhs.shape[-3:]
     n = d * d
-    lc_real = lc.real + lc.reshape(n, d, d).transpose(0, 2, 1).reshape(n, n).imag
-    herm = (rhs + rhs.conj().transpose(0, 2, 1)) / 2
-    r = np.linalg.solve(lc_real, (herm.real + herm.imag).reshape(k, n).T)
-    r = r.T.reshape(k, d, d)
-    rt = r.transpose(0, 2, 1)
+    lc_t = lc.reshape(lead + (n, d, d)).swapaxes(-1, -2).reshape(lead + (n, n))
+    herm = herm_part(rhs)
+    rhs_real = (herm.real + herm.imag).reshape(lead + (k, n)).swapaxes(-1, -2)
+    r = np.linalg.solve(lc.real + lc_t.imag, rhs_real)
+    r = r.swapaxes(-1, -2).reshape(lead + (k, d, d))
+    rt = r.swapaxes(-1, -2)
     return (r + rt) / 2 + 1j * ((r - rt) / 2)
 
 
-def solve_sdp(prob: SdpProblem, tol: float = 1e-7) -> SdpSolution:
-    """Primal-dual path-following solve with NT scaling.
+def _solve_stack(problems: list[SdpProblem], tol: float) -> list[SdpSolution]:
+    """Primal-dual path-following solve with NT scaling, of a stack of
+    problems that share (dim_in, dim_out).
 
     The predictor (affine) step sets the centering weight via Mehrotra's
     heuristic sigma = (mu_aff/mu)^3; the combined step recenters. The
@@ -249,69 +270,113 @@ def solve_sdp(prob: SdpProblem, tol: float = 1e-7) -> SdpSolution:
     is the predictor's plus sigma mu Z^-1, so each iteration factors the
     Schur matrix once, in real coordinates (:func:`_schur_solve`), for the
     two right-hand sides tr_out[W r_d W - X] - r_p and tr_out[Z^-1].
+
+    Every step acts on the whole stack at once (k x n x n arrays), but each
+    member has its own mu, sigma, step lengths and convergence test. A
+    member that converges is recorded and leaves the stack, so its iterates
+    and iteration count are those of a solve on its own; the solutions come
+    back in the order of ``problems``. A failure of any member (a non-finite
+    objective or iterate, a lost Cholesky factorization, no convergence
+    within MAX_ITER) fails the whole stack.
     """
-    g = herm_part(prob.objective)
-    d_b, d_a = prob.dim_in, prob.dim_out
+    d_b, d_a = problems[0].dim_in, problems[0].dim_out
     dims = (d_b, d_a)
-    n = prob.dim
-    eye_b, eye_a = np.eye(d_b), np.eye(d_a)
+    n = d_b * d_a
+    eye_b = np.eye(d_b)
+    g = herm_part(np.stack([prob.objective for prob in problems]))
+    if not np.isfinite(g).all():
+        raise NumericalBreakdown("non-finite objective")
 
-    x = np.eye(n, dtype=np.complex128) / d_a
-    y = (float(np.linalg.norm(g, 2)) + 1.0) * eye_b.astype(np.complex128)
-    z = herm_part(kron(y, eye_a) - g)
+    x = np.repeat(np.eye(n, dtype=np.complex128)[None] / d_a, len(problems), axis=0)
+    y = (np.linalg.norm(g, 2, axis=(-2, -1)) + 1.0)[:, None, None] * eye_b.astype(np.complex128)
+    z = _tensor_eye(y, d_a) - g
 
-    g_scale = 1.0 + float(np.linalg.norm(g))
+    g_scale = 1.0 + np.linalg.norm(g, axis=(-2, -1))
     feas_tol = 0.1 * tol
+    members = list(range(len(problems)))  # problem index of each stack row
+    solutions: list[SdpSolution] = [None] * len(problems)
 
-    def converged(sol, r_p, r_d):
-        return (
-            np.linalg.norm(r_p) <= feas_tol
-            and np.linalg.norm(r_d) <= feas_tol * g_scale
-            and abs(sol.gap) <= tol * (1 + abs(sol.primal))
-        )
-
+    # x, y, z, the residual r_d and the steps dy and dz are exactly Hermitian:
+    # each is a real combination of exactly Hermitian matrices, so only the
+    # products with W need herm_part.
     for it in range(1, MAX_ITER + 1):
         r_p = eye_b - _tr_out(x, dims)
-        r_d = herm_part(kron(y, eye_a) - g - z)
-        mu = float(np.vdot(x, z).real) / n
-        primal = float(np.trace(g @ x).real)
-        dual = float(np.trace(y).real)
+        r_d = _tensor_eye(y, d_a) - g - z
+        mu = np.einsum("kij,kij->k", x.conj(), z).real / n
+        primal = np.einsum("kij,kji->k", g, x).real
+        dual = np.trace(y, axis1=-2, axis2=-1).real
         gap = dual - primal
-        best = SdpSolution(x=x, y=y, primal=primal, dual=dual, gap=gap, iterations=it)
-        if converged(best, r_p, r_d):
-            return best
+        done = (
+            (np.linalg.norm(r_p, axis=(-2, -1)) <= feas_tol)
+            & (np.linalg.norm(r_d, axis=(-2, -1)) <= feas_tol * g_scale)
+            & (np.abs(gap) <= tol * (1 + np.abs(primal)))
+        )
+        if done.any():
+            for row in np.flatnonzero(done):
+                solutions[members[row]] = SdpSolution(
+                    x=x[row],
+                    y=y[row],
+                    primal=float(primal[row]),
+                    dual=float(dual[row]),
+                    gap=float(gap[row]),
+                    iterations=it,
+                )
+            if done.all():
+                return solutions
+            stay = ~done
+            members = [m for m, s in zip(members, stay) if s]
+            g, x, y, z, r_p, r_d, mu, g_scale = (
+                a[stay] for a in (g, x, y, z, r_p, r_d, mu, g_scale)
+            )
 
         try:
             w = _nt_scaling(x, z)
             z_inv = herm_part(np.linalg.inv(z))
             rhs_aff = _tr_out(w @ r_d @ w - x, dims) - r_p
-            dy_aff, dy_cen = _schur_solve(
-                _schur_matrix(w, dims), np.stack([rhs_aff, _tr_out(z_inv, dims)])
+            dy = _schur_solve(
+                _schur_matrix(w, dims), np.stack([rhs_aff, _tr_out(z_inv, dims)], axis=-3)
             )
+            dy_aff, dy_cen = dy[:, 0], dy[:, 1]
 
             def direction(r_c, dy):
-                dz = herm_part(kron(dy, eye_a) - r_d)
+                dz = _tensor_eye(dy, d_a) - r_d
                 dx = herm_part(r_c - w @ dz @ w)
                 return dx, dy, dz
 
-            dx_a, _, dz_a = direction(-x, dy_aff)
-            ap = _psd_step(x, dx_a)
-            ad = _psd_step(z, dz_a)
-            mu_aff = float(np.vdot(x + ap * dx_a, z + ad * dz_a).real) / n
-            sigma = min(1.0, max(1e-10, (max(mu_aff, 0.0) / mu) ** 3))
+            # the primal and the dual step lengths of every member in one call
+            xz = np.concatenate([x, z])
 
-            dx, dy, dz = direction(sigma * mu * z_inv - x, dy_aff + sigma * mu * dy_cen)
-            ap = _psd_step(x, dx)
-            ad = _psd_step(z, dz)
-            x = herm_part(x + ap * dx)
-            y = herm_part(y + ad * dy)
-            z = herm_part(z + ad * dz)
+            def steps(dx, dz):
+                alpha = _psd_step(xz, np.concatenate([dx, dz]))[:, None, None]
+                return alpha[: len(x)], alpha[len(x) :]
+
+            dx_a, _, dz_a = direction(-x, dy_aff)
+            ap, ad = steps(dx_a, dz_a)
+            mu_aff = np.einsum("kij,kij->k", (x + ap * dx_a).conj(), z + ad * dz_a).real / n
+            sigma = np.clip((np.maximum(mu_aff, 0.0) / mu) ** 3, 1e-10, 1.0)[:, None, None]
+            smu = sigma * mu[:, None, None]
+
+            dx, dy, dz = direction(smu * z_inv - x, dy_aff + smu * dy_cen)
+            ap, ad = steps(dx, dz)
+            x = x + ap * dx
+            y = y + ad * dy
+            z = z + ad * dz
         except (np.linalg.LinAlgError, NumericalBreakdown):
-            raise NumericalBreakdown(f"solver broke down at iteration {it}, gap {gap:.3e}")
+            raise NumericalBreakdown(
+                f"solver broke down at iteration {it}, gap {np.abs(gap).max():.3e}"
+            )
         if not (np.isfinite(x).all() and np.isfinite(z).all()):
             raise NumericalBreakdown(f"non-finite iterate at iteration {it}")
 
     raise MaxIterations(f"no convergence within {MAX_ITER} iterations")
+
+
+def solve_sdp(prob: SdpProblem, tol: float = 1e-7) -> SdpSolution:
+    """Primal-dual path-following solve with NT scaling: :func:`_solve_stack`
+    on a stack of one, the loop that also solves the sector stacks of
+    :func:`_solve_sectors` (there each member at tol/K, leaving its stack
+    when it converges)."""
+    return _solve_stack([prob], tol)[0]
 
 
 def _permute_rows(m: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
@@ -391,12 +456,18 @@ def _sector_problems(rho_a: DensityOperator, ch: KrausChannel) -> list[SdpProble
 def _solve_sectors(problems: list[SdpProblem], tol: float) -> tuple[float, float]:
     """The optimum and its certified gap, summed over the sector problems.
 
+    The sectors are grouped by shape (dim_in, dim_out), and each group is
+    one stacked run of :func:`_solve_stack`, in which every member converges
+    on its own and leaves the stack. A failure of any member fails the sum.
     Each of the K sectors is solved at tol/K. The summed gap then obeys the
     whole problem's convergence rule, sum |gap_k| <= (tol/K) sum (1 + p_k)
     <= tol (1 + F) because every p_k >= 0, and the sector residuals add in
     quadrature to below 0.1 tol / sqrt(K).
     """
-    sols = [solve_sdp(prob, tol / len(problems)) for prob in problems]
+    shapes: dict[tuple[int, int], list[SdpProblem]] = {}
+    for prob in problems:
+        shapes.setdefault((prob.dim_in, prob.dim_out), []).append(prob)
+    sols = [s for stack in shapes.values() for s in _solve_stack(stack, tol / len(problems))]
     return sum(s.primal for s in sols), sum(s.gap for s in sols)
 
 

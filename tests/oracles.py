@@ -6,7 +6,8 @@ index loops, minimizations from parameter grids, integrals from dense
 trapezoids, the twirled Choi matrix from one rotated decoder per quadrature
 node or from a dense Choi matrix and its full eigendecomposition, the SW
 decoder from a literal dense transcription of its construction, the SDP
-Newton step from two complex Schur solves, decoder fidelities and the SDP
+Newton step from two complex Schur solves, the SDP loop one problem at a
+time with scalar step lengths, decoder fidelities and the SDP
 objective from the canonical purification and sigma_RB, the rotated Petz
 Kraus list from one matrix power per factor, and the matrix power on the
 support from its own PSD check and its own inline rank cut.
@@ -30,7 +31,15 @@ from petzlab.matcore import (
     partial_trace,
     psd_sqrt,
 )
-from petzlab.optdec import SdpSolution, _nt_scaling, _psd_step, _schur_matrix
+from petzlab.optdec import (
+    MAX_ITER,
+    SdpSolution,
+    _nt_scaling,
+    _psd_step,
+    _schur_matrix,
+    _schur_solve,
+    _tr_out,
+)
 from petzlab.quantum import (
     apply_channel,
     channel_from_choi,
@@ -394,3 +403,71 @@ def solve_sdp_two_solves(prob, tol=1e-7, max_iter=100):
         if not (np.isfinite(x).all() and np.isfinite(z).all()):
             raise NumericalBreakdown(f"non-finite iterate at iteration {it}")
     raise MaxIterations(f"no convergence within {max_iter} iterations")
+
+
+def solve_sdp_unstacked(prob, tol=1e-7):
+    """The interior-point loop of ``optdec.solve_sdp`` as it was before the
+    stacked solve: one problem, scalar mu, sigma and step lengths. The loop
+    body is kept verbatim; it runs on the (stack-aware) optdec helpers."""
+    g = herm_part(prob.objective)
+    d_b, d_a = prob.dim_in, prob.dim_out
+    dims = (d_b, d_a)
+    n = prob.dim
+    eye_b, eye_a = np.eye(d_b), np.eye(d_a)
+
+    x = np.eye(n, dtype=np.complex128) / d_a
+    y = (float(np.linalg.norm(g, 2)) + 1.0) * eye_b.astype(np.complex128)
+    z = herm_part(kron(y, eye_a) - g)
+
+    g_scale = 1.0 + float(np.linalg.norm(g))
+    feas_tol = 0.1 * tol
+
+    def converged(sol, r_p, r_d):
+        return (
+            np.linalg.norm(r_p) <= feas_tol
+            and np.linalg.norm(r_d) <= feas_tol * g_scale
+            and abs(sol.gap) <= tol * (1 + abs(sol.primal))
+        )
+
+    for it in range(1, MAX_ITER + 1):
+        r_p = eye_b - _tr_out(x, dims)
+        r_d = herm_part(kron(y, eye_a) - g - z)
+        mu = float(np.vdot(x, z).real) / n
+        primal = float(np.trace(g @ x).real)
+        dual = float(np.trace(y).real)
+        gap = dual - primal
+        best = SdpSolution(x=x, y=y, primal=primal, dual=dual, gap=gap, iterations=it)
+        if converged(best, r_p, r_d):
+            return best
+
+        try:
+            w = _nt_scaling(x, z)
+            z_inv = herm_part(np.linalg.inv(z))
+            rhs_aff = _tr_out(w @ r_d @ w - x, dims) - r_p
+            dy_aff, dy_cen = _schur_solve(
+                _schur_matrix(w, dims), np.stack([rhs_aff, _tr_out(z_inv, dims)])
+            )
+
+            def direction(r_c, dy):
+                dz = herm_part(kron(dy, eye_a) - r_d)
+                dx = herm_part(r_c - w @ dz @ w)
+                return dx, dy, dz
+
+            dx_a, _, dz_a = direction(-x, dy_aff)
+            ap = _psd_step(x, dx_a)
+            ad = _psd_step(z, dz_a)
+            mu_aff = float(np.vdot(x + ap * dx_a, z + ad * dz_a).real) / n
+            sigma = min(1.0, max(1e-10, (max(mu_aff, 0.0) / mu) ** 3))
+
+            dx, dy, dz = direction(sigma * mu * z_inv - x, dy_aff + sigma * mu * dy_cen)
+            ap = _psd_step(x, dx)
+            ad = _psd_step(z, dz)
+            x = herm_part(x + ap * dx)
+            y = herm_part(y + ad * dy)
+            z = herm_part(z + ad * dz)
+        except (np.linalg.LinAlgError, NumericalBreakdown):
+            raise NumericalBreakdown(f"solver broke down at iteration {it}, gap {gap:.3e}")
+        if not (np.isfinite(x).all() and np.isfinite(z).all()):
+            raise NumericalBreakdown(f"non-finite iterate at iteration {it}")
+
+    raise MaxIterations(f"no convergence within {MAX_ITER} iterations")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from petzlab import optdec
-from petzlab.bench import SETTINGS
+from petzlab.bench import SETTINGS, SweepConfig, run_sweep
 from petzlab.decoders import build_petz, build_sw, build_twirled_petz, fe_of_decoder
 from petzlab.matcore import dag, herm_part, kron, partial_trace
 from petzlab.optdec import (
@@ -16,7 +16,7 @@ from petzlab.optdec import (
     reduce_problem,
     solve_sdp,
 )
-from petzlab.errors import DimensionMismatch
+from petzlab.errors import DimensionMismatch, NumericalBreakdown
 from petzlab.quantum import (
     KrausChannel,
     choi_of_channel,
@@ -412,3 +412,84 @@ def test_sector_split_falls_back_on_one_perturbed_coupling(monkeypatch):
     unperturbed = SdpProblem(objective=lift @ g0 @ dag(lift), **dims)
     monkeypatch.setattr(optdec, "reduce_problem", lambda rho_a, channel: (unperturbed, emb))
     assert len(optdec._sector_problems(rho, ch)) == len(bases) > 1
+
+
+# -- one stacked interior-point run per sector shape --------------------------------------
+
+
+def _shape_stacks(problems):
+    stacks = {}
+    for prob in problems:
+        stacks.setdefault((prob.dim_in, prob.dim_out), []).append(prob)
+    return list(stacks.values())
+
+
+def _assert_stack_matches_unstacked(problems, tol):
+    sols = optdec._solve_stack(problems, tol)
+    assert len(sols) == len(problems)
+    for prob, sol in zip(problems, sols):
+        ref = oracles.solve_sdp_unstacked(prob, tol)
+        assert sol.iterations == ref.iterations
+        assert abs(sol.primal - ref.primal) <= 1e-9
+        assert abs(sol.dual - ref.dual) <= 1e-9
+    return sols
+
+
+@pytest.mark.parametrize("setting", sorted(SECTOR_PARITY_POINTS))
+def test_stacked_solve_matches_unstacked_on_sector_groups(setting):
+    for p in SECTOR_PARITY_POINTS[setting]:
+        problems = optdec._sector_problems(*SETTINGS[setting].build(float(p)))
+        for stack in _shape_stacks(problems):
+            _assert_stack_matches_unstacked(stack, 1e-7 / len(problems))
+
+
+def test_stacked_solve_matches_unstacked_random_stacks(rng):
+    for (d_a, d_b), size in [((2, 2), 2), ((3, 2), 3), ((3, 3), 4), ((2, 4), 3)]:
+        problems = [reduce_problem(*_random_instance(rng, d_a, d_b))[0] for _ in range(size)]
+        assert len(_shape_stacks(problems)) == 1
+        sols = _assert_stack_matches_unstacked(problems, 1e-8)
+        # the members leave the stack at different iterations
+        assert len({sol.iterations for sol in sols}) > 1
+
+
+@pytest.mark.parametrize("setting, runs", [("bitflip3", 2), ("lncy4", 3), ("fivequbit", 2)])
+def test_one_stacked_run_per_sector_shape(monkeypatch, setting, runs):
+    real = optdec._solve_stack
+    stacks = []
+
+    def counting(problems, tol):
+        stacks.append(len(problems))
+        return real(problems, tol)
+
+    monkeypatch.setattr(optdec, "_solve_stack", counting)
+    problems = optdec._sector_problems(*SETTINGS[setting].build(0.5))
+    optdec._solve_sectors(problems, 1e-7)
+    assert len(stacks) == runs
+    assert sum(stacks) == len(problems)
+
+
+def _with_nan_objective(problems, index):
+    bad = problems[index]
+    nan = np.full_like(bad.objective, np.nan)
+    poisoned = SdpProblem(objective=nan, dim_in=bad.dim_in, dim_out=bad.dim_out)
+    return problems[:index] + [poisoned] + problems[index + 1 :]
+
+
+def test_non_finite_member_fails_its_stack():
+    problems = optdec._sector_problems(*SETTINGS["lncy4"].build(0.5))
+    index = next(k for k, q in enumerate(problems) if q.dim_in == 3)  # a stack of three
+    with pytest.raises(NumericalBreakdown):
+        optdec._solve_sectors(_with_nan_objective(problems, index), 1e-7)
+
+
+def test_non_finite_member_fails_only_the_optimal_row(monkeypatch, tmp_path):
+    real = optdec._sector_problems
+    monkeypatch.setattr(
+        optdec, "_sector_problems", lambda rho, ch: _with_nan_objective(real(rho, ch), 1)
+    )
+    cfg = SweepConfig(
+        setting="lncy4", p_start=0.5, p_stop=0.5, p_count=1, out=str(tmp_path / "x.csv")
+    )
+    flags = {c.series: c.flags for c in run_sweep(cfg)}
+    assert flags.pop("optimal") == "error:NumericalBreakdown"
+    assert set(flags.values()) == {"ok"}

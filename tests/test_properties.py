@@ -6,10 +6,11 @@ map to d_B in {2, 3, 4} with one to three Kraus operators (more when
 d_B < d_A needs them for an isometry).
 
 The decoders that need no inverse power of a near-singular spectrum hold
-over the whole range. The Petz decoder materialization and the two lower
-bounds hold where the smallest eigenvalue ratio is at least 1e-5; below it
+over the whole range. The Petz decoder materialization and the lower_sw
+bound hold where the smallest eigenvalue ratio is at least 1e-5; below it
 they fail by amplified roundoff or by a support cut, each pinned by a strict
-xfail on one instance.
+xfail on one instance. The twirled chain down to 2^(-eps) is checked on one
+instance at ratio 1e-10.
 """
 
 import numpy as np
@@ -138,11 +139,6 @@ def test_lower_sw_chain_for_unitary_channel_at_ratio_1e_6():
     assert lower_sw >= lower - CHAIN_SLACK
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="epsilon_sw eigendecomposes sigma_R^-1 tensor sigma_B, whose range spans both "
-    "condition numbers: 2^(-eps) reads 1 + 4.3e-7",
-)
 def test_twirled_chain_at_ratio_1e_10():
     rho, ch = _instance(2, 2, 3, 2, (0.0, -10.0))
     sigma_rb = channel_on_purification(purify(rho), ch)
