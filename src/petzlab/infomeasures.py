@@ -185,7 +185,10 @@ def min_petz_mi_order2(sigma_rb: DensityOperator, w_r) -> float:
 
     Closed form: with Y = tr_R[(W^(-1/2) tensor 1) sigma^2 (W^(-1/2) tensor 1)]
     the minimizer is tau proportional to sqrt(Y) and the value is
-    2 log2 tr[sqrt(Y)].
+    2 log2 tr[sqrt(Y)]. Y = B B^dagger for B = [M_1 ... M_dR], the d_B-row
+    blocks of M = (W^(-1/2) tensor 1) sigma side by side, so tr[sqrt(Y)] is
+    the sum of the singular values of B: no squared spectrum is formed or
+    cut at RANK_CUT.
     """
     m, d_r, d_b = _bipartite(sigma_rb)
     w_r = as_cmatrix(w_r)
@@ -196,9 +199,10 @@ def min_petz_mi_order2(sigma_rb: DensityOperator, w_r) -> float:
     leak = np.trace(m @ kron(np.eye(d_r) - pi_w, np.eye(d_b))).real
     if leak > SUPPORT_LEAK_TOL:
         raise SupportViolation(f"state has mass {leak:.3e} outside supp(W_R) tensor 1")
-    w_inv_half = kron(power_on_support(eig, -0.5), np.eye(d_b))
-    y = partial_trace(w_inv_half @ m @ m @ w_inv_half, (d_r, d_b), keep=1)
-    return float(2 * np.log2(np.trace(psd_sqrt(y)).real))
+    n = d_r * d_b
+    blocks = (power_on_support(eig, -0.5) @ m.reshape(d_r, d_b * n)).reshape(d_r, d_b, n)
+    b = blocks.transpose(1, 0, 2).reshape(d_b, d_r * n)
+    return float(2 * np.log2(np.linalg.svd(b, compute_uv=False).sum()))
 
 
 def singly_min_petz_mi_half(sigma_re: DensityOperator) -> float:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoders import Decoder, _spectra, fe_closed_form, fe_of_decoder
+from .decoders import _spectra, fe_closed_form
 from .errors import BracketViolated, DimensionMismatch, MaxIterations, NumericalBreakdown
 from .matcore import dag, herm_eig, herm_part, kron
 from .quantum import (
@@ -48,8 +48,6 @@ from .quantum import (
     validate_cptp,
 )
 
-VALIDATION_SAMPLES = 20
-VALIDATION_TOL = 1e-9
 MAX_ITER = 100
 STEP_FRACTION = 0.98
 # A sector split is certified when the coupling of the reduced objective
@@ -104,44 +102,24 @@ class BracketReport:
         return self.f_opt_squared - self.tol <= self.f_petz <= self.f_opt + self.tol
 
 
-def _random_cptp(rng: np.random.Generator, d_in: int, d_out: int, n_kraus: int) -> KrausChannel:
-    n_kraus = max(n_kraus, -(-d_in // d_out))  # need d_out * n_kraus >= d_in
-    g = rng.standard_normal((d_out * n_kraus, d_in)) + 1j * rng.standard_normal(
-        (d_out * n_kraus, d_in)
-    )
-    q = np.linalg.qr(g)[0][:, :d_in]
-    ops = q.reshape(n_kraus, d_out, d_in)
-    return KrausChannel(
-        kraus_ops=tuple(ops), dim_in=d_in, dim_out=d_out, label_in="B", label_out="A"
-    )
-
-
 def build_fidelity_sdp(rho_a: DensityOperator, ch: KrausChannel) -> SdpProblem:
     """Objective matrix G with tr[Choi(D) G] = F_e(rho, D compose N) for CPTP D.
 
     By the Kraus-trace identity of :func:`~petzlab.decoders.fe_of_decoder`,
     F_e = sum_(l,k) |g_k^T vec(D_l^T)|^2 over the Choi vectors vec(D_l^T) and
     the rows g_k = vec(K_k rho), so G = g^dagger g; no purification is built.
-    Before use the functional is validated against direct simulation on a
-    deterministic set of random CPTP decoders; tr[Choi(D) G] is taken as
-    sum_l w_l^dagger G w_l over the Choi vectors w_l = vec(D_l^T), with no
-    Choi matrix and no matrix product of G.
+    The identity needs a trace-preserving channel, so ``ch`` is checked to
+    1e-9 (:class:`~petzlab.errors.NotTracePreserving` otherwise); G itself is
+    held to the purified and the simulated fidelity by the test suite, not
+    on each call.
     """
     if ch.dim_in != rho_a.dim:
         raise DimensionMismatch(f"channel input {ch.dim_in} != source dim {rho_a.dim}")
+    validate_cptp(ch, tol=1e-9)
     d_b, d_a = ch.dim_out, ch.dim_in
     rows = (np.stack(ch.kraus_ops) @ rho_a.matrix).reshape(len(ch.kraus_ops), d_b * d_a)
     g = herm_part(dag(rows) @ rows)
-    prob = SdpProblem(objective=g, dim_in=d_b, dim_out=d_a)
-    rng = np.random.default_rng(20240718)
-    for _ in range(VALIDATION_SAMPLES):
-        dec = Decoder(channel=_random_cptp(rng, d_b, d_a, 2), kind="custom")
-        w = np.stack([k.T.reshape(-1) for k in dec.channel.kraus_ops])
-        lhs = float(np.sum((w.conj() @ g) * w).real)
-        rhs = fe_of_decoder(rho_a, ch, dec)
-        if abs(lhs - rhs) > VALIDATION_TOL:
-            raise NumericalBreakdown(f"objective validation failed: {lhs:.12g} vs {rhs:.12g}")
-    return prob
+    return SdpProblem(objective=g, dim_in=d_b, dim_out=d_a)
 
 
 def reduce_problem(
@@ -159,7 +137,6 @@ def reduce_problem(
         label_in=ch.label_in,
         label_out=ch.label_out,
     )
-    validate_cptp(ch_red, tol=1e-9)
     prob = build_fidelity_sdp(rho_red, ch_red)
     return prob, ReductionEmbedding(v_in=v_in, v_out=v_out)
 
@@ -430,8 +407,6 @@ def _sector_problems(rho_a: DensityOperator, ch: KrausChannel) -> list[SdpProble
     Sector k has the objective G_k = B_k^dagger G B_k with B_k = V_k tensor
     1_A over the bases V_k of :func:`_sector_bases`. The split is certified
     only if the coupling of G between sectors is at most SECTOR_TOL * ||G||.
-    The sectors are carved from the reduced G, which
-    :func:`build_fidelity_sdp` has validated.
     """
     prob, emb = reduce_problem(rho_a, ch)
     bases = _sector_bases(rho_a, emb.v_in)

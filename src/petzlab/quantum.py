@@ -116,6 +116,8 @@ class KrausChannel:
 def kraus_channel(kraus_ops, label_in="A", label_out="B", check=True) -> KrausChannel:
     """Build a :class:`KrausChannel` and (by default) validate trace preservation."""
     ops = [as_cmatrix(k) for k in kraus_ops]
+    if not ops:
+        raise DimensionMismatch("a channel needs at least one Kraus operator")
     d_out, d_in = ops[0].shape
     ch = KrausChannel(
         kraus_ops=tuple(ops),
@@ -361,7 +363,8 @@ def make_channel(kind: str, p: float = 0.0, n: int = 1) -> KrausChannel:
     """Named single-qubit channel families, optionally tensor-powered.
 
     ``kind`` is one of ``bitflip``, ``amplitude_damping``, ``identity``,
-    ``depolarizing``; ``p`` is the noise parameter in [0, 1].
+    ``depolarizing``; ``p`` is the noise parameter in [0, 1] and ``n >= 1``
+    the number of tensor factors.
     """
     if not 0.0 <= p <= 1.0:
         raise InvalidParameter(f"noise parameter must be in [0, 1], got {p}")
@@ -385,7 +388,7 @@ def make_channel(kind: str, p: float = 0.0, n: int = 1) -> KrausChannel:
         raise InvalidParameter(f"unknown channel kind {kind!r}")
     ops = [k for k in ops if np.linalg.norm(k) > 0]
     ch = kraus_channel(ops, label_in="A", label_out="B")
-    if n > 1:
+    if n != 1:  # tensor_power rejects n < 1
         ch = tensor_power(ch, n)
         validate_cptp(ch)
     return ch

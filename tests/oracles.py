@@ -9,8 +9,10 @@ decoder from a literal dense transcription of its construction, the SDP
 Newton step from two complex Schur solves, the SDP loop one problem at a
 time with scalar step lengths, decoder fidelities and the SDP
 objective from the canonical purification and sigma_RB, the rotated Petz
-Kraus list from one matrix power per factor, and the matrix power on the
-support from its own PSD check and its own inline rank cut.
+Kraus list from one matrix power per factor, the matrix power on the
+support from its own PSD check and its own inline rank cut, and the
+order-2 minimized Petz mutual information from the literal Y and all of its
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -132,6 +134,18 @@ def partial_trace_loops(m, d_a, d_b, keep):
                 for a in range(d_a):
                     out[i, j] += m[a * d_b + i, a * d_b + j]
     return out
+
+
+def min_petz_mi_order2_no_cut(sigma_rb, w_r):
+    """2 log2 tr[sqrt(Y)] with Y = tr_R[(W^(-1/2) tensor 1) sigma^2
+    (W^(-1/2) tensor 1)] formed literally, and tr[sqrt(Y)] from all of Y's
+    eigenvalues with no support cut (negative roundoff clipped to 0)."""
+    d_r, d_b = sigma_rb.dims
+    w_half = kron(matrix_power_on_support_inline(w_r, -0.5), np.eye(d_b))
+    m = sigma_rb.matrix
+    y = partial_trace_loops(w_half @ m @ m @ w_half, d_r, d_b, keep=1)
+    lam = np.linalg.eigvalsh(herm_part(y))
+    return float(2 * np.log2(np.sum(np.sqrt(np.clip(lam, 0.0, None)))))
 
 
 # -- brute-force minimizations over qubit states ------------------------------

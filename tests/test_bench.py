@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -488,6 +490,15 @@ def test_fidelity_objective_needs_no_purification(monkeypatch):
     assert calls == []
 
 
+def test_sdp_reduction_simulates_no_decoder(monkeypatch):
+    # G is held to direct simulation by the suite, not by each build
+    rho, ch = bench.SETTINGS["lncy4"].build(0.3)
+    calls = _count_calls(monkeypatch, decoders, "fe_of_decoder")
+    optdec.reduce_problem(rho, ch)
+    optdec._sector_problems(rho, ch)
+    assert calls == []
+
+
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_bad_env_worker_count_is_a_config_error(tmp_path, monkeypatch, capsys, value):
     config = tmp_path / "sweep.txt"
@@ -685,3 +696,18 @@ def test_sweep_workers_see_one_blas_thread(monkeypatch):
     assert seen == ["1", "1", "1"]
     # the caller's environment is back as it was
     assert [os.environ.get(name) for name in names] == ["4", None, None]
+
+
+def test_module_entry_point_runs_without_runpy_warning(tmp_path):
+    src = os.path.dirname(os.path.dirname(petzlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    args = ["audit", "--setting", "identity", "--points", "2", "--no-sdp"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "petzlab", *args],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from petzlab.bench import SETTINGS
 from petzlab.errors import InvalidOrder, NegativeEpsilon, SupportViolation
 from petzlab.infomeasures import (
     entropy,
@@ -287,6 +288,18 @@ def test_min_petz_order2_pure_b_marginal(rng):
         state.matrix, kron(w, np.diag([1.0, 0.0])), 2
     ).value
     assert abs(closed - direct) <= 1e-9
+
+
+@pytest.mark.parametrize("setting", ["lncy4", "fivequbit"])
+@pytest.mark.parametrize("p", [1e-3, 1e-2])
+def test_lower_sw_matches_uncut_oracle_at_small_noise(setting, p):
+    # Y's spectrum is squared amplitudes: a cut of Y at RANK_CUT loses up to
+    # 3.5e-6 of lower_sw at these points
+    rho, ch = SETTINGS[setting].build(p)
+    state = channel_on_purification(purify(rho), ch)
+    w = matrix_power_on_support(state.marginal("R"), -1.0)
+    closed = 2.0 ** min_petz_mi_order2(state, w)
+    assert abs(closed - 2.0 ** oracles.min_petz_mi_order2_no_cut(state, w)) <= 1e-8
 
 
 def test_singly_min_half_product(rng):

@@ -16,7 +16,7 @@ from petzlab.optdec import (
     reduce_problem,
     solve_sdp,
 )
-from petzlab.errors import DimensionMismatch, NumericalBreakdown
+from petzlab.errors import DimensionMismatch, NotTracePreserving, NumericalBreakdown
 from petzlab.quantum import (
     KrausChannel,
     choi_of_channel,
@@ -56,7 +56,7 @@ def test_identity_channel_objective_attains_one(rng):
 
 
 def test_objective_matches_simulation_on_random_decoders(rng):
-    # the builder also validates internally; this is an external spot check
+    # G against direct simulation: build_fidelity_sdp checks only its input
     rho, ch = _random_instance(rng, 3, 4)
     prob = build_fidelity_sdp(rho, ch)
     for _ in range(5):
@@ -69,6 +69,15 @@ def test_objective_matches_simulation_on_random_decoders(rng):
         lhs = np.trace(choi_of_channel(dec_ch) @ prob.objective).real
         rhs = fe_of_decoder(rho, ch, dec)
         assert abs(lhs - rhs) <= 1e-9
+
+
+def test_objective_rejects_channel_that_is_not_trace_preserving(rng):
+    rho, ch = _random_instance(rng, 3, 2)
+    scaled = KrausChannel(
+        kraus_ops=tuple(1.01 * k for k in ch.kraus_ops), dim_in=3, dim_out=2
+    )
+    with pytest.raises(NotTracePreserving):
+        build_fidelity_sdp(rho, scaled)
 
 
 def test_depolarizing_objective_constant_on_feasible_set(rng):

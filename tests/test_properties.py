@@ -6,11 +6,11 @@ map to d_B in {2, 3, 4} with one to three Kraus operators (more when
 d_B < d_A needs them for an isometry).
 
 The decoders that need no inverse power of a near-singular spectrum hold
-over the whole range. The Petz decoder materialization and the lower_sw
-bound hold where the smallest eigenvalue ratio is at least 1e-5; below it
-they fail by amplified roundoff or by a support cut, each pinned by a strict
-xfail on one instance. The twirled chain down to 2^(-eps) is checked on one
-instance at ratio 1e-10.
+over the whole range. The Petz decoder materialization holds where the
+smallest eigenvalue ratio is at least 1e-5; below it it fails by amplified
+roundoff, pinned by a strict xfail on one instance. The lower_sw chain and
+the twirled chain down to 2^(-eps) are checked on one instance each, at
+ratios 1e-6 and 1e-10.
 """
 
 import numpy as np
@@ -128,11 +128,6 @@ def test_petz_decoder_builds_for_unitary_channel_at_ratio_1e_10():
     build_petz(rho, ch)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="min_petz_mi_order2 cuts Y, whose spectrum is squared amplitudes, at RANK_CUT: "
-    "lower_sw is 1 - 2e-6 where 2^(-eps) is 1",
-)
 def test_lower_sw_chain_for_unitary_channel_at_ratio_1e_6():
     rho, ch = _instance(3, 2, 2, 1, (0.0, -6.0))
     lower_sw, lower = _lower_bounds(channel_on_purification(purify(rho), ch))

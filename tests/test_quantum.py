@@ -48,6 +48,11 @@ def test_validate_bitflip():
     validate_cptp(make_channel("bitflip", 0.3))
 
 
+def test_kraus_channel_rejects_empty_list():
+    with pytest.raises(DimensionMismatch):
+        kraus_channel([])
+
+
 def test_validate_rejects_double_identity():
     ch = KrausChannel(kraus_ops=(np.eye(2), np.eye(2)), dim_in=2, dim_out=2)
     with pytest.raises(NotTracePreserving) as err:
@@ -317,6 +322,12 @@ def test_make_channel_rejects_bad_parameter():
         make_channel("bitflip", 1.5)
     with pytest.raises(InvalidParameter):
         make_channel("unknown", 0.5)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_make_channel_rejects_non_positive_power(n):
+    with pytest.raises(InvalidParameter):
+        make_channel("bitflip", 0.1, n=n)
 
 
 def test_bitflip3_source_support():
