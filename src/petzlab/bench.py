@@ -194,12 +194,20 @@ def parse_config(text: str) -> SweepConfig:
     return SweepConfig(**{k: _parse_value(k, keys[k].type, v) for k, v in raw.items()})
 
 
+def _unit(x: float) -> float:
+    """``x`` clamped to [0, 1], where roundoff can push a fidelity or a bound
+    on it (fivequbit lower_sw and upper_bk at p = 0 are 1 + 4e-16)."""
+    return min(1.0, max(0.0, x))
+
+
 def _series_values(setting: str, p: float, wanted: tuple[str, ...], tol: float):
     """Compute all requested series at one grid point.
 
     No exception escapes: a failing series becomes a row flagged
     ``error:<Type>``, and a failure in the shared per-point set-up flags
-    every series at that point.
+    every series at that point. The Petz and twirled fidelities and the
+    lower_sw and upper_bk bounds are clamped to [0, 1]; lower_twirled is
+    2^(-epsilon_sw) as computed.
     """
     try:
         rho, ch = SETTINGS[setting].build(p)
@@ -219,9 +227,9 @@ def _series_values(setting: str, p: float, wanted: tuple[str, ...], tol: float):
         flags = "ok"
         try:
             if series == "petz":
-                value = min(1.0, max(0.0, kernel.petz()))
+                value = _unit(kernel.petz())
             elif series == "twirled":
-                value = min(1.0, max(0.0, kernel.twirled(QUAD_TOL)))
+                value = _unit(kernel.twirled(QUAD_TOL))
             elif series == "sw":
                 dec, _ = decoders.build_sw(rho, ch)
                 value = decoders.fe_of_decoder(rho, ch, dec)
@@ -247,11 +255,11 @@ def _series_values(setting: str, p: float, wanted: tuple[str, ...], tol: float):
                 value, _ = optdec._solve_sectors(problems, tol)
             elif series == "lower_sw":
                 w_r = matrix_power_on_support(sigma_r, -1.0)
-                value = 2.0 ** infomeasures.min_petz_mi_order2(sigma_rb, w_r)
+                value = _unit(2.0 ** infomeasures.min_petz_mi_order2(sigma_rb, w_r))
             elif series == "lower_twirled":
                 value = 2.0 ** (-epsilon())
             elif series == "upper_bk":
-                value = math.sqrt(kernel.petz())
+                value = _unit(math.sqrt(kernel.petz()))
             elif series == "sw_original":
                 value = infomeasures.sw_original_bound(max(0.0, epsilon()))
             else:

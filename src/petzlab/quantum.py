@@ -271,12 +271,8 @@ def complementary_channel(ch: KrausChannel) -> KrausChannel:
 
 def choi_of_channel(ch: KrausChannel) -> np.ndarray:
     """Choi matrix sum_ij |i><j| tensor N(|i><j|), input factor first."""
-    d_in, d_out = ch.dim_in, ch.dim_out
-    c = np.zeros((d_in * d_out, d_in * d_out), dtype=np.complex128)
-    for k in ch.kraus_ops:
-        w = k.T.reshape(-1)
-        c += np.outer(w, w.conj())
-    return c
+    vecs = np.stack([k.T.reshape(-1) for k in ch.kraus_ops], axis=1)
+    return vecs @ dag(vecs)
 
 
 def channel_from_choi(c, dims: tuple[int, int]) -> KrausChannel:
@@ -340,11 +336,10 @@ def channel_on_purification(pur: PurifiedSource, ch: KrausChannel) -> DensityOpe
         raise DimensionMismatch(f"channel input {ch.dim_in} != source dim {pur.dim_a}")
     d_r = pur.rank
     psi = pur.vector.reshape(d_r, pur.dim_a)
-    out = np.zeros((d_r * ch.dim_out, d_r * ch.dim_out), dtype=np.complex128)
-    for k in ch.kraus_ops:
-        branch = (psi @ k.T).reshape(-1)
-        out += np.outer(branch, branch.conj())
-    return DensityOperator(matrix=out, dims=(d_r, ch.dim_out), labels=("R", ch.label_out))
+    branches = np.stack([(psi @ k.T).reshape(-1) for k in ch.kraus_ops], axis=1)
+    return DensityOperator(
+        matrix=branches @ dag(branches), dims=(d_r, ch.dim_out), labels=("R", ch.label_out)
+    )
 
 
 def entanglement_fidelity_direct(rho: DensityOperator, ch: KrausChannel) -> float:

@@ -12,7 +12,9 @@ objective from the canonical purification and sigma_RB, the rotated Petz
 Kraus list from one matrix power per factor, the matrix power on the
 support from its own PSD check and its own inline rank cut, and the
 order-2 minimized Petz mutual information from the literal Y and all of its
-eigenvalues.
+eigenvalues, the rotated fidelity from the whole n x n spectral sum with no
+grouping of equal log-ratios, and sigma_RB and the Choi matrix from one
+rank-one term per Kraus operator.
 """
 
 from __future__ import annotations
@@ -188,6 +190,14 @@ def beta0_trapezoid(g, t_max=10.0, n=1_000_001):
     return float(np.trapezoid(beta * vals, ts))
 
 
+def rotated_fidelity_full(kernel, t):
+    """F(t) = Re z(t)^dagger C z(t) of a RotatedFidelity over all n support
+    pairs, z_k(t) = exp(i theta_k t/2), with no grouping of equal theta."""
+    z = np.exp(0.5j * np.multiply.outer(kernel._theta, t))
+    f = np.sum(z.conj() * np.tensordot(kernel._coeff, z, axes=1), axis=0).real
+    return float(f) if np.ndim(t) == 0 else f
+
+
 def twirled_choi_per_node(rho, ch, nodes, weights):
     """sum_i w_i Choi(R^(t_i)) from one materialized rotated decoder per node,
     renormalized to exact trace preservation."""
@@ -222,6 +232,30 @@ def twirled_decoder_dense(rho, ch, nodes, weights):
     tr_out = partial_trace(choi, (d_in, d_out), keep=0)
     fix = kron(matrix_power_on_support(tr_out, -0.5), np.eye(d_out))
     return channel_from_choi(fix @ choi @ dag(fix), (d_in, d_out))
+
+
+# -- sums of rank-one terms, one Kraus operator at a time ---------------------
+
+
+def channel_on_purification_loop(pur, ch):
+    """Matrix of sigma_RB = sum_k |b_k><b_k| over the branches
+    |b_k> = (1 tensor K_k)|rho>, one outer product per Kraus operator."""
+    psi = pur.vector.reshape(pur.rank, pur.dim_a)
+    out = np.zeros((pur.rank * ch.dim_out,) * 2, dtype=complex)
+    for k in ch.kraus_ops:
+        branch = (psi @ k.T).reshape(-1)
+        out += np.outer(branch, branch.conj())
+    return out
+
+
+def choi_of_channel_loop(ch):
+    """Choi matrix (input factor first) as sum_k |K_k>><<K_k|, one outer
+    product per Kraus operator."""
+    out = np.zeros((ch.dim_in * ch.dim_out,) * 2, dtype=complex)
+    for k in ch.kraus_ops:
+        w = k.T.reshape(-1)
+        out += np.outer(w, w.conj())
+    return out
 
 
 # -- decoder fidelity, the SDP objective and the rotated Petz map, one step per factor ----

@@ -471,6 +471,17 @@ def test_every_series_clean_at_extreme_noise(setting, tmp_path):
             assert -1e-10 <= c.value <= 1 + 1e-10, (p, c.series, c.value)
 
 
+@pytest.mark.parametrize("p", [0.0, 1e-6])
+def test_bound_rows_clamped_to_one(p):
+    # Unclamped, fivequbit lower_sw and upper_bk read 1 + 4e-16 at p = 0.
+    # lower_twirled stays 2^(-eps) exactly (see the epsilon_sw test above).
+    series = ("petz", "lower_sw", "upper_bk")
+    rows = {c.series: c for c in bench._series_values("fivequbit", p, series, 1e-7)}
+    for name in series:
+        assert rows[name].flags == "ok" and 0.0 <= rows[name].value <= 1.0, (name, rows[name])
+    assert rows["upper_bk"].value == math.sqrt(rows["petz"].value)
+
+
 def test_twirled_decoder_makes_no_dense_choi_eigendecomposition(monkeypatch):
     # the Kraus operators come from the (r_B r_A)^2 = 64^2 spectral core, not
     # from channel_from_choi's eigh of the 1024^2 Choi matrix

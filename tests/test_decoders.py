@@ -5,6 +5,7 @@ import pytest
 
 from petzlab.bench import SETTINGS
 from petzlab.decoders import (
+    THETA_TIE,
     RotatedFidelity,
     beta0_quadrature,
     _beta0_adaptive,
@@ -232,6 +233,71 @@ def test_beta0_panels_reuse_parent_estimates():
     assert value == pytest.approx(float(np.dot(weights, np.cos(1.3 * nodes))), abs=1e-14)
     scalar, s_nodes, _ = _beta0_adaptive(lambda t: math.cos(1.3 * t), 1e-10)
     assert abs(value - scalar) <= 1e-15 and np.array_equal(nodes, s_nodes)
+
+
+# -- the grouped kernel against the full n x n sum ------------------------------
+
+GROUPING_POINTS = {
+    "bitflip3": GRID_21,
+    "lncy4": GRID_21,
+    "fivequbit": np.array([0.1, 0.5, 0.9]),
+}
+
+
+def _near_tie_kernel():
+    """RotatedFidelity of a 2 x 3 state whose theta values, for each r, are
+    spaced 0.5 * THETA_TIE and then 2 * THETA_TIE apart: the first two share
+    a group and the third does not. sigma_RB = sigma_R x sigma_B plus the
+    coherence |r=0, b=1><r=1, b=0| + h.c., whose marginals are zero; it
+    couples the shifted member of one group to another group, so merging
+    moves F(t) at first order in the shift."""
+    lam = np.array([0.7, 0.3])
+    mu = np.exp(-np.array([0.0, 0.5, 2.5]) * THETA_TIE)
+    mu /= mu.sum()
+    m = np.kron(np.diag(lam), np.diag(mu))
+    m[1, 3] = m[3, 1] = 0.1
+    return RotatedFidelity(density_operator(m, dims=(2, 3), labels=("R", "B")))
+
+
+def _grouping_kernels(setting):
+    if setting == "random":
+        rng = np.random.default_rng(11)
+        instances = [_random_instance(rng) for _ in range(8)]
+    elif setting == "near_tie":
+        return [_near_tie_kernel()]
+    else:
+        instances = [SETTINGS[setting].build(float(p)) for p in GROUPING_POINTS[setting]]
+    return [RotatedFidelity(_sigma_rb(rho, ch)) for rho, ch in instances]
+
+
+GROUPING_CASES = ["bitflip3", "lncy4", "fivequbit", "random", "near_tie"]
+
+
+@pytest.mark.parametrize("setting", GROUPING_CASES)
+def test_grouped_value_matches_full_sum(setting):
+    # Merging theta within THETA_TIE moves F(t) by at most petz * THETA_TIE * |t|.
+    ts = np.concatenate([np.linspace(-8.0, 8.0, 65), np.random.default_rng(5).normal(0, 3, 31)])
+    for kernel in _grouping_kernels(setting):
+        bound = kernel.petz() * THETA_TIE * np.abs(ts) + 1e-15
+        assert np.all(np.abs(kernel.value(ts) - oracles.rotated_fidelity_full(kernel, ts)) <= bound)
+
+
+@pytest.mark.parametrize("setting", GROUPING_CASES)
+def test_grouped_twirled_matches_full_quadrature(setting):
+    for kernel in _grouping_kernels(setting):
+        full, _, _ = _beta0_panels(lambda ts: oracles.rotated_fidelity_full(kernel, ts), 1e-9)
+        assert abs(kernel.twirled(1e-9) - full) <= 1e-12
+
+
+def test_grouping_merges_only_within_theta_tie():
+    kernel = _near_tie_kernel()
+    assert kernel._theta.size == 6 and kernel._group_theta.size == 4
+
+
+@pytest.mark.parametrize("setting, p, n, most", [("lncy4", 0.3, 32, 8), ("fivequbit", 0.5, 64, 16)])
+def test_code_settings_evaluate_on_few_groups(setting, p, n, most):
+    kernel = RotatedFidelity(_sigma_rb(*SETTINGS[setting].build(p)))
+    assert kernel._theta.size == n and kernel._group_theta.size <= most
 
 
 def _assert_choi_matches_oracle(rho, ch):

@@ -248,6 +248,29 @@ def test_channel_from_choi_rejects_bad_input():
         channel_from_choi(np.eye(4), (2, 2))
 
 
+def _rank_one_sum_instances(rng):
+    """(rho, N) pairs: full-rank and rank-deficient random sources through
+    random channels, plus the complementary channel of lncy4 at p = 0.3."""
+    cases = [(3, 3, 3, 3), (4, 2, 4, 2), (4, 3, 2, 3), (3, 5, 1, 1), (4, 6, 3, 2)]
+    for d_a, d_b, rank, n_kraus in cases:
+        rho = density_operator(oracles.random_state(rng, d_a, rank=rank))
+        yield rho, _random_channel(rng, d_a, d_b, n_kraus)
+    rho, ch = make_code_source("lncy4"), make_channel("amplitude_damping", 0.3, 4)
+    yield rho, complementary_channel(ch)
+
+
+def test_rank_one_sums_match_per_kraus_loop(rng):
+    # sigma_RB and the Choi matrix as one product B B^dagger over the stacked
+    # branch (Choi) vectors, against one outer product per Kraus operator.
+    for rho, ch in _rank_one_sum_instances(rng):
+        pur = purify(rho)
+        loop = oracles.channel_on_purification_loop(pur, ch)
+        sigma_rb = channel_on_purification(pur, ch).matrix
+        assert np.linalg.norm(sigma_rb - loop) <= 1e-13 * np.linalg.norm(loop)
+        loop = oracles.choi_of_channel_loop(ch)
+        assert np.linalg.norm(choi_of_channel(ch) - loop) <= 1e-13 * np.linalg.norm(loop)
+
+
 # -- purification --------------------------------------------------------------
 
 
