@@ -28,9 +28,9 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from . import decoders, infomeasures, optdec
+from . import decoders, infomeasures, optdec, quantum
 from .errors import ParseError, ValidationError
-from .matcore import matrix_power_on_support
+from .matcore import clamp_unit, matrix_power_on_support
 from .quantum import (
     DensityOperator,
     KrausChannel,
@@ -194,20 +194,15 @@ def parse_config(text: str) -> SweepConfig:
     return SweepConfig(**{k: _parse_value(k, keys[k].type, v) for k, v in raw.items()})
 
 
-def _unit(x: float) -> float:
-    """``x`` clamped to [0, 1], where roundoff can push a fidelity or a bound
-    on it (fivequbit lower_sw and upper_bk at p = 0 are 1 + 4e-16)."""
-    return min(1.0, max(0.0, x))
-
-
 def _series_values(setting: str, p: float, wanted: tuple[str, ...], tol: float):
     """Compute all requested series at one grid point.
 
     No exception escapes: a failing series becomes a row flagged
     ``error:<Type>``, and a failure in the shared per-point set-up flags
     every series at that point. The Petz and twirled fidelities and the
-    lower_sw and upper_bk bounds are clamped to [0, 1]; lower_twirled is
-    2^(-epsilon_sw) as computed.
+    lower_sw and upper_bk bounds are clamped to [0, 1] by
+    :func:`~petzlab.matcore.clamp_unit`, which flags a NaN as
+    ``error:NonFinite``; lower_twirled is 2^(-epsilon_sw) as computed.
     """
     try:
         rho, ch = SETTINGS[setting].build(p)
@@ -227,9 +222,9 @@ def _series_values(setting: str, p: float, wanted: tuple[str, ...], tol: float):
         flags = "ok"
         try:
             if series == "petz":
-                value = _unit(kernel.petz())
+                value = clamp_unit(kernel.petz())
             elif series == "twirled":
-                value = _unit(kernel.twirled(QUAD_TOL))
+                value = clamp_unit(kernel.twirled(QUAD_TOL))
             elif series == "sw":
                 dec, _ = decoders.build_sw(rho, ch)
                 value = decoders.fe_of_decoder(rho, ch, dec)
@@ -255,11 +250,11 @@ def _series_values(setting: str, p: float, wanted: tuple[str, ...], tol: float):
                 value, _ = optdec._solve_sectors(problems, tol)
             elif series == "lower_sw":
                 w_r = matrix_power_on_support(sigma_r, -1.0)
-                value = _unit(2.0 ** infomeasures.min_petz_mi_order2(sigma_rb, w_r))
+                value = clamp_unit(2.0 ** infomeasures.min_petz_mi_order2(sigma_rb, w_r))
             elif series == "lower_twirled":
                 value = 2.0 ** (-epsilon())
             elif series == "upper_bk":
-                value = _unit(math.sqrt(kernel.petz()))
+                value = clamp_unit(math.sqrt(kernel.petz()))
             elif series == "sw_original":
                 value = infomeasures.sw_original_bound(max(0.0, epsilon()))
             else:
@@ -377,9 +372,7 @@ def _complementary_petz(rho: DensityOperator, ch: KrausChannel) -> float:
     """2^(-I_1/2(R;E)), the singly minimized Petz Renyi mutual information of
     sigma_RE taken on the environment of :func:`~petzlab.quantum.dilate` with
     one slot per Kraus operator (no d_A*d_B padding)."""
-    iso = dilate(ch, 1)
-    ops = iso.v.reshape(iso.dim_out, iso.dim_env, iso.dim_in)  # (<b| x 1_E) V
-    comp = KrausChannel(tuple(ops), dim_in=iso.dim_in, dim_out=iso.dim_env, label_out="E")
+    comp = quantum._environment_channel(dilate(ch, 1), ch.label_in)
     sigma_re = channel_on_purification(purify(rho), comp)
     return 2.0 ** -infomeasures.singly_min_petz_mi_half(sigma_re)
 

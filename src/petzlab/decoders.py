@@ -32,6 +32,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from .matcore import (
+    clamp_unit,
     dag,
     herm_eig,
     matrix_power_on_support,
@@ -117,17 +118,40 @@ def _kernel_completion(u_a: np.ndarray, kernel: np.ndarray) -> list[np.ndarray]:
     return [np.outer(u, k.conj()) / math.sqrt(r) for k in kernel.T for u in u_a.T]
 
 
+def _petz_eigenbasis(rho_a: DensityOperator, ch: KrausChannel):
+    """The Petz Kraus operators rho^(1/2) K_l^dagger sigma_B^(-1/2) in the
+    eigenbases U_A of rho and U_B of sigma_B, restricted to the supports.
+
+    Returns ((u_a, u_b, kernel), vecs, theta): the support eigenvectors and
+    the kernel of sigma_B from :func:`_spectra`; the Choi vectors
+    vecs[l, (b, a)] = conj(U_B^dagger K_l U_A)[b, a] sqrt(lam_a / mu_b), so the
+    l-th Petz operator is U_A vecs_l^T U_B^dagger for vecs_l reshaped to
+    r_B x r_A; and theta_(b, a) = ln lam_a - ln mu_b.
+    """
+    (lam, u_a), (mu, u_b, kernel) = _spectra(rho_a, ch)
+    proj = dag(u_b) @ np.stack(ch.kraus_ops) @ u_a  # (L, r_b, r_a)
+    vecs = (proj.conj() * np.sqrt(lam) / np.sqrt(mu)[:, None]).reshape(len(ch.kraus_ops), -1)
+    theta = (np.log(lam)[None, :] - np.log(mu)[:, None]).reshape(-1)
+    return (u_a, u_b, kernel), vecs, theta
+
+
+def _eigenbasis_kraus(u_a: np.ndarray, u_b: np.ndarray, kernel: np.ndarray, vecs) -> list:
+    """Kraus operators U_A c^T U_B^dagger from the Choi vectors c (rows of
+    ``vecs``, each r_B x r_A), plus :func:`_kernel_completion`."""
+    c = vecs.reshape(-1, u_b.shape[1], u_a.shape[1])
+    return list(u_a @ c.transpose(0, 2, 1) @ dag(u_b)) + _kernel_completion(u_a, kernel)
+
+
 def _petz_family_kraus(rho_a: DensityOperator, ch: KrausChannel, t: float):
     """Kraus list of the rotated Petz map R^(t/2) plus its kernel completion.
 
     The map is rho^((1-it)/2) K_i^dagger sigma_B^((-1+it)/2) on the support
-    of sigma_B = N(rho); :func:`_kernel_completion` covers the kernel.
+    of sigma_B = N(rho): the Petz operators of :func:`_petz_eigenbasis` with
+    the phase exp(-i t theta / 2) on each eigenbasis entry.
+    :func:`_kernel_completion` covers the kernel.
     """
-    (lam, u_a), (mu, u_b, kernel) = _spectra(rho_a, ch)
-    rho_half = (u_a * np.exp((1 - 1j * t) / 2 * np.log(lam))) @ dag(u_a)
-    sig_inv_half = (u_b * np.exp((-1 + 1j * t) / 2 * np.log(mu))) @ dag(u_b)
-    ops = [rho_half @ dag(k) @ sig_inv_half for k in ch.kraus_ops]
-    return ops + _kernel_completion(u_a, kernel)
+    (u_a, u_b, kernel), vecs, theta = _petz_eigenbasis(rho_a, ch)
+    return _eigenbasis_kraus(u_a, u_b, kernel, vecs * np.exp(-0.5j * t * theta))
 
 
 def _decoder(
@@ -338,23 +362,15 @@ def _twirled_decoder(
     operator U_A c^T U_B^dagger. The Petz map's kernel completion
     (:func:`_kernel_completion`) does not depend on t, so its weight is 1.
     """
-    (lam, u_a), (mu, u_b, kernel) = _spectra(rho_a, ch)
-    r_b, r_a = mu.size, lam.size
-
-    # Petz Kraus operators rho^(1/2) K_i^dagger sigma_B^(-1/2) in the
-    # eigenbases; the Choi vector of K has entries K[a, b] at index (b, a).
-    proj = dag(u_b) @ np.stack(ch.kraus_ops) @ u_a  # (L, r_b, r_a)
-    vecs = (proj.conj() * np.sqrt(lam) / np.sqrt(mu)[:, None]).reshape(len(ch.kraus_ops), -1)
-    theta = (np.log(lam)[None, :] - np.log(mu)[:, None]).reshape(-1)
+    (u_a, u_b, kernel), vecs, theta = _petz_eigenbasis(rho_a, ch)
+    r_b, r_a = u_b.shape[1], u_a.shape[1]
     z = np.exp(-0.5j * np.multiply.outer(theta, nodes))
     core = (vecs.T @ vecs.conj()) * ((z * weights) @ dag(z))
 
     tr_a = partial_trace(core, (r_b, r_a), keep=0)
     fix = np.kron(matrix_power_on_support(tr_a, -0.5), np.eye(r_a))
     w, c, _ = psd_eig(fix @ core @ dag(fix)).split()
-    c = (c * np.sqrt(w)).T.reshape(-1, r_b, r_a)
-    ops = list(u_a @ c.transpose(0, 2, 1) @ dag(u_b))
-    return _decoder(ops + _kernel_completion(u_a, kernel), ch, "twirled")
+    return _decoder(_eigenbasis_kraus(u_a, u_b, kernel, (c * np.sqrt(w)).T), ch, "twirled")
 
 
 def _twirled_choi(
@@ -400,7 +416,7 @@ def fe_of_decoder(rho_a: DensityOperator, ch: KrausChannel, decoder: Decoder) ->
         raise DimensionMismatch("decoder dimensions do not invert the channel")
     k_rho = np.stack(ch.kraus_ops) @ rho_a.matrix
     traces = np.einsum("lab,kba->lk", np.stack(decoder.channel.kraus_ops), k_rho, optimize=True)
-    return float(min(1.0, max(0.0, np.sum(np.abs(traces) ** 2))))
+    return clamp_unit(np.sum(np.abs(traces) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -417,24 +433,19 @@ def _apply_block_kron(a_diag: np.ndarray, b_mat: np.ndarray, x: np.ndarray) -> n
     return out.reshape(d * b_mat.shape[0], cols)
 
 
-def _complement(columns: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal completion of a set of orthonormal columns."""
-    n, r = columns.shape
-    if r >= n:
-        return np.zeros((n, 0), dtype=np.complex128)
-    q = np.linalg.qr(columns, mode="complete")[0]
-    return q[:, r:]
-
-
 class SwConstruction:
     """Intermediate objects of the SW decoder construction for a purified
     source and a Stinespring isometry of the channel.
 
-    Holds the spectral data of sigma_E, the coefficient matrix of |sigma>
-    for the (RE)|(B) cut, and rank-factored forms of the overlap matrix M,
-    its polar unitary U, and the purification-alignment unitary W. Dense
-    matrices are materialized lazily; the decoder itself only needs the
-    columns of U W over the physical input block |0>_{R'A'} tensor B.
+    Four factorizations build it: the eigendecomposition of sigma_E, one
+    full SVD X = U_X diag(s) V_X^dagger of the coefficient matrix of |sigma>
+    for the (RE)|(B) cut, one complete QR of the right factor of the overlap
+    matrix M, and the SVD of M's r x r core. Every completion comes from
+    them: Omega conj(U_X) is unitary, so its first r columns are M's left
+    factor and the rest complete U on the left; the complete QR completes U
+    on the right; and W = Omega conj(U_X) blockdiag(V_X^T, 1) is explicit.
+    The decoder only needs the columns of U W over the physical input block
+    |0>_{R'A'} tensor B; the dense M, U and W are built on request.
     """
 
     def __init__(self, pur: PurifiedSource, iso: StinespringIsometry):
@@ -451,74 +462,48 @@ class SwConstruction:
         e = self.env_eigenvectors = eig_e.eigenvectors
         self.omega_env = e @ e.T  # Omega = 1_R' tensor (E E^T)
 
-        # Coefficient matrix of |sigma> for the (RE)|(B) cut and its thin SVD;
+        # Coefficient matrix of |sigma> for the (RE)|(B) cut and its full SVD;
         # sigma_RE = X X^dagger. The support is cut on s, the spectrum of
         # sigma_RE^(1/2), since the alignment acts on amplitudes: cutting s^2
         # drops bitflip3's directions with s ~ 1e-7 * s_max at p = 1e-14, and the
         # alignment check then rejects the decoder.
         self.x_coeff = psi3.transpose(0, 2, 1).reshape(self.dim, d_b)
-        u_full, s_full, vh_full = np.linalg.svd(self.x_coeff, full_matrices=False)
-        rank = int(np.count_nonzero(support_mask(s_full)))
-        self.u_r = u_full[:, :rank]  # eigenvectors of sigma_RE on its support
-        self.s_r = s_full[:rank]  # singular values: sqrt of sigma_RE eigenvalues
-        self.v_x = dag(vh_full[:rank, :])  # right Schmidt vectors of |sigma> on B
+        u_x, s_x, vh_x = np.linalg.svd(self.x_coeff)
+        rank = int(np.count_nonzero(support_mask(s_x)))
+        self.u_r = u_x[:, :rank]  # eigenvectors of sigma_RE on its support
+        self.s_r = s_x[:rank]  # singular values: sqrt of sigma_RE eigenvalues
+        self._omega_ux = self._apply_omega(u_x.conj())  # unitary
+        self.w_input_block = self._omega_ux[:, :d_b] @ vh_x.conj()  # W (|0> tensor 1_B)
 
         # T = sigma_hat^(1/2) sigma_RE^(1/2) = L diag(s_r) U_r^dagger and
-        # M = Omega T^T Omega^* = m_left diag(s_r) m_right, all rank-factored.
+        # M = Omega T^T Omega^* = m_left diag(s_r) m_right, where
+        # m_left = Omega u_r^* has orthonormal columns.
         sqrt_mu = np.sqrt(np.clip(eig_e.eigenvalues, 0.0, None))
         ell = _apply_block_kron(np.sqrt(pur.schmidt_coeffs), (e * sqrt_mu) @ dag(e), self.u_r)
-        self._m_left = self._apply_omega(self.u_r.conj())
+        self._m_left = self._omega_ux[:, :rank]
         self._m_right = self._apply_omega(ell, conjugate=True).T
 
-        # Thin SVD of M through the QRs of its two factors.
-        q1, r1 = np.linalg.qr(self._m_left)
-        q2, r2 = np.linalg.qr(dag(self._m_right))
-        core_u, self.m_singular_values, core_vh = np.linalg.svd((r1 * self.s_r) @ dag(r2))
-        self._u_thin_left = q1 @ core_u
-        self._u_thin_right = core_vh @ dag(q2)
+        # Thin SVD of M through the complete QR of its right factor, and the
+        # kernels that complete U = u_right^dagger u_left^dagger + v_ker u_ker^dagger.
+        q2, r2 = np.linalg.qr(dag(self._m_right), mode="complete")
+        core_u, self.m_singular_values, core_vh = np.linalg.svd(
+            self.s_r[:, None] * dag(r2[:rank])
+        )
+        self._u_left = self._m_left @ core_u
+        self._u_right = core_vh @ dag(q2[:, :rank])
+        self._u_ker = self._omega_ux[:, rank:]
+        self._v_ker = q2[:, rank:]
 
     def _apply_omega(self, x: np.ndarray, conjugate: bool = False) -> np.ndarray:
         om = self.omega_env.conj() if conjugate else self.omega_env
         return _apply_block_kron(np.ones(self.d_code), om, x)
 
-    # -- lazy completions ------------------------------------------------------
+    def _apply_u(self, x: np.ndarray) -> np.ndarray:
+        """U x for the alignment unitary U."""
+        thin = dag(self._u_right) @ (dag(self._u_left) @ x)
+        return thin + self._v_ker @ (dag(self._u_ker) @ x)
 
-    @functools.cached_property
-    def _u_kernel(self) -> np.ndarray:
-        return _complement(self._u_thin_left)
-
-    @functools.cached_property
-    def _v_kernel(self) -> np.ndarray:
-        return _complement(dag(self._u_thin_right))
-
-    @functools.cached_property
-    def _u_p_full(self) -> np.ndarray:
-        return np.hstack([self.u_r, _complement(self.u_r)])
-
-    @functools.cached_property
-    def _v_q_embedded(self) -> np.ndarray:
-        v = np.zeros((self.dim, self.v_x.shape[1]), dtype=np.complex128)
-        v[: self.d_b, :] = self.v_x
-        return v
-
-    @functools.cached_property
-    def _v_q_kernel(self) -> np.ndarray:
-        return _complement(self._v_q_embedded)
-
-    # -- the alignment unitaries ----------------------------------------------
-
-    @functools.cached_property
-    def w_input_block(self) -> np.ndarray:
-        """W (|0>_{R'A'} tensor 1_B): the only columns of W the decoder uses."""
-        rows = np.hstack([self.v_x, self._v_q_kernel[: self.d_b, :]])  # d_b x dim
-        return self._apply_omega(self._u_p_full.conj() @ rows.T)
-
-    @functools.cached_property
-    def uw_input_block(self) -> np.ndarray:
-        """Columns of U W over the physical input block."""
-        w0 = self.w_input_block
-        thin = dag(self._u_thin_right) @ (dag(self._u_thin_left) @ w0)
-        return thin + self._v_kernel @ (dag(self._u_kernel) @ w0)
+    # -- dense matrices ------------------------------------------------------------
 
     @functools.cached_property
     def m_matrix(self) -> np.ndarray:
@@ -538,15 +523,12 @@ class SwConstruction:
     @functools.cached_property
     def u_matrix(self) -> np.ndarray:
         """Alignment unitary U with tr[M U] = ||M||_1 (dense)."""
-        return dag(self._u_thin_right) @ dag(self._u_thin_left) + self._v_kernel @ dag(
-            self._u_kernel
-        )
+        return self._apply_u(np.eye(self.dim, dtype=np.complex128))
 
     @functools.cached_property
     def w_matrix(self) -> np.ndarray:
         """Purification-alignment unitary W (dense)."""
-        v_q = np.hstack([self._v_q_embedded, self._v_q_kernel])
-        return self._apply_omega(self._u_p_full.conj()) @ v_q.T
+        return np.hstack([self.w_input_block, self._omega_ux[:, self.d_b :]])
 
     # -- invariants ------------------------------------------------------------
 
@@ -561,9 +543,7 @@ class SwConstruction:
 
     def trace_mu_guard(self) -> tuple[float, float]:
         """tr[M U] as (real, imag); equals ||M||_1 up to roundoff."""
-        b2u = (self._m_right @ dag(self._u_thin_right)) @ dag(self._u_thin_left)
-        b2u = b2u + (self._m_right @ self._v_kernel) @ dag(self._u_kernel)
-        val = complex(np.trace((self.s_r[:, None] * (b2u @ self._m_left)).T))
+        val = complex(np.trace(self._m_right @ self._apply_u(self._m_left * self.s_r)))
         return val.real, val.imag
 
     def _to_a(self, cols: np.ndarray) -> list[np.ndarray]:
@@ -575,7 +555,7 @@ class SwConstruction:
 
     def decoder_kraus(self) -> list[np.ndarray]:
         """Kraus operators of the decoder, K_l (|0>_{R'A'} tensor 1_B)."""
-        return self._to_a(self.uw_input_block)
+        return self._to_a(self._apply_u(self.w_input_block))
 
     def kraus_full(self) -> list[np.ndarray]:
         """Kraus operators K_l of the full R'E' -> A stage (dense)."""
@@ -591,9 +571,9 @@ def build_sw(rho_a: DensityOperator, ch: KrausChannel) -> tuple[Decoder, SwConst
     |0>_{R'A'} tensor B fits inside R'E'. The reference system has
     dimension rank(rho_A). Alignment unitaries come from SVDs factored on
     the support of sigma_RE^(1/2) (the support mask applied to the singular
-    values of its coefficient matrix), with deterministic null-space
-    completions; the completions do not affect the decoder's action on the
-    channel's output support.
+    values of its coefficient matrix); their completions come from the same
+    factorizations (:class:`SwConstruction`) and do not affect the decoder's
+    action on the channel's output support.
     """
     pur = purify(rho_a)
     cons = SwConstruction(pur, dilate(ch, -(-ch.dim_out // pur.rank)))

@@ -14,6 +14,7 @@ SW rank and entropy in the package takes its support from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,6 +216,16 @@ def _check_state(rho: np.ndarray, tol: float = STATE_TOL) -> HermEig:
     return eig
 
 
+def clamp_unit(x: float) -> float:
+    """``x`` clamped to [0, 1], where roundoff can push a fidelity or a bound
+    on it (fivequbit lower_sw and upper_bk at p = 0 are 1 + 4e-16); a NaN or
+    infinite ``x`` raises :class:`NonFinite` instead of being clamped."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise NonFinite(f"value {x} is not finite")
+    return min(1.0, max(0.0, x))
+
+
 def fidelity(rho, sigma) -> float:
     """Fidelity ||rho^{1/2} sigma^{1/2}||_1 between two density operators."""
     rho, sigma = as_cmatrix(rho), as_cmatrix(sigma)
@@ -223,7 +234,7 @@ def fidelity(rho, sigma) -> float:
     prod = herm_part(power_on_support(_check_state(rho), 0.5))
     prod = prod @ herm_part(power_on_support(_check_state(sigma), 0.5))
     s = np.linalg.svd(prod, compute_uv=False)
-    return float(min(1.0, np.sum(s)))
+    return clamp_unit(np.sum(s))
 
 
 def kron(*factors: np.ndarray) -> np.ndarray:

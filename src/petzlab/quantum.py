@@ -255,18 +255,18 @@ def stinespring_dilation(ch: KrausChannel) -> StinespringIsometry:
     return dilate(ch, ch.dim_in * ch.dim_out)
 
 
+def _environment_channel(iso: StinespringIsometry, label_in: str) -> KrausChannel:
+    """The channel X -> tr_B[V X V^dagger] to the environment of ``iso``, with
+    Kraus operators (<b| tensor 1_E) V."""
+    ops = iso.v.reshape(iso.dim_out, iso.dim_env, iso.dim_in)
+    return KrausChannel(
+        tuple(ops), dim_in=iso.dim_in, dim_out=iso.dim_env, label_in=label_in, label_out="E"
+    )
+
+
 def complementary_channel(ch: KrausChannel) -> KrausChannel:
     """Channel to the environment E of the Stinespring dilation, X -> tr_B[V X V^dagger]."""
-    iso = stinespring_dilation(ch)
-    vt = iso.v.reshape(iso.dim_out, iso.dim_env, iso.dim_in)
-    ops = tuple(vt[b] for b in range(iso.dim_out))
-    return KrausChannel(
-        kraus_ops=ops,
-        dim_in=ch.dim_in,
-        dim_out=iso.dim_env,
-        label_in=ch.label_in,
-        label_out="E",
-    )
+    return _environment_channel(stinespring_dilation(ch), ch.label_in)
 
 
 def choi_of_channel(ch: KrausChannel) -> np.ndarray:
@@ -351,7 +351,7 @@ def entanglement_fidelity_direct(rho: DensityOperator, ch: KrausChannel) -> floa
     if ch.dim_in != ch.dim_out or ch.dim_in != rho.dim:
         raise DimensionMismatch("channel must be endomorphic on the source system")
     traces = np.einsum("ab,kba->k", rho.matrix, np.stack(ch.kraus_ops))
-    return float(min(1.0, max(0.0, np.sum(np.abs(traces) ** 2))))
+    return matcore.clamp_unit(np.sum(np.abs(traces) ** 2))
 
 
 def make_channel(kind: str, p: float = 0.0, n: int = 1) -> KrausChannel:

@@ -21,7 +21,7 @@ from petzlab.bench import (
     parse_config,
     run_sweep,
 )
-from petzlab.errors import NotTracePreserving, ParseError, ValidationError
+from petzlab.errors import NonFinite, NotTracePreserving, ParseError, ValidationError
 from petzlab.quantum import KrausChannel, make_channel, validate_cptp
 
 
@@ -240,6 +240,34 @@ def test_sweep_survives_linalg_error_in_one_series(tmp_path, monkeypatch):
             assert c.flags == "error:LinAlgError" and math.isnan(c.value)
         else:
             assert c.flags == "ok" and np.isfinite(c.value), (c.series, c.p)
+
+
+def test_sweep_flags_nan_fidelity_instead_of_clamping_it(tmp_path, monkeypatch):
+    monkeypatch.setattr(decoders.RotatedFidelity, "petz", lambda self: math.nan)
+    cfg = SweepConfig(
+        setting="bitflip3",
+        p_start=0.25,
+        p_stop=0.25,
+        p_count=1,
+        decoders=("petz", "twirled"),
+        bounds=("upper_bk", "lower_sw"),
+        out=str(tmp_path / "nan.csv"),
+    )
+    flags = {c.series: c.flags for c in run_sweep(cfg)}
+    assert flags == {
+        "petz": "error:NonFinite",
+        "twirled": "ok",
+        "upper_bk": "error:NonFinite",
+        "lower_sw": "ok",
+    }
+
+
+def test_clamp_unit_rejects_non_finite_values():
+    assert matcore.clamp_unit(1.0 + 4e-16) == 1.0
+    assert matcore.clamp_unit(-1e-17) == 0.0
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFinite):
+            matcore.clamp_unit(bad)
 
 
 def test_sweep_setup_failure_flags_every_series_at_that_point(tmp_path, monkeypatch):

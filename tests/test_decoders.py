@@ -485,6 +485,55 @@ def test_sw_construction_invariants_lncy4():
     validate_cptp(dec.channel, tol=1e-9)
 
 
+def test_build_sw_runs_one_qr_and_two_svds(monkeypatch):
+    # the sigma_E eigh, one SVD of the coefficient matrix, one complete QR of
+    # M's right factor and the r x r core SVD: every completion comes from these
+    rho, ch = SETTINGS["lncy4"].build(0.5)
+    counts = {"qr": 0, "svd": 0}
+    for name in counts:
+        real = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    build_sw(rho, ch)
+    assert counts == {"qr": 1, "svd": 2}
+
+
+def _assert_sw_matches_literal(rho, ch, rng):
+    dec, cons = build_sw(rho, ch)
+    lit_kraus, _, _, _ = oracles.sw_decoder_literal(rho, ch)
+    lit = kraus_channel(lit_kraus, label_in="B", label_out="A", check=True)
+    sigma_b = apply_channel(ch, rho.matrix)
+    probe = sigma_b @ oracles.random_psd(rng, ch.dim_out) @ sigma_b
+    diff = apply_channel(dec.channel, probe) - apply_channel(lit, probe)
+    assert np.linalg.norm(diff) <= 1e-8
+    f_lit = fe_of_decoder(rho, ch, Decoder_from(lit))
+    assert abs(fe_of_decoder(rho, ch, dec) - f_lit) <= 1e-10
+
+
+@pytest.mark.parametrize("p", GRID_21)
+def test_sw_matches_literal_construction_bitflip3_grid(p, rng):
+    _assert_sw_matches_literal(*SETTINGS["bitflip3"].build(float(p)), rng)
+
+
+def test_sw_matches_literal_construction_lncy4(rng):
+    _assert_sw_matches_literal(*SETTINGS["lncy4"].build(0.5), rng)
+
+
+def test_sw_construction_invariants_fivequbit():
+    rho, ch = SETTINGS["fivequbit"].build(0.5)
+    _, cons = build_sw(rho, ch)
+    n = cons.dim
+    for unitary in (cons.u_matrix, cons.w_matrix):
+        assert np.linalg.norm(dag(unitary) @ unitary - np.eye(n)) <= 1e-10 * n
+    assert cons.alignment_residual() <= 1e-8
+    total = sum(dag(k) @ k for k in cons.kraus_full())
+    assert np.linalg.norm(total - np.eye(n)) <= 1e-9 * n
+
+
 # -- SW on the Kraus-count environment ---------------------------------------------------
 
 
