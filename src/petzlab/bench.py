@@ -30,7 +30,7 @@ import numpy as np
 
 from . import decoders, infomeasures, optdec, quantum
 from .errors import ParseError, ValidationError
-from .matcore import clamp_unit, matrix_power_on_support
+from .matcore import clamp_unit, matrix_power_on_support, require_finite
 from .quantum import (
     DensityOperator,
     KrausChannel,
@@ -202,7 +202,9 @@ def _series_values(setting: str, p: float, wanted: tuple[str, ...], tol: float):
     every series at that point. The Petz and twirled fidelities and the
     lower_sw and upper_bk bounds are clamped to [0, 1] by
     :func:`~petzlab.matcore.clamp_unit`, which flags a NaN as
-    ``error:NonFinite``; lower_twirled is 2^(-epsilon_sw) as computed.
+    ``error:NonFinite``; lower_twirled is 2^(-epsilon_sw) as computed. A
+    non-finite epsilon_sw flags lower_twirled and sw_original
+    ``error:NonFinite``.
     """
     try:
         rho, ch = SETTINGS[setting].build(p)
@@ -213,7 +215,8 @@ def _series_values(setting: str, p: float, wanted: tuple[str, ...], tol: float):
     except Exception as exc:  # a lost point is a flagged row, never an aborted sweep
         flags = f"error:{type(exc).__name__}"
         return [CurvePoint(setting, p, series, math.nan, 0.0, flags) for series in wanted]
-    # Shared by lower_twirled and sw_original; computed on first use.
+    # Shared by lower_twirled and sw_original; computed on first use and
+    # checked for finiteness at each of the two.
     epsilon = functools.cache(lambda: infomeasures.epsilon_sw(sigma_rb))
 
     out: list[CurvePoint] = []
@@ -252,11 +255,11 @@ def _series_values(setting: str, p: float, wanted: tuple[str, ...], tol: float):
                 w_r = matrix_power_on_support(sigma_r, -1.0)
                 value = clamp_unit(2.0 ** infomeasures.min_petz_mi_order2(sigma_rb, w_r))
             elif series == "lower_twirled":
-                value = 2.0 ** (-epsilon())
+                value = 2.0 ** (-require_finite(epsilon()))
             elif series == "upper_bk":
                 value = clamp_unit(math.sqrt(kernel.petz()))
             elif series == "sw_original":
-                value = infomeasures.sw_original_bound(max(0.0, epsilon()))
+                value = infomeasures.sw_original_bound(max(0.0, require_finite(epsilon())))
             else:
                 raise ValidationError("series", f"unknown series {series!r}")
         except Exception as exc:  # contained per (point, series); see the docstring

@@ -118,8 +118,8 @@ def herm_eig(h, tol: float = HERM_TOL) -> HermEig:
         w, v = np.linalg.eigh(herm_part(h))
     except np.linalg.LinAlgError:
         # LAPACK's divide-and-conquer driver can fail to converge on a valid
-        # Hermitian matrix (seen on 32x32 NT-scaling products of the lncy4
-        # SDP). herm_part(h) is exactly Hermitian, so its upper triangle
+        # Hermitian matrix, whichever caller built it, so every call keeps
+        # this retry. herm_part(h) is exactly Hermitian, so its upper triangle
         # describes the same matrix and takes a different reduction path.
         w, v = np.linalg.eigh(herm_part(h), UPLO="U")
     # eigh returns ascending eigenvalues
@@ -216,14 +216,19 @@ def _check_state(rho: np.ndarray, tol: float = STATE_TOL) -> HermEig:
     return eig
 
 
+def require_finite(x: float) -> float:
+    """``x`` as a float; a NaN or infinite ``x`` raises :class:`NonFinite`."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise NonFinite(f"value {x} is not finite")
+    return x
+
+
 def clamp_unit(x: float) -> float:
     """``x`` clamped to [0, 1], where roundoff can push a fidelity or a bound
     on it (fivequbit lower_sw and upper_bk at p = 0 are 1 + 4e-16); a NaN or
     infinite ``x`` raises :class:`NonFinite` instead of being clamped."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise NonFinite(f"value {x} is not finite")
-    return min(1.0, max(0.0, x))
+    return min(1.0, max(0.0, require_finite(x)))
 
 
 def fidelity(rho, sigma) -> float:

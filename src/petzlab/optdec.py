@@ -22,6 +22,13 @@ one fixed combination of them, :func:`_sector_bases`); only the check that
 the coupling of G between sectors is at most SECTOR_TOL * ||G|| certifies a
 split. Without a certified split the reduced problem is solved whole.
 
+Each interior-point iteration factors X = Lx Lx^dagger and Z = Lz Lz^dagger
+once by Cholesky and inverts the factors. The Nesterov-Todd scaling point
+comes from them and one SVD of Lz^dagger Lx (Todd, Toh and Tutuncu, "On the
+Nesterov-Todd direction in semidefinite programming", SIAM J. Optim. 8
+(1998) 769), Z^-1 = Lz^-dagger Lz^-1, and both step lengths from
+lambda_min(L^-1 dS L^-dagger); no eigendecomposition of X or Z is formed.
+
 Sectors of the same shape are solved as one stacked interior-point run
 (:func:`_solve_stack`): each step acts on the k x n x n stack at once, which
 shares the Python-level cost of an iteration among the k members, while
@@ -157,32 +164,24 @@ def lift_choi(x_reduced: np.ndarray, emb: ReductionEmbedding) -> np.ndarray:
     return full
 
 
-def _psd_step(s: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    """Steps alpha <= 1, one per matrix of the stack s (..., n, n), that go
-    STEP_FRACTION of the way to where s + alpha*ds stops being positive
-    definite."""
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        raise NumericalBreakdown("iterate lost positive definiteness")
-    inner = dag(np.linalg.solve(chol, dag(np.linalg.solve(chol, ds))))
-    lam_min = np.linalg.eigvalsh(herm_part(inner))[..., 0]
+def _nt_scaling(lx: np.ndarray, lz: np.ndarray) -> np.ndarray:
+    """Nesterov-Todd scaling points W with W Z W = X, one per matrix of the
+    stack, from the Cholesky factors X = Lx Lx^dagger and Z = Lz Lz^dagger:
+    with Lz^dagger Lx = U s V^dagger, W = Lx V s^-1 V^dagger Lx^dagger
+    (Todd, Toh and Tutuncu, SIAM J. Optim. 8 (1998) 769)."""
+    _, s, vh = np.linalg.svd(dag(lz) @ lx)
+    a = (lx @ dag(vh)) / np.sqrt(s)[..., None, :]
+    return herm_part(a @ dag(a))
+
+
+def _step_lengths(l_inv: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """Steps alpha <= 1, one per matrix S = L L^dagger of a stack given by
+    its inverse factors l_inv = L^-1, that go STEP_FRACTION of the way to
+    where S + alpha*dS stops being positive definite, which is at
+    alpha = -1 / lambda_min(L^-1 dS L^-dagger)."""
+    lam_min = np.linalg.eigvalsh(herm_part(l_inv @ ds @ dag(l_inv)))[..., 0]
     # 1 where lam_min >= -STEP_FRACTION, else -STEP_FRACTION / lam_min
     return STEP_FRACTION / np.maximum(-lam_min, STEP_FRACTION)
-
-
-def _psd_half_powers(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    eig = herm_eig(s)
-    w = np.clip(eig.eigenvalues.real, 1e-300, None)[..., None, :]
-    v = eig.eigenvectors
-    return (v * np.sqrt(w)) @ dag(v), (v / np.sqrt(w)) @ dag(v)
-
-
-def _nt_scaling(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Nesterov-Todd scaling points W with W Z W = X, one per matrix of the stack."""
-    z_half, z_inv_half = _psd_half_powers(z)
-    inner_half, _ = _psd_half_powers(z_half @ x @ z_half)
-    return herm_part(z_inv_half @ inner_half @ z_inv_half)
 
 
 def _tensor_eye(m: np.ndarray, d_a: int) -> np.ndarray:
@@ -248,13 +247,19 @@ def _solve_stack(problems: list[SdpProblem], tol: float) -> list[SdpSolution]:
     Schur matrix once, in real coordinates (:func:`_schur_solve`), for the
     two right-hand sides tr_out[W r_d W - X] - r_p and tr_out[Z^-1].
 
+    Each iteration factors the stack [X; Z] by Cholesky and inverts the
+    factors once; the NT scaling point W (:func:`_nt_scaling`, one SVD;
+    Todd, Toh and Tutuncu 1998), Z^-1 = Lz^-dagger Lz^-1 and the predictor's
+    and the corrector's step lengths (:func:`_step_lengths`) share them.
+
     Every step acts on the whole stack at once (k x n x n arrays), but each
     member has its own mu, sigma, step lengths and convergence test. A
     member that converges is recorded and leaves the stack, so its iterates
     and iteration count are those of a solve on its own; the solutions come
     back in the order of ``problems``. A failure of any member (a non-finite
-    objective or iterate, a lost Cholesky factorization, no convergence
-    within MAX_ITER) fails the whole stack.
+    objective or iterate, a lost Cholesky factorization, a failed SVD, no
+    convergence within MAX_ITER) fails the whole stack with
+    :class:`NumericalBreakdown` or :class:`MaxIterations`.
     """
     d_b, d_a = problems[0].dim_in, problems[0].dim_out
     dims = (d_b, d_a)
@@ -307,8 +312,11 @@ def _solve_stack(problems: list[SdpProblem], tol: float) -> list[SdpSolution]:
             )
 
         try:
-            w = _nt_scaling(x, z)
-            z_inv = herm_part(np.linalg.inv(z))
+            k = len(x)
+            chol = np.linalg.cholesky(np.concatenate([x, z]))
+            chol_inv = np.linalg.inv(chol)
+            w = _nt_scaling(chol[:k], chol[k:])
+            z_inv = herm_part(dag(chol_inv[k:]) @ chol_inv[k:])
             rhs_aff = _tr_out(w @ r_d @ w - x, dims) - r_p
             dy = _schur_solve(
                 _schur_matrix(w, dims), np.stack([rhs_aff, _tr_out(z_inv, dims)], axis=-3)
@@ -321,11 +329,9 @@ def _solve_stack(problems: list[SdpProblem], tol: float) -> list[SdpSolution]:
                 return dx, dy, dz
 
             # the primal and the dual step lengths of every member in one call
-            xz = np.concatenate([x, z])
-
             def steps(dx, dz):
-                alpha = _psd_step(xz, np.concatenate([dx, dz]))[:, None, None]
-                return alpha[: len(x)], alpha[len(x) :]
+                alpha = _step_lengths(chol_inv, np.concatenate([dx, dz]))[:, None, None]
+                return alpha[:k], alpha[k:]
 
             dx_a, _, dz_a = direction(-x, dy_aff)
             ap, ad = steps(dx_a, dz_a)

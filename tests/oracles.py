@@ -7,7 +7,8 @@ trapezoids, the twirled Choi matrix from one rotated decoder per quadrature
 node or from a dense Choi matrix and its full eigendecomposition, the SW
 decoder from a literal dense transcription of its construction, the SDP
 Newton step from two complex Schur solves, the SDP loop one problem at a
-time with scalar step lengths, decoder fidelities and the SDP
+time with scalar step lengths, its NT scaling from eigendecompositions and
+its step lengths from a fresh Cholesky factorization per call, decoder fidelities and the SDP
 objective from the canonical purification and sigma_RB, the rotated Petz
 Kraus list from one matrix power per factor, the matrix power on the
 support from its own PSD check and its own inline rank cut, and the
@@ -37,9 +38,8 @@ from petzlab.matcore import (
 )
 from petzlab.optdec import (
     MAX_ITER,
+    STEP_FRACTION,
     SdpSolution,
-    _nt_scaling,
-    _psd_step,
     _schur_matrix,
     _schur_solve,
     _tr_out,
@@ -393,6 +393,38 @@ def sw_decoder_literal(rho, ch):
 
 
 # -- SDP Newton step with two complex Schur solves -----------------------------
+
+# The NT scaling point from two eigendecompositions and the step lengths from
+# a Cholesky factorization and two solves per call, as optdec computed them
+# before it took all three from one Cholesky factorization of X and Z.
+
+
+def _psd_step(s: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """Steps alpha <= 1, one per matrix of the stack s (..., n, n), that go
+    STEP_FRACTION of the way to where s + alpha*ds stops being positive
+    definite."""
+    try:
+        chol = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        raise NumericalBreakdown("iterate lost positive definiteness")
+    inner = dag(np.linalg.solve(chol, dag(np.linalg.solve(chol, ds))))
+    lam_min = np.linalg.eigvalsh(herm_part(inner))[..., 0]
+    # 1 where lam_min >= -STEP_FRACTION, else -STEP_FRACTION / lam_min
+    return STEP_FRACTION / np.maximum(-lam_min, STEP_FRACTION)
+
+
+def _psd_half_powers(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    eig = herm_eig(s)
+    w = np.clip(eig.eigenvalues.real, 1e-300, None)[..., None, :]
+    v = eig.eigenvectors
+    return (v * np.sqrt(w)) @ dag(v), (v / np.sqrt(w)) @ dag(v)
+
+
+def _nt_scaling(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Nesterov-Todd scaling points W with W Z W = X, one per matrix of the stack."""
+    z_half, z_inv_half = _psd_half_powers(z)
+    inner_half, _ = _psd_half_powers(z_half @ x @ z_half)
+    return herm_part(z_inv_half @ inner_half @ z_inv_half)
 
 
 def solve_sdp_two_solves(prob, tol=1e-7, max_iter=100):

@@ -312,6 +312,21 @@ def test_sweep_computes_epsilon_sw_once_per_point(tmp_path, monkeypatch):
             assert c.value == infomeasures.sw_original_bound(max(0.0, eps))
 
 
+def test_nan_epsilon_sw_flags_exactly_its_two_rows(tmp_path, monkeypatch):
+    calls = []
+
+    def nan_epsilon(sigma_rb):
+        calls.append(sigma_rb)
+        return math.nan
+
+    monkeypatch.setattr(infomeasures, "epsilon_sw", nan_epsilon)
+    cfg = dataclasses.replace(_all_series_config(tmp_path), p_start=0.5, p_stop=0.5, p_count=1)
+    flags = {c.series: c.flags for c in run_sweep(cfg)}
+    assert len(calls) == 1
+    assert flags.pop("lower_twirled") == flags.pop("sw_original") == "error:NonFinite"
+    assert set(flags.values()) == {"ok"}
+
+
 def _count_calls(monkeypatch, module, name):
     """Count calls of ``module.name`` through every petzlab module that binds it."""
     calls = []

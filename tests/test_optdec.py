@@ -502,3 +502,72 @@ def test_non_finite_member_fails_only_the_optimal_row(monkeypatch, tmp_path):
     flags = {c.series: c.flags for c in run_sweep(cfg)}
     assert flags.pop("optimal") == "error:NumericalBreakdown"
     assert set(flags.values()) == {"ok"}
+
+
+# -- one Cholesky factorization and one SVD per interior-point iteration -----------------
+
+
+def _count_in_solve_stack(monkeypatch, fail_at=None):
+    """Count the calls of np.linalg.cholesky, np.linalg.svd, np.linalg.eigh
+    and optdec.herm_eig made inside optdec._solve_stack. With
+    ``fail_at=(name, k)`` the k-th call of np.linalg.<name> there raises
+    LinAlgError; calls outside a stacked solve pass through uncounted."""
+    counts = {"cholesky": 0, "svd": 0, "eigh": 0, "herm_eig": 0}
+    inside = []
+
+    def counting(module, name, key):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            if inside:
+                counts[key] += 1
+                if fail_at == (key, counts[key]):
+                    raise np.linalg.LinAlgError(f"{key} failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("cholesky", "svd", "eigh"):
+        counting(np.linalg, name, name)
+    counting(optdec, "herm_eig", "herm_eig")
+    real_stack = optdec._solve_stack
+
+    def stack(problems, tol):
+        inside.append(True)
+        try:
+            return real_stack(problems, tol)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(optdec, "_solve_stack", stack)
+    return counts
+
+
+def test_one_cholesky_and_one_svd_per_stepping_iteration(monkeypatch):
+    problems = optdec._sector_problems(*SETTINGS["lncy4"].build(0.5))
+    stack = [q for q in problems if q.dim_in == 3]
+    assert len(stack) == 3
+    counts = _count_in_solve_stack(monkeypatch)
+    sols = optdec._solve_stack(stack, 1e-7 / len(problems))
+    # the last iteration only records the members that have converged
+    steps = max(sol.iterations for sol in sols) - 1
+    assert counts == {"cholesky": steps, "svd": steps, "eigh": 0, "herm_eig": 0}
+
+
+@pytest.mark.parametrize("name", ["cholesky", "svd"])
+def test_failed_factorization_is_a_numerical_breakdown(monkeypatch, name):
+    problems = optdec._sector_problems(*SETTINGS["lncy4"].build(0.5))
+    _count_in_solve_stack(monkeypatch, fail_at=(name, 3))
+    with pytest.raises(NumericalBreakdown):
+        optdec._solve_sectors(problems, 1e-7)
+
+
+@pytest.mark.parametrize("name", ["cholesky", "svd"])
+def test_failed_factorization_fails_only_the_optimal_row(monkeypatch, tmp_path, name):
+    _count_in_solve_stack(monkeypatch, fail_at=(name, 3))
+    cfg = SweepConfig(
+        setting="lncy4", p_start=0.5, p_stop=0.5, p_count=1, out=str(tmp_path / "x.csv")
+    )
+    flags = {c.series: c.flags for c in run_sweep(cfg)}
+    assert flags.pop("optimal") == "error:NumericalBreakdown"
+    assert set(flags.values()) == {"ok"}
