@@ -282,11 +282,15 @@ def _beta0_panels(g_batch, tol: float):
     ``g_batch`` maps a 1-d array of t to the array of g(t). The substitution
     u = tanh(pi t / 2) turns the weight into du/2 exactly; panels over u are
     bisected until halving a panel changes its estimate by at most its
-    width-proportional share of ``tol``. Each step evaluates both halves of
-    one panel in a single ``g_batch`` call; the panel's own estimate was
-    computed when it was created as a half of its parent. Returns the value
-    together with the accepted nodes t_i and weights w_i, which satisfy
-    value = sum_i w_i g(t_i) and are reusable for matrix integrands.
+    width-proportional share of ``tol``. The panels are processed level by
+    level: one ``g_batch`` call evaluates both halves of every panel still
+    open at a level, and a panel's own estimate was computed when it was
+    created as a half of its parent. Each panel keeps its own dot-product
+    estimate and the accepted panels are summed left to right, so the value,
+    nodes and weights are those of bisecting one panel at a time, depth
+    first. Returns the value together with the accepted nodes t_i and
+    weights w_i, which satisfy value = sum_i w_i g(t_i) and are reusable for
+    matrix integrands.
     """
     x, w = _leggauss(_GL_NODES)
 
@@ -305,24 +309,30 @@ def _beta0_panels(g_batch, tol: float):
     total_width = 2 * _U_MAX
     edges = np.linspace(-_U_MAX, _U_MAX, _INITIAL_PANELS + 1)
     bounds = list(zip(edges[:-1], edges[1:]))
-    stack = [(a, b, 0, est) for (a, b), (est, _, _) in zip(bounds, panels(bounds))][::-1]
-    value = 0.0
-    nodes, weights = [], []
-    while stack:
-        a, b, depth, est = stack.pop()
-        mid = (a + b) / 2
-        (est_l, t_l, w_l), (est_r, t_r, w_r) = panels([(a, mid), (mid, b)])
-        if abs(est - (est_l + est_r)) <= tol * (b - a) / total_width:
-            value += est_l + est_r
-            nodes.extend([t_l, t_r])
-            weights.extend([w_l, w_r])
-        else:
-            if depth >= _MAX_DEPTH:
+    level = [(a, b, est) for (a, b), (est, _, _) in zip(bounds, panels(bounds))]
+    accepted = []  # (a, left half, right half) of each accepted panel
+    depth = 0
+    while level:
+        halves = panels([h for a, b, _ in level for h in ((a, (a + b) / 2), ((a + b) / 2, b))])
+        open_panels = []
+        for (a, b, est), left, right in zip(level, halves[0::2], halves[1::2]):
+            if abs(est - (left[0] + right[0])) <= tol * (b - a) / total_width:
+                accepted.append((a, left, right))
+            elif depth >= _MAX_DEPTH:
                 raise ToleranceNotMet(
                     f"beta0 quadrature did not reach tol {tol:g} at depth {depth}"
                 )
-            stack.append((mid, b, depth + 1, est_r))
-            stack.append((a, mid, depth + 1, est_l))
+            else:
+                mid = (a + b) / 2
+                open_panels += [(a, mid, left[0]), (mid, b, right[0])]
+        level = open_panels
+        depth += 1
+    accepted.sort(key=lambda panel: panel[0])
+    value = 0.0
+    for _, (est_l, _, _), (est_r, _, _) in accepted:
+        value += est_l + est_r
+    nodes = [t for _, left, right in accepted for t in (left[1], right[1])]
+    weights = [wt for _, left, right in accepted for wt in (left[2], right[2])]
     return value, np.concatenate(nodes), np.concatenate(weights)
 
 

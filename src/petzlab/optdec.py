@@ -34,12 +34,20 @@ Sectors of the same shape are solved as one stacked interior-point run
 shares the Python-level cost of an iteration among the k members, while
 each member keeps its own step lengths, centering, tolerance tol/K and
 convergence test and leaves the stack once it has converged.
+
+Sectors that carry the same irreducible representation of the permutation
+group have one objective up to a change of basis (the isotypic blocks repeat
+once per dimension of the irrep). :func:`_sector_bases` aligns their bases
+so that the objectives coincide up to roundoff, and :func:`_solve_stack`
+iterates only on the distinct objectives of its stack: a member within
+SECTOR_TOL * ||G|| of an earlier one (Frobenius norms) is a copy, takes that
+representative's iterates, and widens its certified gap by the difference.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -238,6 +246,48 @@ def _solve_stack(problems: list[SdpProblem], tol: float) -> list[SdpSolution]:
     """Primal-dual path-following solve with NT scaling, of a stack of
     problems that share (dim_in, dim_out).
 
+    Only the distinct objectives are iterated on (:func:`_interior_point`).
+    A member whose objective G_i is within SECTOR_TOL * ||G_r|| of an earlier
+    member's G_r (Frobenius norms) is a copy of that representative and takes
+    its iterates, primal value and iteration count. Its gap grows by
+    d_in ||G_i - G_r||: the representative's X is feasible for G_i and its Y
+    is dual feasible up to the same shift, since |tr[(G_i - G_r) X]| <=
+    ||G_i - G_r|| tr X and tr X = d_in. The solutions come back in the order
+    of ``problems``. A non-finite objective raises
+    :class:`NumericalBreakdown` before any member is compared or solved.
+    """
+    d_b, d_a = problems[0].dim_in, problems[0].dim_out
+    g = herm_part(np.stack([prob.objective for prob in problems]))
+    if not np.isfinite(g).all():
+        raise NumericalBreakdown("non-finite objective")
+
+    reps, shifts = [], []  # each member's representative and d_in ||G_i - G_r||
+    distinct: list[int] = []
+    for i in range(len(g)):
+        for r in distinct:
+            diff = float(np.linalg.norm(g[i] - g[r]))
+            if diff <= SECTOR_TOL * np.linalg.norm(g[r]):
+                reps.append(r)
+                shifts.append(d_b * diff)
+                break
+        else:
+            distinct.append(i)
+            reps.append(i)
+            shifts.append(0.0)
+
+    solved = dict(zip(distinct, _interior_point(g[distinct], (d_b, d_a), tol)))
+    solutions = []
+    for r, shift in zip(reps, shifts):
+        sol = solved[r]
+        widen = shift if sol.gap >= 0 else -shift
+        solutions.append(replace(sol, dual=sol.dual + widen, gap=sol.gap + widen))
+    return solutions
+
+
+def _interior_point(g: np.ndarray, dims: tuple[int, int], tol: float) -> list[SdpSolution]:
+    """The interior-point run of :func:`_solve_stack` on the stack of
+    Hermitian objectives g (k x n x n), one solution per member.
+
     The predictor (affine) step sets the centering weight via Mehrotra's
     heuristic sigma = (mu_aff/mu)^3; the combined step recenters. The
     Newton system is eliminated down to a Hermitian positive definite
@@ -255,28 +305,22 @@ def _solve_stack(problems: list[SdpProblem], tol: float) -> list[SdpSolution]:
     Every step acts on the whole stack at once (k x n x n arrays), but each
     member has its own mu, sigma, step lengths and convergence test. A
     member that converges is recorded and leaves the stack, so its iterates
-    and iteration count are those of a solve on its own; the solutions come
-    back in the order of ``problems``. A failure of any member (a non-finite
-    objective or iterate, a lost Cholesky factorization, a failed SVD, no
-    convergence within MAX_ITER) fails the whole stack with
+    and iteration count are those of a solve on its own. A failure of any
+    member (a non-finite iterate, a lost Cholesky factorization, a failed
+    SVD, no convergence within MAX_ITER) fails the whole stack with
     :class:`NumericalBreakdown` or :class:`MaxIterations`.
     """
-    d_b, d_a = problems[0].dim_in, problems[0].dim_out
-    dims = (d_b, d_a)
+    d_b, d_a = dims
     n = d_b * d_a
     eye_b = np.eye(d_b)
-    g = herm_part(np.stack([prob.objective for prob in problems]))
-    if not np.isfinite(g).all():
-        raise NumericalBreakdown("non-finite objective")
-
-    x = np.repeat(np.eye(n, dtype=np.complex128)[None] / d_a, len(problems), axis=0)
+    x = np.repeat(np.eye(n, dtype=np.complex128)[None] / d_a, len(g), axis=0)
     y = (np.linalg.norm(g, 2, axis=(-2, -1)) + 1.0)[:, None, None] * eye_b.astype(np.complex128)
     z = _tensor_eye(y, d_a) - g
 
     g_scale = 1.0 + np.linalg.norm(g, axis=(-2, -1))
     feas_tol = 0.1 * tol
-    members = list(range(len(problems)))  # problem index of each stack row
-    solutions: list[SdpSolution] = [None] * len(problems)
+    members = list(range(len(g)))  # index in g of each stack row
+    solutions: list[SdpSolution] = [None] * len(g)
 
     # x, y, z, the residual r_d and the steps dy and dz are exactly Hermitian:
     # each is a real combination of exactly Hermitian matrices, so only the
@@ -375,18 +419,55 @@ def _is_symmetric(m: np.ndarray, perm: tuple[int, ...]) -> bool:
     return float(np.linalg.norm(pmp - m)) <= PROPOSAL_TOL
 
 
+_PROBE_CHUNK = 1024  # permutations per gathered block in _stabilizer_candidates
+
+
+def _stabilizer_candidates(m: np.ndarray, n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The qubit permutations (with their enumeration index j >= 1) that may
+    fix the 2^n x 2^n matrix m, for :func:`_is_symmetric` to decide.
+
+    For a fixed probe vector x, P m P^dagger = m to PROPOSAL_TOL in Frobenius
+    norm implies ||m P^dagger x - P^dagger m x|| <= PROPOSAL_TOL ||x||, so no
+    symmetry is dropped. P^dagger v is v at the indices sum_k b_perm[k]
+    2^(n-1-k) over the bits b of the index, so the test gathers the
+    (2^n x permutations) arrays P^dagger x and P^dagger m x, in blocks of
+    _PROBE_CHUNK permutations, and never a stack of permuted matrices.
+    """
+    d = 2**n
+    x = np.cos(np.arange(1, d + 1))  # fixed and generic
+    mx = m @ x
+    bits = (np.arange(d)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    place = 2 ** np.arange(n - 1, -1, -1)
+    perms = list(itertools.permutations(range(n)))
+    keep = []
+    for lo in range(1, len(perms), _PROBE_CHUNK):  # j = 0 is the identity
+        block = np.array(perms[lo : lo + _PROBE_CHUNK])
+        idx = bits @ place[np.argsort(block, axis=1)].T  # entry i of P^dagger v is v[idx[i]]
+        resid = np.linalg.norm(x[idx].T @ m.T - mx[idx].T, axis=1)
+        keep.extend(lo + np.flatnonzero(resid <= PROPOSAL_TOL * np.linalg.norm(x)))
+    return [(int(j), perms[j]) for j in keep]
+
+
 def _sector_bases(rho_a: DensityOperator, v_in: np.ndarray) -> list[np.ndarray]:
     """Orthonormal bases, in the reduced input basis v_in, of the proposed sectors.
 
     For d_A = d_B = 2^n, every qubit permutation P with P rho P^dagger = rho
     that maps the support projector v_in v_in^dagger of sigma_B to itself
-    (brute force over the n! permutations) gives Q_P = v_in^dagger P v_in.
-    The sectors are the eigenspaces of h = sum_P c_P (Q_P + Q_P^dagger), with
-    the fixed coefficients c_P = 1/j over the permutations in enumeration
-    order. A G that commutes with every Q_P tensor 1 commutes with h tensor 1
-    and so preserves these eigenspaces; :func:`_sector_problems` checks that
-    it does. One sector when the dimensions are not 2^n or no permutation
-    qualifies.
+    (brute force over the n! permutations, prefiltered by
+    :func:`_stabilizer_candidates`) gives Q_P = v_in^dagger P v_in. With the
+    fixed coefficients c_P = 1/j over the permutations in enumeration order,
+    a = sum_P c_P Q_P, and the sectors are the eigenspaces of its Hermitian
+    part h = a + a^dagger. A G that commutes with every Q_P tensor 1
+    commutes with h tensor 1 and so preserves these eigenspaces;
+    :func:`_sector_problems` checks that it does. One sector when the
+    dimensions are not 2^n or no permutation qualifies.
+
+    Sectors of one width that carry the same irrep are aligned: for sector i
+    and an earlier representative r of its width, M = V_i^dagger a V_r is a
+    nonzero multiple of a unitary when both carry the same irrep (and 0 when
+    they carry different ones), and V_i <- V_i polar(M) then makes
+    V_i^dagger G V_i = V_r^dagger G V_r for every G in the commutant.
+    Alignment only proposes; :func:`_solve_stack` compares the objectives.
     """
     d, r_b = rho_a.dim, v_in.shape[1]
     n = d.bit_length() - 1
@@ -395,15 +476,28 @@ def _sector_bases(rho_a: DensityOperator, v_in: np.ndarray) -> list[np.ndarray]:
     pi_b = v_in @ dag(v_in)
     qs = [
         (j, dag(v_in) @ _permute_rows(v_in, perm))
-        for j, perm in enumerate(itertools.permutations(range(n)))
-        if j and _is_symmetric(rho_a.matrix, perm) and _is_symmetric(pi_b, perm)
-    ]  # j = 0 is the identity
+        for j, perm in _stabilizer_candidates(rho_a.matrix, n)
+        if _is_symmetric(rho_a.matrix, perm) and _is_symmetric(pi_b, perm)
+    ]
     if not qs:
         return [np.eye(r_b)]
-    eig = herm_eig(sum((q + dag(q)) / j for j, q in qs))
+    a = sum(q / j for j, q in qs)
+    eig = herm_eig(a + dag(a))
     w = eig.eigenvalues
     cuts = np.flatnonzero(w[:-1] - w[1:] > PROPOSAL_TOL * np.abs(w).max()) + 1
-    return np.split(eig.eigenvectors, cuts, axis=1)
+    bases = np.split(eig.eigenvectors, cuts, axis=1)
+    reps: list[np.ndarray] = []
+    for i, v in enumerate(bases):
+        for rep in reps:
+            if rep.shape != v.shape:
+                continue
+            u, s, vh = np.linalg.svd(dag(v) @ a @ rep)
+            if s[0] > PROPOSAL_TOL * np.linalg.norm(a) and s[0] - s[-1] <= PROPOSAL_TOL * s[0]:
+                bases[i] = v @ (u @ vh)
+                break
+        else:
+            reps.append(v)
+    return bases
 
 
 def _sector_problems(rho_a: DensityOperator, ch: KrausChannel) -> list[SdpProblem]:

@@ -198,12 +198,17 @@ def adjoint_apply(ch: KrausChannel, y) -> np.ndarray:
 
 
 def tensor_power(ch: KrausChannel, n: int) -> KrausChannel:
-    """n-fold tensor power; the Kraus set is all n-fold Kronecker products."""
+    """n-fold tensor power; the Kraus set is all n-fold Kronecker products,
+    the first factor's index slowest. Each factor is one broadcast product
+    of the stack of products so far with the stack of Kraus operators,
+    entry for entry the products np.kron forms."""
     if n < 1:
         raise InvalidParameter(f"tensor power must be >= 1, got {n}")
-    ops = list(ch.kraus_ops)
+    ops = k = np.stack(ch.kraus_ops)
     for _ in range(n - 1):
-        ops = [np.kron(a, b) for a in ops for b in ch.kraus_ops]
+        m, d_out, d_in = ops.shape
+        prod = ops[:, None, :, None, :, None] * k[None, :, None, :, None, :]
+        ops = prod.reshape(m * len(k), d_out * ch.dim_out, d_in * ch.dim_in)
     return KrausChannel(
         kraus_ops=tuple(ops),
         dim_in=ch.dim_in**n,

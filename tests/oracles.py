@@ -14,17 +14,28 @@ Kraus list from one matrix power per factor, the matrix power on the
 support from its own PSD check and its own inline rank cut, and the
 order-2 minimized Petz mutual information from the literal Y and all of its
 eigenvalues, the rotated fidelity from the whole n x n spectral sum with no
-grouping of equal log-ratios, and sigma_RB and the Choi matrix from one
-rank-one term per Kraus operator.
+grouping of equal log-ratios, sigma_RB and the Choi matrix from one
+rank-one term per Kraus operator, the beta0 quadrature from bisecting one
+panel at a time, depth first, and tensor powers from iterated np.kron.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.optimize import minimize
 
-from petzlab.decoders import _spectra, build_rotated_petz
-from petzlab.errors import MaxIterations, NotPsd, NumericalBreakdown
+from petzlab.decoders import (
+    _GL_NODES,
+    _INITIAL_PANELS,
+    _MAX_DEPTH,
+    _U_MAX,
+    _leggauss,
+    _spectra,
+    build_rotated_petz,
+)
+from petzlab.errors import MaxIterations, NotPsd, NumericalBreakdown, ToleranceNotMet
 from petzlab.matcore import (
     HERM_TOL,
     RANK_CUT,
@@ -188,6 +199,57 @@ def beta0_trapezoid(g, t_max=10.0, n=1_000_001):
     beta = (np.pi / 2) / (np.cosh(np.pi * ts) + 1)
     vals = np.array([g(t) for t in ts])
     return float(np.trapezoid(beta * vals, ts))
+
+
+def beta0_panels_depth_first(g_batch, tol):
+    """The adaptive beta0 quadrature of decoders._beta0_panels with the
+    panels bisected one at a time, depth first: each step evaluates the two
+    halves of one panel in one g_batch call and accepts them or pushes them
+    back, left half on top. Returns (value, nodes, weights)."""
+    x, w = _leggauss(_GL_NODES)
+
+    def panels(bounds):
+        parts = []
+        for a, b in bounds:
+            mid, half = (a + b) / 2, (b - a) / 2
+            parts.append((2.0 / math.pi * np.arctanh(mid + half * x), 0.5 * half * w))
+        vals = np.asarray(g_batch(np.concatenate([t for t, _ in parts])), dtype=np.float64)
+        return [
+            (float(np.dot(weights, vals[i * _GL_NODES : (i + 1) * _GL_NODES])), t, weights)
+            for i, (t, weights) in enumerate(parts)
+        ]
+
+    total_width = 2 * _U_MAX
+    edges = np.linspace(-_U_MAX, _U_MAX, _INITIAL_PANELS + 1)
+    bounds = list(zip(edges[:-1], edges[1:]))
+    stack = [(a, b, 0, est) for (a, b), (est, _, _) in zip(bounds, panels(bounds))][::-1]
+    value = 0.0
+    nodes, weights = [], []
+    while stack:
+        a, b, depth, est = stack.pop()
+        mid = (a + b) / 2
+        (est_l, t_l, w_l), (est_r, t_r, w_r) = panels([(a, mid), (mid, b)])
+        if abs(est - (est_l + est_r)) <= tol * (b - a) / total_width:
+            value += est_l + est_r
+            nodes.extend([t_l, t_r])
+            weights.extend([w_l, w_r])
+        else:
+            if depth >= _MAX_DEPTH:
+                raise ToleranceNotMet(
+                    f"beta0 quadrature did not reach tol {tol:g} at depth {depth}"
+                )
+            stack.append((mid, b, depth + 1, est_r))
+            stack.append((a, mid, depth + 1, est_l))
+    return value, np.concatenate(nodes), np.concatenate(weights)
+
+
+def tensor_power_kron(kraus_ops, n):
+    """The Kraus operators of the n-fold tensor power, as iterated np.kron
+    products with the first factor's index slowest."""
+    ops = list(kraus_ops)
+    for _ in range(n - 1):
+        ops = [np.kron(a, b) for a in ops for b in kraus_ops]
+    return ops
 
 
 def rotated_fidelity_full(kernel, t):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from petzlab import decoders
 from petzlab.bench import SETTINGS
 from petzlab.decoders import (
     THETA_TIE,
@@ -19,6 +20,7 @@ from petzlab.decoders import (
     fe_of_decoder,
     identity_decoder,
 )
+from petzlab.errors import ToleranceNotMet
 from petzlab.matcore import dag
 from petzlab.quantum import (
     apply_channel,
@@ -220,19 +222,58 @@ def test_twirled_batched_matches_scalar_quadrature(setting):
 
 
 def test_beta0_panels_reuse_parent_estimates():
-    # After the initial 4 panels, every step evaluates only the two halves
-    # of one panel (128 nodes); the panel itself is not evaluated again.
-    calls = []
+    # After the initial 4 panels, each call evaluates only the two halves of
+    # every panel open at one level (128 nodes each, 4 panels at the first
+    # level); a panel itself is not evaluated again, so the halves evaluated
+    # are those of the depth-first loop, one 128-node call per panel there.
+    calls, depth_first_calls = [], []
 
     def g_batch(ts):
         calls.append(ts.size)
         return np.cos(1.3 * ts)
 
+    def g_depth_first(ts):
+        depth_first_calls.append(ts.size)
+        return np.cos(1.3 * ts)
+
     value, nodes, weights = _beta0_panels(g_batch, 1e-10)
-    assert calls[0] == 4 * 64 and set(calls[1:]) == {128}
+    oracles.beta0_panels_depth_first(g_depth_first, 1e-10)
+    assert calls[0] == 4 * 64 and calls[1] == 4 * 128
+    assert all(size % 128 == 0 for size in calls[1:])
+    assert depth_first_calls[0] == 4 * 64 and set(depth_first_calls[1:]) == {128}
+    assert sum(calls[1:]) == sum(depth_first_calls[1:])
     assert value == pytest.approx(float(np.dot(weights, np.cos(1.3 * nodes))), abs=1e-14)
     scalar, s_nodes, _ = _beta0_adaptive(lambda t: math.cos(1.3 * t), 1e-10)
     assert abs(value - scalar) <= 1e-15 and np.array_equal(nodes, s_nodes)
+
+
+QUADRATURE_POINTS = {
+    "bitflip3": GRID_21,
+    "lncy4": GRID_21,
+    "fivequbit": np.array([0.1, 0.5, 0.9]),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(QUADRATURE_POINTS))
+def test_level_order_panels_bit_identical_to_depth_first(setting):
+    # The level-order loop takes the same panels with the same estimates and
+    # sums them in the same order: value, nodes and weights are bit-identical.
+    for p in QUADRATURE_POINTS[setting]:
+        kernel = RotatedFidelity(_sigma_rb(*SETTINGS[setting].build(float(p))))
+        for tol in (1e-9, 1e-12):
+            value, nodes, weights = _beta0_panels(kernel.value, tol)
+            ref_value, ref_nodes, ref_weights = oracles.beta0_panels_depth_first(
+                kernel.value, tol
+            )
+            assert value == ref_value
+            assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+
+
+def test_level_order_panels_keep_the_depth_limit(monkeypatch):
+    # a panel still open at _MAX_DEPTH raises, as in the depth-first loop
+    monkeypatch.setattr(decoders, "_MAX_DEPTH", 2)
+    with pytest.raises(ToleranceNotMet):
+        _beta0_panels(lambda ts: np.cos(40.0 * ts), 1e-12)
 
 
 # -- the grouped kernel against the full n x n sum ------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -571,3 +573,136 @@ def test_failed_factorization_fails_only_the_optimal_row(monkeypatch, tmp_path, 
     flags = {c.series: c.flags for c in run_sweep(cfg)}
     assert flags.pop("optimal") == "error:NumericalBreakdown"
     assert set(flags.values()) == {"ok"}
+
+
+# -- one interior-point run per class of group-related sectors ----------------------------
+
+# distinct sector objectives at interior points: the other sectors carry the
+# same irrep of the permutation group as an earlier one of their width
+DISTINCT_SECTORS = {"bitflip3": (2, 3), "lncy4": (4, 5), "fivequbit": (3, 5)}
+
+
+def _distinct_objectives(problems):
+    distinct = []
+    for prob in problems:
+        g = prob.objective
+        if not any(
+            q.objective.shape == g.shape
+            and np.linalg.norm(g - q.objective) <= optdec.SECTOR_TOL * np.linalg.norm(q.objective)
+            for q in distinct
+        ):
+            distinct.append(prob)
+    return len(distinct)
+
+
+@pytest.mark.parametrize("setting", sorted(SECTOR_PARITY_POINTS))
+def test_group_related_sectors_have_equal_objectives(setting):
+    for p in SECTOR_PARITY_POINTS[setting]:
+        problems = optdec._sector_problems(*SETTINGS[setting].build(float(p)))
+        if len(problems) > 1:  # p = 0 and p = 1 are solved whole
+            assert (_distinct_objectives(problems), len(problems)) == DISTINCT_SECTORS[setting]
+
+
+def _count_factored_members(monkeypatch):
+    """Members of each stacked Cholesky factorization, which factors [X; Z]."""
+    real = np.linalg.cholesky
+    members = []
+
+    def counting(a):
+        members.append(len(a) // 2)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    return members
+
+
+def _first_iteration_members(monkeypatch, stacks):
+    members = _count_factored_members(monkeypatch)
+    factored = 0
+    for stack, tol in stacks:
+        members.clear()
+        optdec._solve_stack(stack, tol)
+        factored += members[0]
+    return factored
+
+
+@pytest.mark.parametrize("setting", sorted(DISTINCT_SECTORS))
+def test_only_distinct_sector_members_are_factored(monkeypatch, setting):
+    problems = optdec._sector_problems(*SETTINGS[setting].build(0.5))
+    stacks = [(stack, 1e-7 / len(problems)) for stack in _shape_stacks(problems)]
+    factored = _first_iteration_members(monkeypatch, stacks)
+    assert (factored, len(problems)) == DISTINCT_SECTORS[setting]
+
+
+def test_repeated_problem_solved_once(monkeypatch):
+    prob = optdec._sector_problems(*SETTINGS["lncy4"].build(0.5))[-1]
+    ref = solve_sdp(prob, tol=1e-8)
+    members = _count_factored_members(monkeypatch)
+    sols = optdec._solve_stack([prob, prob, prob], 1e-8)
+    assert len(sols) == 3
+    assert set(members) == {1} and len(members) == ref.iterations - 1
+    for sol in sols:
+        assert (sol.primal, sol.dual, sol.gap, sol.iterations) == (
+            ref.primal,
+            ref.dual,
+            ref.gap,
+            ref.iterations,
+        )
+        assert np.array_equal(sol.x, ref.x) and np.array_equal(sol.y, ref.y)
+
+
+def _perturbed(prob, size, rng):
+    h = oracles.random_hermitian(rng, prob.dim)
+    h *= size * np.linalg.norm(prob.objective) / np.linalg.norm(h)
+    return SdpProblem(objective=prob.objective + h, dim_in=prob.dim_in, dim_out=prob.dim_out)
+
+
+def test_copy_perturbed_beyond_sector_tol_is_solved_on_its_own(monkeypatch, rng):
+    prob = optdec._sector_problems(*SETTINGS["lncy4"].build(0.5))[-1]
+    other = _perturbed(prob, 1e-9, rng)
+    members = _count_factored_members(monkeypatch)
+    sols = optdec._solve_stack([prob, other], 1e-8)
+    assert members[0] == 2
+    for q, sol in zip([prob, other], sols):
+        ref = oracles.solve_sdp_unstacked(q, 1e-8)
+        assert sol.iterations == ref.iterations
+        assert abs(sol.primal - ref.primal) <= 1e-9
+
+
+def test_copy_within_sector_tol_widens_its_gap(rng):
+    prob = optdec._sector_problems(*SETTINGS["lncy4"].build(0.5))[-1]
+    copy = _perturbed(prob, 0.5 * optdec.SECTOR_TOL, rng)
+    rep, sol = optdec._solve_stack([prob, copy], 1e-8)
+    shift = prob.dim_in * np.linalg.norm(herm_part(copy.objective) - herm_part(prob.objective))
+    assert sol.primal == rep.primal and sol.iterations == rep.iterations
+    assert abs(sol.gap) == pytest.approx(abs(rep.gap) + shift, rel=1e-12)
+    # the widened gap still covers the copy's own optimum
+    own = solve_sdp(copy, tol=1e-10)
+    assert abs(own.primal - sol.primal) <= abs(sol.gap) + abs(own.gap)
+
+
+def _cyclic_average(m, n):
+    shifts = [tuple((np.arange(n) + s) % n) for s in range(n)]
+    return sum(optdec._permute_rows(optdec._permute_rows(m, p).T, p).T for p in shifts) / n
+
+
+def test_stabilizer_prefilter_keeps_every_symmetry(rng):
+    # the probe test is implied by _is_symmetric, so every permutation that
+    # _is_symmetric accepts is a candidate, and on these inputs no other is
+    n = 7  # 5040 permutations, gathered in blocks
+    w_state = np.zeros(2**n)
+    w_state[2 ** np.arange(n)] = 1 / np.sqrt(n)
+    cases = [
+        (0.5 * np.outer(w_state, w_state) + 0.5 * np.eye(2**n) / 2**n, n),
+        (_cyclic_average(oracles.random_state(rng, 2**n), n), n),
+        (oracles.random_state(rng, 2**n), n),
+    ]
+    cases += [(SETTINGS[s].build(0.3)[0].matrix, k) for s, k in [("bitflip3", 3), ("lncy4", 4), ("fivequbit", 5)]]
+    for m, k in cases:
+        perms = list(itertools.permutations(range(k)))
+        symmetric = [j for j in range(1, len(perms)) if optdec._is_symmetric(m, perms[j])]
+        candidates = optdec._stabilizer_candidates(m, k)
+        assert [j for j, _ in candidates] == symmetric
+        assert all(perm == perms[j] for j, perm in candidates)
+    assert len(optdec._stabilizer_candidates(cases[0][0], n)) == 5039
+    assert len(optdec._stabilizer_candidates(cases[1][0], n)) >= 6

@@ -133,6 +133,17 @@ def test_tensor_power_bitflip_weights():
     assert np.allclose(weights, sorted([(1 - p) ** 2, p * (1 - p), p * (1 - p), p**2]))
 
 
+@pytest.mark.parametrize(
+    "kind, n", [("bitflip", 3), ("amplitude_damping", 4), ("amplitude_damping", 5), ("depolarizing", 3)]
+)
+def test_tensor_power_bit_identical_to_iterated_kron(kind, n):
+    ch = make_channel(kind, 0.3)
+    ops = tensor_power(ch, n).kraus_ops
+    ref = oracles.tensor_power_kron(ch.kraus_ops, n)
+    assert len(ops) == len(ref)
+    assert all(np.array_equal(k, r) for k, r in zip(ops, ref))
+
+
 def test_tensor_power_amplitude_damping_cptp():
     ch = tensor_power(make_channel("amplitude_damping", 0.37), 4)
     assert len(ch.kraus_ops) == 16
