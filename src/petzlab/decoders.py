@@ -62,6 +62,8 @@ _U_MAX = math.tanh(math.pi * _T_MAX / 2)
 _GL_NODES = 64
 _INITIAL_PANELS = 4
 _MAX_DEPTH = 52
+_MAX_PANELS = 2**16  # panels bisected per quadrature, at most
+_BATCH_PANELS = 64  # panels bisected per g_batch call, at most
 
 # Log-ratios theta within this distance of their group's smallest value
 # share one exponential in RotatedFidelity.value.
@@ -282,15 +284,24 @@ def _beta0_panels(g_batch, tol: float):
     ``g_batch`` maps a 1-d array of t to the array of g(t). The substitution
     u = tanh(pi t / 2) turns the weight into du/2 exactly; panels over u are
     bisected until halving a panel changes its estimate by at most its
-    width-proportional share of ``tol``. The panels are processed level by
-    level: one ``g_batch`` call evaluates both halves of every panel still
-    open at a level, and a panel's own estimate was computed when it was
-    created as a half of its parent. Each panel keeps its own dot-product
-    estimate and the accepted panels are summed left to right, so the value,
-    nodes and weights are those of bisecting one panel at a time, depth
-    first. Returns the value together with the accepted nodes t_i and
-    weights w_i, which satisfy value = sum_i w_i g(t_i) and are reusable for
-    matrix integrands.
+    width-proportional share of ``tol``. The open panels are kept left to
+    right, and one ``g_batch`` call evaluates both halves of the leftmost
+    _BATCH_PANELS of them (every open panel while there are fewer); a
+    panel's own estimate was computed when it was created as a half of its
+    parent. Each panel keeps its own dot-product estimate and the accepted
+    panels are summed left to right, so the value, nodes and weights are
+    those of bisecting one panel at a time, depth first.
+
+    :class:`ToleranceNotMet` is raised by a panel still open at depth
+    _MAX_DEPTH, by a run that would bisect more than _MAX_PANELS panels
+    (a tol below roundoff; lncy4 at tol 1e-13 bisects at most 59460 on its
+    21-point grid), and by a non-finite g value, since no estimate that
+    includes it can be accepted. A call evaluates at most
+    2 * _BATCH_PANELS * _GL_NODES nodes.
+
+    Returns the value together with the accepted nodes t_i and weights w_i,
+    which satisfy value = sum_i w_i g(t_i) and are reusable for matrix
+    integrands.
     """
     x, w = _leggauss(_GL_NODES)
 
@@ -301,6 +312,8 @@ def _beta0_panels(g_batch, tol: float):
             mid, half = (a + b) / 2, (b - a) / 2
             parts.append((2.0 / math.pi * np.arctanh(mid + half * x), 0.5 * half * w))
         vals = np.asarray(g_batch(np.concatenate([t for t, _ in parts])), dtype=np.float64)
+        if not np.isfinite(vals).all():
+            raise ToleranceNotMet("beta0 quadrature integrand is not finite")
         return [
             (float(np.dot(weights, vals[i * _GL_NODES : (i + 1) * _GL_NODES])), t, weights)
             for i, (t, weights) in enumerate(parts)
@@ -309,13 +322,21 @@ def _beta0_panels(g_batch, tol: float):
     total_width = 2 * _U_MAX
     edges = np.linspace(-_U_MAX, _U_MAX, _INITIAL_PANELS + 1)
     bounds = list(zip(edges[:-1], edges[1:]))
-    level = [(a, b, est) for (a, b), (est, _, _) in zip(bounds, panels(bounds))]
+    # open panels (a, b, depth, estimate), the leftmost last
+    stack = [(a, b, 0, est) for (a, b), (est, _, _) in zip(bounds, panels(bounds))][::-1]
     accepted = []  # (a, left half, right half) of each accepted panel
-    depth = 0
-    while level:
-        halves = panels([h for a, b, _ in level for h in ((a, (a + b) / 2), ((a + b) / 2, b))])
-        open_panels = []
-        for (a, b, est), left, right in zip(level, halves[0::2], halves[1::2]):
+    bisected = 0
+    while stack:
+        batch = stack[-_BATCH_PANELS:][::-1]
+        del stack[-_BATCH_PANELS:]
+        bisected += len(batch)
+        if bisected > _MAX_PANELS:
+            raise ToleranceNotMet(
+                f"beta0 quadrature did not reach tol {tol:g} within {_MAX_PANELS} panels"
+            )
+        halves = panels([h for a, b, _, _ in batch for h in ((a, (a + b) / 2), ((a + b) / 2, b))])
+        children = []
+        for (a, b, depth, est), left, right in zip(batch, halves[0::2], halves[1::2]):
             if abs(est - (left[0] + right[0])) <= tol * (b - a) / total_width:
                 accepted.append((a, left, right))
             elif depth >= _MAX_DEPTH:
@@ -324,9 +345,8 @@ def _beta0_panels(g_batch, tol: float):
                 )
             else:
                 mid = (a + b) / 2
-                open_panels += [(a, mid, left[0]), (mid, b, right[0])]
-        level = open_panels
-        depth += 1
+                children += [(a, mid, depth + 1, left[0]), (mid, b, depth + 1, right[0])]
+        stack += children[::-1]
     accepted.sort(key=lambda panel: panel[0])
     value = 0.0
     for _, (est_l, _, _), (est_r, _, _) in accepted:

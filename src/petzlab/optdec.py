@@ -41,7 +41,8 @@ once per dimension of the irrep). :func:`_sector_bases` aligns their bases
 so that the objectives coincide up to roundoff, and :func:`_solve_stack`
 iterates only on the distinct objectives of its stack: a member within
 SECTOR_TOL * ||G|| of an earlier one (Frobenius norms) is a copy, takes that
-representative's iterates, and widens its certified gap by the difference.
+representative's iterates, and widens its dual and its certified gap by
+d_in times the difference.
 """
 
 from __future__ import annotations
@@ -249,11 +250,11 @@ def _solve_stack(problems: list[SdpProblem], tol: float) -> list[SdpSolution]:
     Only the distinct objectives are iterated on (:func:`_interior_point`).
     A member whose objective G_i is within SECTOR_TOL * ||G_r|| of an earlier
     member's G_r (Frobenius norms) is a copy of that representative and takes
-    its iterates, primal value and iteration count. Its gap grows by
-    d_in ||G_i - G_r||: the representative's X is feasible for G_i and its Y
-    is dual feasible up to the same shift, since |tr[(G_i - G_r) X]| <=
-    ||G_i - G_r|| tr X and tr X = d_in. The solutions come back in the order
-    of ``problems``. A non-finite objective raises
+    its X, primal value and iteration count. With e = ||G_i - G_r||, its dual
+    iterate is Y + e 1, dual feasible for G_i because G_i <= G_r + e 1, so
+    its dual and its gap grow by d_in e; the representative's X is feasible
+    for G_i, and |tr[(G_i - G_r) X]| <= e tr X = d_in e. The solutions come
+    back in the order of ``problems``. A non-finite objective raises
     :class:`NumericalBreakdown` before any member is compared or solved.
     """
     d_b, d_a = problems[0].dim_in, problems[0].dim_out
@@ -261,26 +262,29 @@ def _solve_stack(problems: list[SdpProblem], tol: float) -> list[SdpSolution]:
     if not np.isfinite(g).all():
         raise NumericalBreakdown("non-finite objective")
 
-    reps, shifts = [], []  # each member's representative and d_in ||G_i - G_r||
+    reps, diffs = [], []  # each member's representative and ||G_i - G_r||
     distinct: list[int] = []
     for i in range(len(g)):
         for r in distinct:
             diff = float(np.linalg.norm(g[i] - g[r]))
             if diff <= SECTOR_TOL * np.linalg.norm(g[r]):
                 reps.append(r)
-                shifts.append(d_b * diff)
+                diffs.append(diff)
                 break
         else:
             distinct.append(i)
             reps.append(i)
-            shifts.append(0.0)
+            diffs.append(0.0)
 
     solved = dict(zip(distinct, _interior_point(g[distinct], (d_b, d_a), tol)))
     solutions = []
-    for r, shift in zip(reps, shifts):
+    for i, (r, diff) in enumerate(zip(reps, diffs)):
         sol = solved[r]
-        widen = shift if sol.gap >= 0 else -shift
-        solutions.append(replace(sol, dual=sol.dual + widen, gap=sol.gap + widen))
+        if r != i:
+            shift = d_b * diff
+            y = sol.y + diff * np.eye(d_b)
+            sol = replace(sol, y=y, dual=sol.dual + shift, gap=sol.gap + shift)
+        solutions.append(sol)
     return solutions
 
 
@@ -419,32 +423,25 @@ def _is_symmetric(m: np.ndarray, perm: tuple[int, ...]) -> bool:
     return float(np.linalg.norm(pmp - m)) <= PROPOSAL_TOL
 
 
-_PROBE_CHUNK = 1024  # permutations per gathered block in _stabilizer_candidates
-
-
 def _stabilizer_candidates(m: np.ndarray, n: int) -> list[tuple[int, tuple[int, ...]]]:
     """The qubit permutations (with their enumeration index j >= 1) that may
     fix the 2^n x 2^n matrix m, for :func:`_is_symmetric` to decide.
 
-    For a fixed probe vector x, P m P^dagger = m to PROPOSAL_TOL in Frobenius
-    norm implies ||m P^dagger x - P^dagger m x|| <= PROPOSAL_TOL ||x||, so no
-    symmetry is dropped. P^dagger v is v at the indices sum_k b_perm[k]
-    2^(n-1-k) over the bits b of the index, so the test gathers the
-    (2^n x permutations) arrays P^dagger x and P^dagger m x, in blocks of
-    _PROBE_CHUNK permutations, and never a stack of permuted matrices.
+    For a fixed probe vector x, ||m P x - P m x|| = ||(m - P m P^dagger) P x||,
+    so P m P^dagger = m to PROPOSAL_TOL in Frobenius norm implies
+    ||m P x - P m x|| <= PROPOSAL_TOL ||x||, and no symmetry is dropped. Entry
+    i of P v is v at sum_k b_k 2^(n-1-perm[k]) over the bits b of i (as in
+    :func:`_permute_rows`), so the test gathers the (n! x 2^n) arrays of
+    P x and P m x, never a stack of permuted matrices.
     """
     d = 2**n
     x = np.cos(np.arange(1, d + 1))  # fixed and generic
-    mx = m @ x
     bits = (np.arange(d)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     place = 2 ** np.arange(n - 1, -1, -1)
     perms = list(itertools.permutations(range(n)))
-    keep = []
-    for lo in range(1, len(perms), _PROBE_CHUNK):  # j = 0 is the identity
-        block = np.array(perms[lo : lo + _PROBE_CHUNK])
-        idx = bits @ place[np.argsort(block, axis=1)].T  # entry i of P^dagger v is v[idx[i]]
-        resid = np.linalg.norm(x[idx].T @ m.T - mx[idx].T, axis=1)
-        keep.extend(lo + np.flatnonzero(resid <= PROPOSAL_TOL * np.linalg.norm(x)))
+    idx = place[np.array(perms)[1:]] @ bits.T  # j = 0 is the identity
+    resid = np.linalg.norm(x[idx] @ m.T - (m @ x)[idx], axis=1)
+    keep = 1 + np.flatnonzero(resid <= PROPOSAL_TOL * np.linalg.norm(x))
     return [(int(j), perms[j]) for j in keep]
 
 

@@ -223,9 +223,9 @@ def test_twirled_batched_matches_scalar_quadrature(setting):
 
 def test_beta0_panels_reuse_parent_estimates():
     # After the initial 4 panels, each call evaluates only the two halves of
-    # every panel open at one level (128 nodes each, 4 panels at the first
-    # level); a panel itself is not evaluated again, so the halves evaluated
-    # are those of the depth-first loop, one 128-node call per panel there.
+    # the open panels it bisects (128 nodes each, the 4 initial panels first);
+    # a panel itself is not evaluated again, so the halves evaluated are
+    # those of the depth-first loop, one 128-node call per panel there.
     calls, depth_first_calls = [], []
 
     def g_batch(ts):
@@ -255,9 +255,9 @@ QUADRATURE_POINTS = {
 
 
 @pytest.mark.parametrize("setting", sorted(QUADRATURE_POINTS))
-def test_level_order_panels_bit_identical_to_depth_first(setting):
-    # The level-order loop takes the same panels with the same estimates and
-    # sums them in the same order: value, nodes and weights are bit-identical.
+def test_batched_panels_bit_identical_to_depth_first(setting):
+    # The batched loop takes the same panels with the same estimates and sums
+    # them in the same order: value, nodes and weights are bit-identical.
     for p in QUADRATURE_POINTS[setting]:
         kernel = RotatedFidelity(_sigma_rb(*SETTINGS[setting].build(float(p))))
         for tol in (1e-9, 1e-12):
@@ -269,11 +269,52 @@ def test_level_order_panels_bit_identical_to_depth_first(setting):
             assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
 
 
-def test_level_order_panels_keep_the_depth_limit(monkeypatch):
+def test_batched_panels_cap_each_call():
+    # lncy4 at p = 0.6, tol 1e-10 has more than _BATCH_PANELS panels open at
+    # once: no call bisects more than that, and the result is still the
+    # depth-first loop's, bit for bit.
+    kernel = RotatedFidelity(_sigma_rb(*SETTINGS["lncy4"].build(0.6)))
+    calls = []
+
+    def g_batch(ts):
+        calls.append(ts.size)
+        return kernel.value(ts)
+
+    value, nodes, weights = _beta0_panels(g_batch, 1e-10)
+    ref_value, ref_nodes, ref_weights = oracles.beta0_panels_depth_first(kernel.value, 1e-10)
+    assert max(calls) == 2 * decoders._BATCH_PANELS * decoders._GL_NODES
+    assert value == ref_value
+    assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+
+
+def test_batched_panels_keep_the_depth_limit(monkeypatch):
     # a panel still open at _MAX_DEPTH raises, as in the depth-first loop
     monkeypatch.setattr(decoders, "_MAX_DEPTH", 2)
     with pytest.raises(ToleranceNotMet):
         _beta0_panels(lambda ts: np.cos(40.0 * ts), 1e-12)
+
+
+@pytest.mark.parametrize(
+    "g, tol, max_nodes",
+    [
+        # no estimate with a NaN in it can be accepted: the first call raises
+        (lambda ts: np.full(ts.shape, np.nan), 1e-9, 4 * 64),
+        # a tol below roundoff: the panel budget raises
+        (lambda ts: np.cos(1.3 * ts), 1e-18, 4 * 64 + decoders._MAX_PANELS * 128),
+    ],
+    ids=["nan", "tol_below_roundoff"],
+)
+def test_beta0_panels_fail_within_bounded_nodes(g, tol, max_nodes):
+    calls = []
+
+    def g_batch(ts):
+        calls.append(ts.size)
+        return g(ts)
+
+    with pytest.raises(ToleranceNotMet):
+        _beta0_panels(g_batch, tol)
+    assert sum(calls) <= max_nodes
+    assert max(calls) <= 2 * decoders._BATCH_PANELS * decoders._GL_NODES
 
 
 # -- the grouped kernel against the full n x n sum ------------------------------

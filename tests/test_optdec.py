@@ -675,7 +675,13 @@ def test_copy_within_sector_tol_widens_its_gap(rng):
     rep, sol = optdec._solve_stack([prob, copy], 1e-8)
     shift = prob.dim_in * np.linalg.norm(herm_part(copy.objective) - herm_part(prob.objective))
     assert sol.primal == rep.primal and sol.iterations == rep.iterations
-    assert abs(sol.gap) == pytest.approx(abs(rep.gap) + shift, rel=1e-12)
+    assert sol.gap == pytest.approx(rep.gap + shift, rel=1e-12)
+    assert sol.dual == pytest.approx(rep.dual + shift, rel=1e-12)
+    # the copy's dual iterate matches its dual and is feasible for its own G
+    assert np.trace(sol.y).real == pytest.approx(sol.dual, rel=1e-12)
+    g = herm_part(copy.objective)
+    slack = np.kron(sol.y, np.eye(copy.dim_out)) - g
+    assert np.linalg.eigvalsh(slack).min() >= -1e-9 * (1 + np.linalg.norm(g))
     # the widened gap still covers the copy's own optimum
     own = solve_sdp(copy, tol=1e-10)
     assert abs(own.primal - sol.primal) <= abs(sol.gap) + abs(own.gap)
@@ -689,7 +695,7 @@ def _cyclic_average(m, n):
 def test_stabilizer_prefilter_keeps_every_symmetry(rng):
     # the probe test is implied by _is_symmetric, so every permutation that
     # _is_symmetric accepts is a candidate, and on these inputs no other is
-    n = 7  # 5040 permutations, gathered in blocks
+    n = 7  # 5040 permutations
     w_state = np.zeros(2**n)
     w_state[2 ** np.arange(n)] = 1 / np.sqrt(n)
     cases = [
