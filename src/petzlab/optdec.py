@@ -43,6 +43,13 @@ iterates only on the distinct objectives of its stack: a member within
 SECTOR_TOL * ||G|| of an earlier one (Frobenius norms) is a copy, takes that
 representative's iterates, and widens its dual and its certified gap by
 d_in times the difference.
+
+A stack whose objectives have an imaginary part that is exactly 0 is solved
+in real (float64) arithmetic: for real G, Re X is feasible whenever X is and
+has the same objective value, so the real and the complex SDP share their
+optimum, and the Cholesky, SVD, eigvalsh, inverse, Schur solve and products
+of every iteration run at real cost. The test is exact, not a tolerance; a
+stack with any nonzero imaginary entry stays complex.
 """
 
 from __future__ import annotations
@@ -229,18 +236,23 @@ def _schur_solve(lc: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     isometrically onto real ones, and R(L(Y)) = L_R R(Y) with
     L_R = Re lc + Im(lc with transposed columns), which has the conditioning
     of lc. The solutions come back through Y = ((1+i)R + (1-i)R^T)/2, so
-    they are exactly Hermitian. A stack of maps lc (..., n, n) takes a
-    stack of right-hand sides (..., k, d, d).
+    they are exactly Hermitian. A real ``lc`` (a real objective) maps real
+    symmetric matrices to real symmetric ones and is solved as it is; the
+    solutions are returned as their symmetric parts (Y + Y^T)/2. A stack of
+    maps lc (..., n, n) takes a stack of right-hand sides (..., k, d, d).
     """
     lead, (k, d, _) = rhs.shape[:-3], rhs.shape[-3:]
     n = d * d
-    lc_t = lc.reshape(lead + (n, d, d)).swapaxes(-1, -2).reshape(lead + (n, n))
-    herm = herm_part(rhs)
-    rhs_real = (herm.real + herm.imag).reshape(lead + (k, n)).swapaxes(-1, -2)
-    r = np.linalg.solve(lc.real + lc_t.imag, rhs_real)
+    complex_map = np.iscomplexobj(lc)
+    if complex_map:
+        lc_t = lc.reshape(lead + (n, d, d)).swapaxes(-1, -2).reshape(lead + (n, n))
+        herm = herm_part(rhs)
+        lc, rhs = lc.real + lc_t.imag, herm.real + herm.imag
+    r = np.linalg.solve(lc, rhs.reshape(lead + (k, n)).swapaxes(-1, -2))
     r = r.swapaxes(-1, -2).reshape(lead + (k, d, d))
     rt = r.swapaxes(-1, -2)
-    return (r + rt) / 2 + 1j * ((r - rt) / 2)
+    sym = (r + rt) / 2
+    return sym + 1j * ((r - rt) / 2) if complex_map else sym
 
 
 def _solve_stack(problems: list[SdpProblem], tol: float) -> list[SdpSolution]:
@@ -255,12 +267,15 @@ def _solve_stack(problems: list[SdpProblem], tol: float) -> list[SdpSolution]:
     its dual and its gap grow by d_in e; the representative's X is feasible
     for G_i, and |tr[(G_i - G_r) X]| <= e tr X = d_in e. The solutions come
     back in the order of ``problems``. A non-finite objective raises
-    :class:`NumericalBreakdown` before any member is compared or solved.
+    :class:`NumericalBreakdown` before any member is compared or solved. A
+    stack whose imaginary part is exactly 0 is solved in real arithmetic.
     """
     d_b, d_a = problems[0].dim_in, problems[0].dim_out
     g = herm_part(np.stack([prob.objective for prob in problems]))
     if not np.isfinite(g).all():
         raise NumericalBreakdown("non-finite objective")
+    if not g.imag.any():
+        g = g.real
 
     reps, diffs = [], []  # each member's representative and ||G_i - G_r||
     distinct: list[int] = []
@@ -290,7 +305,9 @@ def _solve_stack(problems: list[SdpProblem], tol: float) -> list[SdpSolution]:
 
 def _interior_point(g: np.ndarray, dims: tuple[int, int], tol: float) -> list[SdpSolution]:
     """The interior-point run of :func:`_solve_stack` on the stack of
-    Hermitian objectives g (k x n x n), one solution per member.
+    Hermitian objectives g (k x n x n), one solution per member. The
+    iterates take the dtype of g, so a real g (float64) is solved in real
+    arithmetic throughout and gives real x and y.
 
     The predictor (affine) step sets the centering weight via Mehrotra's
     heuristic sigma = (mu_aff/mu)^3; the combined step recenters. The
@@ -317,8 +334,8 @@ def _interior_point(g: np.ndarray, dims: tuple[int, int], tol: float) -> list[Sd
     d_b, d_a = dims
     n = d_b * d_a
     eye_b = np.eye(d_b)
-    x = np.repeat(np.eye(n, dtype=np.complex128)[None] / d_a, len(g), axis=0)
-    y = (np.linalg.norm(g, 2, axis=(-2, -1)) + 1.0)[:, None, None] * eye_b.astype(np.complex128)
+    x = np.repeat(np.eye(n, dtype=g.dtype)[None] / d_a, len(g), axis=0)
+    y = (np.linalg.norm(g, 2, axis=(-2, -1)) + 1.0)[:, None, None] * eye_b.astype(g.dtype)
     z = _tensor_eye(y, d_a) - g
 
     g_scale = 1.0 + np.linalg.norm(g, axis=(-2, -1))

@@ -712,3 +712,82 @@ def test_stabilizer_prefilter_keeps_every_symmetry(rng):
         assert all(perm == perms[j] for j, perm in candidates)
     assert len(optdec._stabilizer_candidates(cases[0][0], n)) == 5039
     assert len(optdec._stabilizer_candidates(cases[1][0], n)) >= 6
+
+
+# -- real objectives are solved in real arithmetic -----------------------------------------
+
+REAL_PARITY_POINTS = {
+    "bitflip3": GRID_21,
+    "lncy4": GRID_21,
+    "fivequbit": [0.1, 0.5, 0.9],
+}
+
+
+@pytest.mark.parametrize("setting", sorted(REAL_PARITY_POINTS))
+def test_real_and_complex_interior_points_agree(setting):
+    # at the sweep tolerance tol/K; at tol 1e-10 the two roundoffs can part
+    # by an iteration (fivequbit p = 0.7, 6-wide sector: 21 real, 22 complex)
+    for p in REAL_PARITY_POINTS[setting]:
+        problems = optdec._sector_problems(*SETTINGS[setting].build(float(p)))
+        tol = 1e-7 / len(problems)
+        for stack in _shape_stacks(problems):
+            g = herm_part(np.stack([q.objective for q in stack]))
+            assert not g.imag.any()
+            dims = (stack[0].dim_in, stack[0].dim_out)
+            real = optdec._interior_point(g.real, dims, tol)
+            cplx = optdec._interior_point(g.real.astype(np.complex128), dims, tol)
+            for r, c in zip(real, cplx):
+                assert r.x.dtype == np.float64 and c.x.dtype == np.complex128
+                assert r.iterations == c.iterations
+                assert abs(r.primal - c.primal) <= 1e-10
+                assert abs(r.dual - c.dual) <= 1e-10
+
+
+def _cholesky_dtypes(monkeypatch):
+    real = np.linalg.cholesky
+    dtypes = []
+
+    def recording(a):
+        dtypes.append(a.dtype)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    return dtypes
+
+
+def test_solver_arithmetic_follows_the_objective(monkeypatch, rng):
+    dtypes = _cholesky_dtypes(monkeypatch)
+    for setting in ("bitflip3", "lncy4", "fivequbit"):
+        problems = optdec._sector_problems(*SETTINGS[setting].build(0.5))
+        assert len(problems) > 1
+        optdec._solve_sectors(problems, 1e-7)
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+    # complex Kraus operators give a complex objective
+    dtypes.clear()
+    prob, _ = reduce_problem(*_random_instance(rng, 3, 2))
+    assert solve_sdp(prob).x.dtype == np.complex128
+    assert dtypes and set(dtypes) == {np.dtype(np.complex128)}
+
+    # only an exactly zero imaginary part is dropped
+    dtypes.clear()
+    sector = optdec._sector_problems(*SETTINGS["lncy4"].build(0.5))[-1]
+    g = sector.objective.real.astype(np.complex128)
+    g[0, 1] += 1e-30j
+    g[1, 0] -= 1e-30j
+    tiny = SdpProblem(objective=g, dim_in=sector.dim_in, dim_out=sector.dim_out)
+    assert solve_sdp(tiny).x.dtype == np.complex128
+    assert dtypes and set(dtypes) == {np.dtype(np.complex128)}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NumericalBreakdown,
+    reason="the primal residual stalls at 6.2e-11 above feas_tol 1e-11 while the gap "
+    "is 9.5e-12, until the Cholesky of [X; Z] fails at iteration 26",
+)
+def test_solve_sdp_reaches_tol_1e_10_on_fivequbit_8_wide_sector():
+    problems = optdec._sector_problems(*SETTINGS["fivequbit"].build(0.5))
+    (sector,) = [q for q in problems if q.dim_in == 8]
+    sol = solve_sdp(sector, tol=1e-10)
+    assert abs(sol.gap) <= 1e-10 * (1 + abs(sol.primal))
