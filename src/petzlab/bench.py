@@ -232,9 +232,7 @@ def _series_values(setting: str, p: float, wanted: tuple[str, ...], tol: float):
                 dec, _ = decoders.build_sw(rho, ch)
                 value = decoders.fe_of_decoder(rho, ch, dec)
             elif series == "none":
-                value = decoders.fe_of_decoder(
-                    rho, ch, decoders.identity_decoder(rho.dim)
-                )
+                value = quantum.entanglement_fidelity_direct(rho, ch)
             elif series == "optimal":
                 problems = optdec._sector_problems(rho, ch)
                 largest = max(prob.dim for prob in problems)

@@ -10,7 +10,8 @@ decoders against the density beta0(t) = (pi/2) / (cosh(pi t) + 1): the
 adaptive quadrature evaluates the rotated fidelity spectrally at a whole
 panel of nodes per call, on the distinct values of the log-ratio spectrum
 theta: values within ``THETA_TIE`` are merged, which moves F(t) by at most
-petz * THETA_TIE * |t|, so by <= 8e-12 on the nodes. The twirled decoder's
+petz * THETA_TIE * |t|, so by <= 8e-12 on the nodes. F(t) is even, so the
+twirled fidelity is integrated on the half line t >= 0. The twirled decoder's
 Kraus operators are the eigenvectors of its (r_B r_A)^2 core, the Petz
 Choi matrix in the eigenbases of (sigma_B, rho) multiplied entrywise by the
 averaged phases and renormalized to trace preservation on supp sigma_B;
@@ -253,7 +254,12 @@ class RotatedFidelity:
         return float(np.sum(self._coeff))
 
     def twirled(self, tol: float = 1e-9) -> float:
-        value, _, _ = _beta0_panels(self.value, tol)
+        """The beta0 average of F(t) by :func:`_beta0_panels` at ``tol``, on
+        the half line t >= 0. C_bar is real and symmetric, so F(-t) = F(t)
+        exactly (cos is even, sin odd), and the accepted panels are the
+        u >= 0 half of the full-line run's: the value keeps that run's
+        quadrature error and differs from it only by summation roundoff."""
+        value, _, _ = _beta0_panels(self.value, tol, even=True)
         return value
 
 
@@ -278,7 +284,7 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _beta0_panels(g_batch, tol: float):
+def _beta0_panels(g_batch, tol: float, *, even: bool = False):
     """Adaptive Gauss-Legendre evaluation of integral beta0(t) g(t) dt.
 
     ``g_batch`` maps a 1-d array of t to the array of g(t). The substitution
@@ -302,6 +308,15 @@ def _beta0_panels(g_batch, tol: float):
     Returns the value together with the accepted nodes t_i and weights w_i,
     which satisfy value = sum_i w_i g(t_i) and are reusable for matrix
     integrands.
+
+    ``even=True`` states that g(-t) = g(t) exactly. beta0 is even and the
+    nodes of a panel and of its mirror image are exact negatives of each
+    other, so only the two u >= 0 panels of the same initial four are
+    bisected, with the same acceptance threshold, and the sum is doubled.
+    The accepted panels are then the u >= 0 half of the full run's, and so
+    are the returned nodes and weights, with value = 2 sum_i w_i g(t_i).
+    While at most _BATCH_PANELS panels are open, each call evaluates half
+    the nodes of the full run's call at the same level.
     """
     x, w = _leggauss(_GL_NODES)
 
@@ -321,6 +336,8 @@ def _beta0_panels(g_batch, tol: float):
 
     total_width = 2 * _U_MAX
     edges = np.linspace(-_U_MAX, _U_MAX, _INITIAL_PANELS + 1)
+    if even:
+        edges = edges[_INITIAL_PANELS // 2 :]  # starts at u = 0 exactly
     bounds = list(zip(edges[:-1], edges[1:]))
     # open panels (a, b, depth, estimate), the leftmost last
     stack = [(a, b, 0, est) for (a, b), (est, _, _) in zip(bounds, panels(bounds))][::-1]
@@ -351,6 +368,8 @@ def _beta0_panels(g_batch, tol: float):
     value = 0.0
     for _, (est_l, _, _), (est_r, _, _) in accepted:
         value += est_l + est_r
+    if even:
+        value *= 2
     nodes = [t for _, left, right in accepted for t in (left[1], right[1])]
     weights = [wt for _, left, right in accepted for wt in (left[2], right[2])]
     return value, np.concatenate(nodes), np.concatenate(weights)

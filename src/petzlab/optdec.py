@@ -184,10 +184,12 @@ def _nt_scaling(lx: np.ndarray, lz: np.ndarray) -> np.ndarray:
     """Nesterov-Todd scaling points W with W Z W = X, one per matrix of the
     stack, from the Cholesky factors X = Lx Lx^dagger and Z = Lz Lz^dagger:
     with Lz^dagger Lx = U s V^dagger, W = Lx V s^-1 V^dagger Lx^dagger
-    (Todd, Toh and Tutuncu, SIAM J. Optim. 8 (1998) 769)."""
+    (Todd, Toh and Tutuncu, SIAM J. Optim. 8 (1998) 769). A real A A^T is
+    formed by syrk and is exactly symmetric; a complex one is symmetrized."""
     _, s, vh = np.linalg.svd(dag(lz) @ lx)
     a = (lx @ dag(vh)) / np.sqrt(s)[..., None, :]
-    return herm_part(a @ dag(a))
+    w = a @ dag(a)
+    return herm_part(w) if np.iscomplexobj(w) else w
 
 
 def _step_lengths(l_inv: np.ndarray, ds: np.ndarray) -> np.ndarray:
@@ -200,18 +202,9 @@ def _step_lengths(l_inv: np.ndarray, ds: np.ndarray) -> np.ndarray:
     return STEP_FRACTION / np.maximum(-lam_min, STEP_FRACTION)
 
 
-def _tensor_eye(m: np.ndarray, d_a: int) -> np.ndarray:
-    """m tensor 1_(d_a), for each matrix of the stack m (..., d, d), as one
-    broadcast product: a fraction of the per-call cost of np.kron, which
-    runs three times per interior-point iteration."""
-    lead, d = m.shape[:-2], m.shape[-1]
-    out = m[..., :, None, :, None] * np.eye(d_a)[:, None, :]
-    return out.reshape(lead + (d * d_a, d * d_a))
-
-
 def _tr_out(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     d_b, d_a = dims
-    return np.trace(m.reshape(m.shape[:-2] + (d_b, d_a, d_b, d_a)), axis1=-3, axis2=-1)
+    return np.einsum("...iaja->...ij", m.reshape(m.shape[:-2] + (d_b, d_a, d_b, d_a)))
 
 
 def _schur_matrix(w: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -309,19 +302,27 @@ def _interior_point(g: np.ndarray, dims: tuple[int, int], tol: float) -> list[Sd
     iterates take the dtype of g, so a real g (float64) is solved in real
     arithmetic throughout and gives real x and y.
 
-    The predictor (affine) step sets the centering weight via Mehrotra's
-    heuristic sigma = (mu_aff/mu)^3; the combined step recenters. The
-    Newton system is eliminated down to a Hermitian positive definite
-    Schur complement on the input system. Its solution is linear in the
-    complementarity residual r_c, and the corrector's r_c = sigma mu Z^-1 - X
-    is the predictor's plus sigma mu Z^-1, so each iteration factors the
-    Schur matrix once, in real coordinates (:func:`_schur_solve`), for the
-    two right-hand sides tr_out[W r_d W - X] - r_p and tr_out[Z^-1].
+    The start is X = 1/d_out and Y = (||G||_2 + 1) 1. The predictor
+    (affine) step sets the centering weight via Mehrotra's heuristic
+    sigma = (mu_aff/mu)^3; the combined step recenters. The Newton system is
+    eliminated down to a Hermitian positive definite Schur complement on the
+    input system. Its solution is linear in the complementarity residual
+    r_c, and the corrector's r_c = sigma mu Z^-1 - X is the predictor's plus
+    sigma mu Z^-1, so each iteration factors the Schur matrix once, in real
+    coordinates (:func:`_schur_solve`), for the two right-hand sides
+    tr_out[W r_d W - X] - r_p and tr_out[Z^-1].
 
     Each iteration factors the stack [X; Z] by Cholesky and inverts the
     factors once; the NT scaling point W (:func:`_nt_scaling`, one SVD;
     Todd, Toh and Tutuncu 1998), Z^-1 = Lz^-dagger Lz^-1 and the predictor's
     and the corrector's step lengths (:func:`_step_lengths`) share them.
+    That is six LAPACK calls per stepping iteration: cholesky, inv, svd,
+    eigvalsh twice and solve. Between them the loop keeps its numpy calls
+    few: norms, mu, the primal and the dual are einsum contractions (the
+    convergence test compares squared norms), Y tensor 1 is one broadcast
+    product with a precomputed factor, and on a real stack the exactly
+    symmetric products Lz^-T Lz^-1 and W (formed by syrk) are not
+    symmetrized again.
 
     Every step acts on the whole stack at once (k x n x n arrays), but each
     member has its own mu, sigma, step lengths and convergence test. A
@@ -333,13 +334,22 @@ def _interior_point(g: np.ndarray, dims: tuple[int, int], tol: float) -> list[Sd
     """
     d_b, d_a = dims
     n = d_b * d_a
+    complex_stack = np.iscomplexobj(g)
     eye_b = np.eye(d_b)
+    one_a = np.eye(d_a)[:, None, :]  # m tensor 1 = m[:, :, None, :, None] * one_a
+
+    def tensor_eye(m):
+        return (m[:, :, None, :, None] * one_a).reshape(len(m), n, n)
+
+    def inner(a, b):  # Re tr[a^dagger b] of each member
+        return np.einsum("kij,kij->k", a.conj(), b).real
+
     x = np.repeat(np.eye(n, dtype=g.dtype)[None] / d_a, len(g), axis=0)
     y = (np.linalg.norm(g, 2, axis=(-2, -1)) + 1.0)[:, None, None] * eye_b.astype(g.dtype)
-    z = _tensor_eye(y, d_a) - g
+    z = tensor_eye(y) - g
 
-    g_scale = 1.0 + np.linalg.norm(g, axis=(-2, -1))
     feas_tol = 0.1 * tol
+    rd_tol = (feas_tol * (1.0 + np.sqrt(inner(g, g)))) ** 2  # squared, per member
     members = list(range(len(g)))  # index in g of each stack row
     solutions: list[SdpSolution] = [None] * len(g)
 
@@ -348,14 +358,14 @@ def _interior_point(g: np.ndarray, dims: tuple[int, int], tol: float) -> list[Sd
     # products with W need herm_part.
     for it in range(1, MAX_ITER + 1):
         r_p = eye_b - _tr_out(x, dims)
-        r_d = _tensor_eye(y, d_a) - g - z
-        mu = np.einsum("kij,kij->k", x.conj(), z).real / n
+        r_d = tensor_eye(y) - g - z
+        mu = inner(x, z) / n
         primal = np.einsum("kij,kji->k", g, x).real
-        dual = np.trace(y, axis1=-2, axis2=-1).real
+        dual = np.einsum("kii->k", y).real
         gap = dual - primal
         done = (
-            (np.linalg.norm(r_p, axis=(-2, -1)) <= feas_tol)
-            & (np.linalg.norm(r_d, axis=(-2, -1)) <= feas_tol * g_scale)
+            (inner(r_p, r_p) <= feas_tol**2)
+            & (inner(r_d, r_d) <= rd_tol)
             & (np.abs(gap) <= tol * (1 + np.abs(primal)))
         )
         if done.any():
@@ -372,8 +382,8 @@ def _interior_point(g: np.ndarray, dims: tuple[int, int], tol: float) -> list[Sd
                 return solutions
             stay = ~done
             members = [m for m, s in zip(members, stay) if s]
-            g, x, y, z, r_p, r_d, mu, g_scale = (
-                a[stay] for a in (g, x, y, z, r_p, r_d, mu, g_scale)
+            g, x, y, z, r_p, r_d, mu, rd_tol = (
+                a[stay] for a in (g, x, y, z, r_p, r_d, mu, rd_tol)
             )
 
         try:
@@ -381,17 +391,17 @@ def _interior_point(g: np.ndarray, dims: tuple[int, int], tol: float) -> list[Sd
             chol = np.linalg.cholesky(np.concatenate([x, z]))
             chol_inv = np.linalg.inv(chol)
             w = _nt_scaling(chol[:k], chol[k:])
-            z_inv = herm_part(dag(chol_inv[k:]) @ chol_inv[k:])
-            rhs_aff = _tr_out(w @ r_d @ w - x, dims) - r_p
-            dy = _schur_solve(
-                _schur_matrix(w, dims), np.stack([rhs_aff, _tr_out(z_inv, dims)], axis=-3)
-            )
+            z_inv = dag(chol_inv[k:]) @ chol_inv[k:]
+            if complex_stack:
+                z_inv = herm_part(z_inv)
+            rhs = _tr_out(np.stack([w @ r_d @ w - x, z_inv], axis=1), dims)
+            rhs[:, 0] -= r_p
+            dy = _schur_solve(_schur_matrix(w, dims), rhs)
             dy_aff, dy_cen = dy[:, 0], dy[:, 1]
 
             def direction(r_c, dy):
-                dz = _tensor_eye(dy, d_a) - r_d
-                dx = herm_part(r_c - w @ dz @ w)
-                return dx, dy, dz
+                dz = tensor_eye(dy) - r_d
+                return herm_part(r_c - w @ dz @ w), dy, dz
 
             # the primal and the dual step lengths of every member in one call
             def steps(dx, dz):
@@ -400,9 +410,9 @@ def _interior_point(g: np.ndarray, dims: tuple[int, int], tol: float) -> list[Sd
 
             dx_a, _, dz_a = direction(-x, dy_aff)
             ap, ad = steps(dx_a, dz_a)
-            mu_aff = np.einsum("kij,kij->k", (x + ap * dx_a).conj(), z + ad * dz_a).real / n
-            sigma = np.clip((np.maximum(mu_aff, 0.0) / mu) ** 3, 1e-10, 1.0)[:, None, None]
-            smu = sigma * mu[:, None, None]
+            mu_aff = inner(x + ap * dx_a, z + ad * dz_a) / n
+            sigma = np.minimum(np.maximum((np.maximum(mu_aff, 0.0) / mu) ** 3, 1e-10), 1.0)
+            smu = (sigma * mu)[:, None, None]
 
             dx, dy, dz = direction(smu * z_inv - x, dy_aff + smu * dy_cen)
             ap, ad = steps(dx, dz)

@@ -16,6 +16,7 @@ from . import matcore
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
+    NonFinite,
     NotPsd,
     NotTracePreserving,
     TooManyKraus,
@@ -97,12 +98,15 @@ class KrausChannel:
     def __post_init__(self):
         if not self.kraus_ops:
             raise DimensionMismatch("a channel needs at least one Kraus operator")
-        ops = tuple(as_cmatrix(k) for k in self.kraus_ops)
-        for k in ops:
-            if k.shape != (self.dim_out, self.dim_in):
-                raise DimensionMismatch(
-                    f"Kraus operator is {k.shape}, expected {(self.dim_out, self.dim_in)}"
-                )
+        ops = tuple(np.asarray(k, dtype=np.complex128) for k in self.kraus_ops)
+        shape = (self.dim_out, self.dim_in)
+        if any(k.shape != shape for k in ops):
+            for k in ops:  # the first non-matrix or non-finite operator raises first
+                as_cmatrix(k)
+            bad = next(k for k in ops if k.shape != shape)
+            raise DimensionMismatch(f"Kraus operator is {bad.shape}, expected {shape}")
+        if not np.isfinite(np.stack(ops)).all():
+            raise NonFinite("matrix contains NaN or Inf entries")
         object.__setattr__(self, "kraus_ops", ops)
 
     def kraus_sum(self) -> np.ndarray:
@@ -115,10 +119,10 @@ class KrausChannel:
 
 def kraus_channel(kraus_ops, label_in="A", label_out="B", check=True) -> KrausChannel:
     """Build a :class:`KrausChannel` and (by default) validate trace preservation."""
-    ops = [as_cmatrix(k) for k in kraus_ops]
+    ops = [np.asarray(k, dtype=np.complex128) for k in kraus_ops]
     if not ops:
         raise DimensionMismatch("a channel needs at least one Kraus operator")
-    d_out, d_in = ops[0].shape
+    d_out, d_in = as_cmatrix(ops[0]).shape  # KrausChannel checks the others
     ch = KrausChannel(
         kraus_ops=tuple(ops),
         dim_in=d_in,

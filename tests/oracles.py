@@ -16,7 +16,10 @@ order-2 minimized Petz mutual information from the literal Y and all of its
 eigenvalues, the rotated fidelity from the whole n x n spectral sum with no
 grouping of equal log-ratios, sigma_RB and the Choi matrix from one
 rank-one term per Kraus operator, the beta0 quadrature from bisecting one
-panel at a time, depth first, and tensor powers from iterated np.kron.
+panel at a time, depth first, tensor powers from iterated np.kron, and
+the stacked interior-point loop through the numpy calls it made before they
+were trimmed (norms and traces by their wrappers),
+and Kraus lists checked one operator at a time.
 """
 
 from __future__ import annotations
@@ -35,10 +38,17 @@ from petzlab.decoders import (
     _spectra,
     build_rotated_petz,
 )
-from petzlab.errors import MaxIterations, NotPsd, NumericalBreakdown, ToleranceNotMet
+from petzlab.errors import (
+    DimensionMismatch,
+    MaxIterations,
+    NotPsd,
+    NumericalBreakdown,
+    ToleranceNotMet,
+)
 from petzlab.matcore import (
     HERM_TOL,
     RANK_CUT,
+    as_cmatrix,
     dag,
     herm_eig,
     herm_part,
@@ -53,6 +63,7 @@ from petzlab.optdec import (
     SdpSolution,
     _schur_matrix,
     _schur_solve,
+    _step_lengths,
     _tr_out,
 )
 from petzlab.quantum import (
@@ -613,3 +624,143 @@ def solve_sdp_unstacked(prob, tol=1e-7):
             raise NumericalBreakdown(f"non-finite iterate at iteration {it}")
 
     raise MaxIterations(f"no convergence within {MAX_ITER} iterations")
+
+
+# -- the interior-point loop before its numpy calls were trimmed ---------------
+# optdec._interior_point as it was when it took norms from np.linalg.norm,
+# traces from np.trace, Y tensor 1 from a fresh np.eye per call, the start
+# from the SVD-based spectral norm, and symmetrized W and Z^-1 on every
+# stack; the loop body is kept verbatim, with the helpers it used then.
+
+
+def _tensor_eye_broadcast(m: np.ndarray, d_a: int) -> np.ndarray:
+    lead, d = m.shape[:-2], m.shape[-1]
+    out = m[..., :, None, :, None] * np.eye(d_a)[:, None, :]
+    return out.reshape(lead + (d * d_a, d * d_a))
+
+
+def _tr_out_trace(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    d_b, d_a = dims
+    return np.trace(m.reshape(m.shape[:-2] + (d_b, d_a, d_b, d_a)), axis1=-3, axis2=-1)
+
+
+def _nt_scaling_chol(lx: np.ndarray, lz: np.ndarray) -> np.ndarray:
+    _, s, vh = np.linalg.svd(dag(lz) @ lx)
+    a = (lx @ dag(vh)) / np.sqrt(s)[..., None, :]
+    return herm_part(a @ dag(a))
+
+
+def interior_point_untrimmed(g: np.ndarray, dims: tuple[int, int], tol: float) -> list:
+    """One solution per member of the stack g, with the iterates of
+    ``optdec._interior_point`` computed through the untrimmed numpy calls."""
+    d_b, d_a = dims
+    n = d_b * d_a
+    eye_b = np.eye(d_b)
+    x = np.repeat(np.eye(n, dtype=g.dtype)[None] / d_a, len(g), axis=0)
+    y = (np.linalg.norm(g, 2, axis=(-2, -1)) + 1.0)[:, None, None] * eye_b.astype(g.dtype)
+    z = _tensor_eye_broadcast(y, d_a) - g
+
+    g_scale = 1.0 + np.linalg.norm(g, axis=(-2, -1))
+    feas_tol = 0.1 * tol
+    members = list(range(len(g)))  # index in g of each stack row
+    solutions: list[SdpSolution] = [None] * len(g)
+
+    # x, y, z, the residual r_d and the steps dy and dz are exactly Hermitian:
+    # each is a real combination of exactly Hermitian matrices, so only the
+    # products with W need herm_part.
+    for it in range(1, MAX_ITER + 1):
+        r_p = eye_b - _tr_out_trace(x, dims)
+        r_d = _tensor_eye_broadcast(y, d_a) - g - z
+        mu = np.einsum("kij,kij->k", x.conj(), z).real / n
+        primal = np.einsum("kij,kji->k", g, x).real
+        dual = np.trace(y, axis1=-2, axis2=-1).real
+        gap = dual - primal
+        done = (
+            (np.linalg.norm(r_p, axis=(-2, -1)) <= feas_tol)
+            & (np.linalg.norm(r_d, axis=(-2, -1)) <= feas_tol * g_scale)
+            & (np.abs(gap) <= tol * (1 + np.abs(primal)))
+        )
+        if done.any():
+            for row in np.flatnonzero(done):
+                solutions[members[row]] = SdpSolution(
+                    x=x[row],
+                    y=y[row],
+                    primal=float(primal[row]),
+                    dual=float(dual[row]),
+                    gap=float(gap[row]),
+                    iterations=it,
+                )
+            if done.all():
+                return solutions
+            stay = ~done
+            members = [m for m, s in zip(members, stay) if s]
+            g, x, y, z, r_p, r_d, mu, g_scale = (
+                a[stay] for a in (g, x, y, z, r_p, r_d, mu, g_scale)
+            )
+
+        try:
+            k = len(x)
+            chol = np.linalg.cholesky(np.concatenate([x, z]))
+            chol_inv = np.linalg.inv(chol)
+            w = _nt_scaling_chol(chol[:k], chol[k:])
+            z_inv = herm_part(dag(chol_inv[k:]) @ chol_inv[k:])
+            rhs_aff = _tr_out_trace(w @ r_d @ w - x, dims) - r_p
+            dy = _schur_solve(
+                _schur_matrix(w, dims), np.stack([rhs_aff, _tr_out_trace(z_inv, dims)], axis=-3)
+            )
+            dy_aff, dy_cen = dy[:, 0], dy[:, 1]
+
+            def direction(r_c, dy):
+                dz = _tensor_eye_broadcast(dy, d_a) - r_d
+                dx = herm_part(r_c - w @ dz @ w)
+                return dx, dy, dz
+
+            # the primal and the dual step lengths of every member in one call
+            def steps(dx, dz):
+                alpha = _step_lengths(chol_inv, np.concatenate([dx, dz]))[:, None, None]
+                return alpha[:k], alpha[k:]
+
+            dx_a, _, dz_a = direction(-x, dy_aff)
+            ap, ad = steps(dx_a, dz_a)
+            mu_aff = np.einsum("kij,kij->k", (x + ap * dx_a).conj(), z + ad * dz_a).real / n
+            sigma = np.clip((np.maximum(mu_aff, 0.0) / mu) ** 3, 1e-10, 1.0)[:, None, None]
+            smu = sigma * mu[:, None, None]
+
+            dx, dy, dz = direction(smu * z_inv - x, dy_aff + smu * dy_cen)
+            ap, ad = steps(dx, dz)
+            x = x + ap * dx
+            y = y + ad * dy
+            z = z + ad * dz
+        except (np.linalg.LinAlgError, NumericalBreakdown):
+            raise NumericalBreakdown(
+                f"solver broke down at iteration {it}, gap {np.abs(gap).max():.3e}"
+            )
+        if not (np.isfinite(x).all() and np.isfinite(z).all()):
+            raise NumericalBreakdown(f"non-finite iterate at iteration {it}")
+
+    raise MaxIterations(f"no convergence within {MAX_ITER} iterations")
+
+
+# -- Kraus operators checked one at a time ---------------------------------------
+
+
+def kraus_ops_checked_per_operator(kraus_ops, dim_in, dim_out):
+    """KrausChannel's operator check as it ran before it checked the stack
+    once: as_cmatrix (2-d, finite) on every operator, then the shapes."""
+    if not kraus_ops:
+        raise DimensionMismatch("a channel needs at least one Kraus operator")
+    ops = tuple(as_cmatrix(k) for k in kraus_ops)
+    for k in ops:
+        if k.shape != (dim_out, dim_in):
+            raise DimensionMismatch(f"Kraus operator is {k.shape}, expected {(dim_out, dim_in)}")
+    return ops
+
+
+def kraus_channel_checked_per_operator(kraus_ops):
+    """kraus_channel's checks as they ran before: as_cmatrix on every
+    operator, then the KrausChannel check at the first operator's shape."""
+    ops = [as_cmatrix(k) for k in kraus_ops]
+    if not ops:
+        raise DimensionMismatch("a channel needs at least one Kraus operator")
+    d_out, d_in = ops[0].shape
+    return kraus_ops_checked_per_operator(ops, d_in, d_out)

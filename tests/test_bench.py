@@ -24,6 +24,8 @@ from petzlab.bench import (
 from petzlab.errors import NonFinite, NotTracePreserving, ParseError, ValidationError
 from petzlab.quantum import KrausChannel, make_channel, validate_cptp
 
+import oracles
+
 
 MINIMAL = "setting = bitflip3\n"
 
@@ -765,3 +767,42 @@ def test_module_entry_point_runs_without_runpy_warning(tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# -- the no-decoder series in closed form -------------------------------------------------
+
+NONE_POINTS = {
+    "bitflip3": np.linspace(0.0, 1.0, 21),
+    "lncy4": np.linspace(0.0, 1.0, 21),
+    "fivequbit": np.linspace(0.0, 1.0, 21),
+}
+
+
+def _identity_decoder_fidelity(rho, ch):
+    return decoders.fe_of_decoder(rho, ch, decoders.identity_decoder(rho.dim))
+
+
+@pytest.mark.parametrize("setting", sorted(NONE_POINTS))
+def test_none_series_matches_identity_decoder(monkeypatch, setting):
+    points = NONE_POINTS[setting]
+    builds = [bench.SETTINGS[setting].build(float(p)) for p in points]
+    expected = [_identity_decoder_fidelity(rho, ch) for rho, ch in builds]
+
+    def refuse(*args):
+        raise AssertionError("the none series builds no decoder")
+
+    monkeypatch.setattr(decoders, "fe_of_decoder", refuse)
+    monkeypatch.setattr(decoders, "identity_decoder", refuse)
+    for p, ref in zip(points, expected):
+        [row] = bench._series_values(setting, float(p), ("none",), 1e-7)
+        assert row.flags == "ok"
+        assert abs(row.value - ref) <= 1e-14
+
+
+def test_none_closed_form_matches_identity_decoder_random(rng):
+    for d in (2, 3, 4):
+        for n_kraus in (1, 2, 5):
+            rho = quantum.density_operator(oracles.random_state(rng, d))
+            ch = quantum.kraus_channel(oracles.random_kraus(rng, d, d, n_kraus))
+            direct = quantum.entanglement_fidelity_direct(rho, ch)
+            assert abs(direct - _identity_decoder_fidelity(rho, ch)) <= 1e-14

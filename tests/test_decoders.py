@@ -317,6 +317,63 @@ def test_beta0_panels_fail_within_bounded_nodes(g, tol, max_nodes):
     assert max(calls) <= 2 * decoders._BATCH_PANELS * decoders._GL_NODES
 
 
+# -- the twirled value on the half line against the full line -----------------------
+
+HALF_LINE_POINTS = {
+    "bitflip3": GRID_21,
+    # p = 0.0625: the point where twirled(1e-9) is 5.9e-9 from the exact transform
+    "lncy4": np.append(GRID_21, 0.0625),
+    "fivequbit": np.array([0.1, 0.5, 0.9]),
+}
+
+
+def _half_line_kernels(setting):
+    if setting == "random":
+        rng = np.random.default_rng(13)
+        instances = [_random_instance(rng) for _ in range(8)]
+    else:
+        instances = [SETTINGS[setting].build(float(p)) for p in HALF_LINE_POINTS[setting]]
+    return [RotatedFidelity(_sigma_rb(rho, ch)) for rho, ch in instances]
+
+
+def _counted_panels(kernel, tol, **kwargs):
+    calls = []
+
+    def g_batch(ts):
+        calls.append(ts.size)
+        return kernel.value(ts)
+
+    return _beta0_panels(g_batch, tol, **kwargs), calls
+
+
+@pytest.mark.parametrize("setting", ["bitflip3", "lncy4", "fivequbit", "random"])
+def test_half_line_twirled_matches_full_line(setting):
+    ts = np.linspace(0.0, 8.0, 33)
+    for kernel in _half_line_kernels(setting):
+        # F is even bit for bit: cos is even and sin odd, and C_bar is real
+        assert np.array_equal(kernel.value(-ts), kernel.value(ts))
+        for tol in (1e-9, 1e-12):
+            (full, f_nodes, f_weights), f_calls = _counted_panels(kernel, tol)
+            (half, h_nodes, h_weights), h_calls = _counted_panels(kernel, tol, even=True)
+            assert kernel.twirled(tol) == half
+            assert abs(half - full) <= 1e-13
+            # the accepted panels are the u >= 0 half of the full run's
+            right = f_nodes > 0
+            assert np.array_equal(f_nodes[right], h_nodes)
+            assert np.array_equal(f_weights[right], h_weights)
+            assert 2 * right.sum() == f_nodes.size
+            doubled = 2 * float(np.dot(h_weights, kernel.value(h_nodes)))
+            assert half == pytest.approx(doubled, abs=1e-14)
+            # half the nodes in every call; at tol 1e-12 the full run has
+            # more than _BATCH_PANELS panels open at some levels and splits
+            # them over more calls than the half line needs
+            assert 2 * sum(h_calls) == sum(f_calls)
+            if tol == 1e-9:
+                assert [2 * size for size in h_calls] == f_calls
+            else:
+                assert len(h_calls) <= len(f_calls)
+
+
 # -- the grouped kernel against the full n x n sum ------------------------------
 
 GROUPING_POINTS = {

@@ -780,6 +780,45 @@ def test_solver_arithmetic_follows_the_objective(monkeypatch, rng):
     assert dtypes and set(dtypes) == {np.dtype(np.complex128)}
 
 
+# -- the trimmed interior-point loop against the untrimmed one ---------------------------
+
+
+def _solver_stack(problems):
+    """The objectives as _solve_stack hands them to _interior_point."""
+    g = herm_part(np.stack([q.objective for q in problems]))
+    return g if g.imag.any() else g.real
+
+
+def _assert_loop_matches_untrimmed(g, dims, tol):
+    sols = optdec._interior_point(g, dims, tol)
+    refs = oracles.interior_point_untrimmed(g, dims, tol)
+    for sol, ref in zip(sols, refs, strict=True):
+        assert sol.iterations == ref.iterations
+        assert abs(sol.primal - ref.primal) <= 1e-12
+        assert abs(sol.dual - ref.dual) <= 1e-12
+    return sols
+
+
+@pytest.mark.parametrize("setting", sorted(SECTOR_PARITY_POINTS))
+def test_interior_point_matches_untrimmed_loop_on_sector_stacks(setting):
+    for p in SECTOR_PARITY_POINTS[setting]:
+        problems = optdec._sector_problems(*SETTINGS[setting].build(float(p)))
+        for stack in _shape_stacks(problems):
+            dims = (stack[0].dim_in, stack[0].dim_out)
+            _assert_loop_matches_untrimmed(_solver_stack(stack), dims, 1e-7 / len(problems))
+
+
+def test_interior_point_matches_untrimmed_loop_on_random_complex_stacks(rng):
+    for (d_a, d_b), size in [((2, 2), 2), ((3, 2), 3), ((3, 3), 4), ((2, 4), 3)]:
+        problems = [reduce_problem(*_random_instance(rng, d_a, d_b))[0] for _ in range(size)]
+        assert len(_shape_stacks(problems)) == 1
+        g = _solver_stack(problems)
+        assert g.dtype == np.complex128
+        dims = (problems[0].dim_in, problems[0].dim_out)
+        for tol in (1e-7, 1e-9):
+            _assert_loop_matches_untrimmed(g, dims, tol)
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=NumericalBreakdown,

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from petzlab import quantum
 from petzlab.errors import (
     DimensionMismatch,
     InvalidParameter,
+    NonFinite,
     NotPsd,
     NotTracePreserving,
 )
@@ -51,6 +53,59 @@ def test_validate_bitflip():
 def test_kraus_channel_rejects_empty_list():
     with pytest.raises(DimensionMismatch):
         kraus_channel([])
+
+
+# -- the Kraus list is checked once as a stack ------------------------------------------
+
+_NAN_OP = np.array([[1.0, np.nan], [0.0, 1.0]])
+_INF_OP = np.array([[1.0, 0.0], [0.0, 1j * np.inf]])
+BAD_KRAUS_LISTS = {
+    "empty": [],
+    "wrong_shape": [np.eye(2), np.eye(3)],
+    "one_d": [np.ones(2)],
+    "three_d": [np.eye(2), np.ones((2, 2, 2))],
+    "nan": [np.eye(2), _NAN_OP],
+    "inf": [_INF_OP],
+    "nan_before_wrong_shape": [_NAN_OP, np.eye(3)],
+    "wrong_shape_before_nan": [np.eye(3), _NAN_OP],
+    "three_d_before_nan": [np.ones((2, 2, 2)), _NAN_OP],
+    "nan_before_three_d": [_NAN_OP, np.ones((2, 2, 2))],
+}
+
+
+def _raised(f, *args):
+    with pytest.raises((DimensionMismatch, NonFinite)) as err:
+        f(*args)
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_KRAUS_LISTS))
+def test_kraus_stack_check_raises_as_per_operator_check(case):
+    # the same error type and message as the check of one operator at a time
+    ops = BAD_KRAUS_LISTS[case]
+    assert _raised(KrausChannel, tuple(ops), 2, 2) == _raised(
+        oracles.kraus_ops_checked_per_operator, ops, 2, 2
+    )
+    assert _raised(kraus_channel, ops) == _raised(oracles.kraus_channel_checked_per_operator, ops)
+
+
+def test_kraus_stack_check_keeps_values_and_converts_once(monkeypatch, rng):
+    lists = [
+        [np.eye(2, dtype=int), [[0, 1], [1, 0]]],
+        list(oracles.random_kraus(rng, 3, 4, 3)),
+        list(make_channel("amplitude_damping", 0.3, 5).kraus_ops),
+    ]
+    for ops in lists:
+        ref = oracles.kraus_ops_checked_per_operator(ops, len(ops[0][0]), len(ops[0]))
+        calls = []
+        real = quantum.as_cmatrix
+        monkeypatch.setattr(quantum, "as_cmatrix", lambda m: calls.append(1) or real(m))
+        ch = KrausChannel(kraus_ops=tuple(ops), dim_in=ref[0].shape[1], dim_out=ref[0].shape[0])
+        monkeypatch.undo()
+        assert calls == []
+        assert len(ch.kraus_ops) == len(ref)
+        for k, r in zip(ch.kraus_ops, ref):
+            assert k.dtype == np.complex128 and np.array_equal(k, r)
 
 
 def test_validate_rejects_double_identity():
