@@ -463,20 +463,101 @@ def test_stacked_solve_matches_unstacked_random_stacks(rng):
         assert len({sol.iterations for sol in sols}) > 1
 
 
-@pytest.mark.parametrize("setting, runs", [("bitflip3", 2), ("lncy4", 3), ("fivequbit", 2)])
-def test_one_stacked_run_per_sector_shape(monkeypatch, setting, runs):
+def _record_stacks(monkeypatch):
+    """The (problems, tol, solutions) of each optdec._solve_stack call."""
     real = optdec._solve_stack
-    stacks = []
+    runs = []
 
-    def counting(problems, tol):
-        stacks.append(len(problems))
-        return real(problems, tol)
+    def recording(problems, tol):
+        sols = real(problems, tol)
+        runs.append((problems, tol, sols))
+        return sols
 
-    monkeypatch.setattr(optdec, "_solve_stack", counting)
+    monkeypatch.setattr(optdec, "_solve_stack", recording)
+    return runs
+
+
+# lncy4's 1-wide sector is solved in closed form, not by a stacked run
+@pytest.mark.parametrize("setting, runs", [("bitflip3", 2), ("lncy4", 2), ("fivequbit", 2)])
+def test_one_stacked_run_per_sector_shape(monkeypatch, setting, runs):
+    stacks = _record_stacks(monkeypatch)
     problems = optdec._sector_problems(*SETTINGS[setting].build(0.5))
     optdec._solve_sectors(problems, 1e-7)
     assert len(stacks) == runs
-    assert sum(stacks) == len(problems)
+    stacked = [q.dim_in for stack, _, _ in stacks for q in stack]
+    assert 1 not in stacked
+    assert len(stacked) == sum(q.dim_in > 1 for q in problems)
+
+
+# -- sectors with a one-dimensional input in closed form -----------------------------------
+
+
+def _assert_one_wide_certified(prob, ip_tol):
+    """The closed form of a dim_in = 1 problem against the interior point at
+    ip_tol, and its primal and dual certificates; returns how far the closed
+    form lies above the interior point's primal."""
+    value, bound = optdec._solve_one_wide(prob)
+    ip = solve_sdp(prob, tol=ip_tol)
+    # at or above the interior point's feasible primal, within its gap
+    assert 0 <= value - ip.primal <= abs(ip.gap) + 1e-12
+    g = herm_part(prob.objective)
+    norm = np.linalg.norm(g)
+    assert 0 < bound <= 1e-13 * norm
+    # X = v v^dagger for a top eigenvector: tr_out X = tr X = 1, X >= 0
+    v = np.linalg.eigh(g)[1][:, -1]
+    x = np.outer(v, v.conj())
+    assert abs(np.trace(x) - 1) <= 1e-14
+    assert np.trace(g @ x).real == pytest.approx(value, abs=1e-14 * norm)
+    # y = value is dual feasible up to the stated roundoff bound
+    assert np.linalg.eigvalsh(value * np.eye(prob.dim_out) - g)[0] >= -bound
+    return value - ip.primal
+
+
+def test_one_wide_closed_form_matches_interior_point_on_lncy4_sectors():
+    moved = []
+    for p in GRID_21:
+        problems = optdec._sector_problems(*SETTINGS["lncy4"].build(float(p)))
+        for prob in problems:
+            if prob.dim_in == 1:
+                moved.append(_assert_one_wide_certified(prob, 1e-7 / len(problems)))
+    # one 1-wide sector at each interior point, and at p = 1 the reduced
+    # problem is 1 wide itself; p = 0 is solved whole
+    assert len(moved) == len(GRID_21) - 1
+    assert max(moved) <= 3e-9
+
+
+@pytest.mark.parametrize("dim_out", [2, 3, 4])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_one_wide_closed_form_matches_interior_point_random(rng, dim_out, real):
+    for _ in range(4):
+        g = oracles.random_psd(rng, dim_out) - 0.3 * oracles.random_hermitian(rng, dim_out)
+        if real:
+            g = g.real.astype(complex)  # real entries in a complex array
+        _assert_one_wide_certified(SdpProblem(objective=g, dim_in=1, dim_out=dim_out), 1e-9)
+
+
+def test_wider_sectors_keep_their_stacked_runs(monkeypatch):
+    # the runs inside _solve_sectors are those of _solve_stack on the same
+    # shape stacks at tol/K, where K counts the closed-form sector
+    tol = 1e-7
+    for p in (0.1, 0.5, 0.9):
+        problems = optdec._sector_problems(*SETTINGS["lncy4"].build(p))
+        wide = [stack for stack in _shape_stacks(problems) if stack[0].dim_in > 1]
+        refs = [optdec._solve_stack(stack, tol / len(problems)) for stack in wide]
+        stacks = _record_stacks(monkeypatch)
+        primal, _ = optdec._solve_sectors(problems, tol)
+        assert [(stack, t) for stack, t, _ in stacks] == [
+            (stack, tol / len(problems)) for stack in wide
+        ]
+        for (_, _, sols), ref in zip(stacks, refs):
+            assert [(s.iterations, s.primal, s.dual, s.gap) for s in sols] == [
+                (s.iterations, s.primal, s.dual, s.gap) for s in ref
+            ]
+            for s, r in zip(sols, ref):
+                assert np.array_equal(s.x, r.x) and np.array_equal(s.y, r.y)
+        one_wide = [optdec._solve_one_wide(q)[0] for q in problems if q.dim_in == 1]
+        assert primal == sum([s.primal for sols in refs for s in sols] + one_wide)
+        monkeypatch.undo()
 
 
 def _with_nan_objective(problems, index):
@@ -493,10 +574,17 @@ def test_non_finite_member_fails_its_stack():
         optdec._solve_sectors(_with_nan_objective(problems, index), 1e-7)
 
 
-def test_non_finite_member_fails_only_the_optimal_row(monkeypatch, tmp_path):
+def test_non_finite_one_wide_sector_fails_the_sum():
+    problems = optdec._sector_problems(*SETTINGS["lncy4"].build(0.5))
+    assert problems[-1].dim_in == 1
+    with pytest.raises(NumericalBreakdown):
+        optdec._solve_sectors(_with_nan_objective(problems, -1), 1e-7)
+
+
+def _assert_nan_sector_fails_only_the_optimal_row(monkeypatch, tmp_path, index):
     real = optdec._sector_problems
     monkeypatch.setattr(
-        optdec, "_sector_problems", lambda rho, ch: _with_nan_objective(real(rho, ch), 1)
+        optdec, "_sector_problems", lambda rho, ch: _with_nan_objective(real(rho, ch), index)
     )
     cfg = SweepConfig(
         setting="lncy4", p_start=0.5, p_stop=0.5, p_count=1, out=str(tmp_path / "x.csv")
@@ -504,6 +592,15 @@ def test_non_finite_member_fails_only_the_optimal_row(monkeypatch, tmp_path):
     flags = {c.series: c.flags for c in run_sweep(cfg)}
     assert flags.pop("optimal") == "error:NumericalBreakdown"
     assert set(flags.values()) == {"ok"}
+
+
+def test_non_finite_member_fails_only_the_optimal_row(monkeypatch, tmp_path):
+    _assert_nan_sector_fails_only_the_optimal_row(monkeypatch, tmp_path, 1)
+
+
+def test_non_finite_one_wide_sector_fails_only_the_optimal_row(monkeypatch, tmp_path):
+    # problems[-1] is lncy4's 1-wide sector, solved in closed form
+    _assert_nan_sector_fails_only_the_optimal_row(monkeypatch, tmp_path, -1)
 
 
 # -- one Cholesky factorization and one SVD per interior-point iteration -----------------
