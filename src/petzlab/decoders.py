@@ -47,6 +47,7 @@ from .quantum import (
     KrausChannel,
     PurifiedSource,
     StinespringIsometry,
+    apply_channel,
     channel_on_purification,
     choi_of_channel,
     dilate,
@@ -82,7 +83,7 @@ class Decoder:
 
 def identity_decoder(dim: int) -> Decoder:
     ch = KrausChannel(
-        kraus_ops=(np.eye(dim, dtype=np.complex128),),
+        kraus_ops=np.eye(dim, dtype=np.complex128)[None],
         dim_in=dim,
         dim_out=dim,
         label_in="B",
@@ -102,23 +103,22 @@ def _spectra(rho_a: DensityOperator, ch: KrausChannel):
     """
     if ch.dim_in != rho_a.dim:
         raise DimensionMismatch(f"channel input {ch.dim_in} != source dim {rho_a.dim}")
-    sigma_b = np.zeros((ch.dim_out, ch.dim_out), dtype=np.complex128)
-    for k in ch.kraus_ops:
-        sigma_b += k @ rho_a.matrix @ dag(k)
-    eig_b = herm_eig(sigma_b)
+    eig_b = herm_eig(apply_channel(ch, rho_a.matrix))
     if eig_b.eigenvalues[0] <= 1e-14:
         raise DegenerateChannelOutput("channel output state is numerically zero")
     lam, u_a, _ = rho_a.spectrum.split()
     return (lam, u_a), eig_b.split()
 
 
-def _kernel_completion(u_a: np.ndarray, kernel: np.ndarray) -> list[np.ndarray]:
+def _kernel_completion(u_a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Kraus operators |u_j><k_m| / sqrt(r) over the r support vectors u_j of
-    rho and the kernel vectors k_m of sigma_B: they measure the kernel of
-    sigma_B and output the maximally mixed state on supp(rho), which makes a
-    map on supp(sigma_B) CPTP everywhere without affecting fidelities."""
-    r = u_a.shape[1]
-    return [np.outer(u, k.conj()) / math.sqrt(r) for k in kernel.T for u in u_a.T]
+    rho and the kernel vectors k_m of sigma_B, stacked with m slowest: they
+    measure the kernel of sigma_B and output the maximally mixed state on
+    supp(rho), which makes a map on supp(sigma_B) CPTP everywhere without
+    affecting fidelities."""
+    d_a, r = u_a.shape
+    ops = u_a.T[None, :, :, None] * kernel.T.conj()[:, None, None, :]
+    return ops.reshape(-1, d_a, kernel.shape[0]) / math.sqrt(r)
 
 
 def _petz_eigenbasis(rho_a: DensityOperator, ch: KrausChannel):
@@ -132,21 +132,22 @@ def _petz_eigenbasis(rho_a: DensityOperator, ch: KrausChannel):
     r_B x r_A; and theta_(b, a) = ln lam_a - ln mu_b.
     """
     (lam, u_a), (mu, u_b, kernel) = _spectra(rho_a, ch)
-    proj = dag(u_b) @ np.stack(ch.kraus_ops) @ u_a  # (L, r_b, r_a)
+    proj = dag(u_b) @ ch.kraus_ops @ u_a  # (L, r_b, r_a)
     vecs = (proj.conj() * np.sqrt(lam) / np.sqrt(mu)[:, None]).reshape(len(ch.kraus_ops), -1)
     theta = (np.log(lam)[None, :] - np.log(mu)[:, None]).reshape(-1)
     return (u_a, u_b, kernel), vecs, theta
 
 
-def _eigenbasis_kraus(u_a: np.ndarray, u_b: np.ndarray, kernel: np.ndarray, vecs) -> list:
+def _eigenbasis_kraus(u_a: np.ndarray, u_b: np.ndarray, kernel: np.ndarray, vecs) -> np.ndarray:
     """Kraus operators U_A c^T U_B^dagger from the Choi vectors c (rows of
-    ``vecs``, each r_B x r_A), plus :func:`_kernel_completion`."""
+    ``vecs``, each r_B x r_A), followed by :func:`_kernel_completion`."""
     c = vecs.reshape(-1, u_b.shape[1], u_a.shape[1])
-    return list(u_a @ c.transpose(0, 2, 1) @ dag(u_b)) + _kernel_completion(u_a, kernel)
+    support = u_a @ c.transpose(0, 2, 1) @ dag(u_b)
+    return np.concatenate([support, _kernel_completion(u_a, kernel)])
 
 
 def _petz_family_kraus(rho_a: DensityOperator, ch: KrausChannel, t: float):
-    """Kraus list of the rotated Petz map R^(t/2) plus its kernel completion.
+    """Kraus stack of the rotated Petz map R^(t/2) plus its kernel completion.
 
     The map is rho^((1-it)/2) K_i^dagger sigma_B^((-1+it)/2) on the support
     of sigma_B = N(rho): the Petz operators of :func:`_petz_eigenbasis` with
@@ -160,10 +161,10 @@ def _petz_family_kraus(rho_a: DensityOperator, ch: KrausChannel, t: float):
 def _decoder(
     ops, ch: KrausChannel, kind: str, t: float | None = None, tol: float = CPTP_TOL
 ) -> Decoder:
-    """The Kraus list ``ops``, checked to be CPTP within ``tol``, as a decoder
+    """The Kraus stack ``ops``, checked to be CPTP within ``tol``, as a decoder
     from the output of ``ch`` back to its input."""
     dec = KrausChannel(
-        kraus_ops=tuple(ops),
+        kraus_ops=ops,
         dim_in=ch.dim_out,
         dim_out=ch.dim_in,
         label_in=ch.label_out,
@@ -463,8 +464,8 @@ def fe_of_decoder(rho_a: DensityOperator, ch: KrausChannel, decoder: Decoder) ->
         raise DimensionMismatch(f"channel input {ch.dim_in} != source dim {rho_a.dim}")
     if decoder.channel.dim_in != ch.dim_out or decoder.channel.dim_out != ch.dim_in:
         raise DimensionMismatch("decoder dimensions do not invert the channel")
-    k_rho = np.stack(ch.kraus_ops) @ rho_a.matrix
-    traces = np.einsum("lab,kba->lk", np.stack(decoder.channel.kraus_ops), k_rho, optimize=True)
+    k_rho = ch.kraus_ops @ rho_a.matrix
+    traces = np.einsum("lab,kba->lk", decoder.channel.kraus_ops, k_rho, optimize=True)
     return clamp_unit(np.sum(np.abs(traces) ** 2))
 
 
@@ -595,18 +596,18 @@ class SwConstruction:
         val = complex(np.trace(self._m_right @ self._apply_u(self._m_left * self.s_r)))
         return val.real, val.imag
 
-    def _to_a(self, cols: np.ndarray) -> list[np.ndarray]:
+    def _to_a(self, cols: np.ndarray) -> np.ndarray:
         """Kraus operators (<sigma_E eigenvector l| on E', Schmidt basis of A on
         R') applied to columns on R'E': one operator per environment slot."""
         t = cols.reshape(self.d_code, self.d_e, cols.shape[1])
         z = np.einsum("el,kec->klc", self.env_eigenvectors.conj(), t, optimize=True)
-        return list(np.einsum("ak,klc->lac", self.basis_a, z, optimize=True))
+        return np.einsum("ak,klc->lac", self.basis_a, z, optimize=True)
 
-    def decoder_kraus(self) -> list[np.ndarray]:
+    def decoder_kraus(self) -> np.ndarray:
         """Kraus operators of the decoder, K_l (|0>_{R'A'} tensor 1_B)."""
         return self._to_a(self._apply_u(self.w_input_block))
 
-    def kraus_full(self) -> list[np.ndarray]:
+    def kraus_full(self) -> np.ndarray:
         """Kraus operators K_l of the full R'E' -> A stage (dense)."""
         return self._to_a(self.u_matrix @ self.w_matrix)
 

@@ -22,6 +22,7 @@ from .matcore import (
     as_cmatrix,
     dag,
     herm_eig,
+    herm_part,
     kron,
     matrix_power_on_support,
     on_support,
@@ -47,10 +48,6 @@ class DivergenceResult:
 
     value: float
     support_condition: str
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
 
 
 def _state_matrix(rho) -> np.ndarray:
@@ -103,7 +100,7 @@ def entropy_derived(rho: DensityOperator, kind: str, cut: str | None = None) -> 
         raise DimensionMismatch(f"need a bipartite state, got dims {rho.dims}")
     label_a = cut if cut is not None else rho.labels[0]
     label_b = [l for l in rho.labels if l != label_a][0]
-    h_ab = entropy(rho.matrix)
+    h_ab = entropy(rho)
     h_a = entropy(rho.marginal(label_a))
     h_b = entropy(rho.marginal(label_b))
     if kind == "conditional":
@@ -212,12 +209,12 @@ def singly_min_petz_mi_half(sigma_re: DensityOperator) -> float:
     Closed form: -log2 tr[Z^2] with Z = tr_R[(sigma_R^(1/2) tensor 1) sigma_RE^(1/2)];
     Z is PSD and the supremum of tr[Z tau^(1/2)] over states is its
     Hilbert-Schmidt norm (Cauchy-Schwarz, saturated at tau ~ Z^2).
+    sigma_RE^(1/2) is taken from the state's stored spectrum.
     """
     m, d_r, d_e = _bipartite(sigma_re)
     sig_r = partial_trace(m, (d_r, d_e), keep=0)
-    z = partial_trace(
-        kron(psd_sqrt(sig_r), np.eye(d_e)) @ psd_sqrt(m), (d_r, d_e), keep=1
-    )
+    sqrt_re = herm_part(power_on_support(sigma_re.spectrum, 0.5))
+    z = partial_trace(kron(psd_sqrt(sig_r), np.eye(d_e)) @ sqrt_re, (d_r, d_e), keep=1)
     z = (z + dag(z)) / 2
     return float(-np.log2(np.trace(z @ z).real))
 

@@ -66,7 +66,7 @@ def support_mask(w: np.ndarray) -> np.ndarray:
 class HermEig:
     """Spectral decomposition H = V diag(w) V^dagger, eigenvalues descending."""
 
-    eigenvalues: np.ndarray  # real, sorted descending (along the last axis of a stack)
+    eigenvalues: np.ndarray  # real, sorted descending
     eigenvectors: np.ndarray  # unitary, columns are eigenvectors
 
     def reconstruct(self) -> np.ndarray:
@@ -94,26 +94,21 @@ class Svd:
 
 
 def herm_eig(h, tol: float = HERM_TOL) -> HermEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+    """Eigendecomposition of a Hermitian n x n matrix, eigenvalues descending.
 
-    ``h`` may also be a stack (..., n, n); each matrix then has its own
-    eigenvalues (..., n) and eigenvectors (..., n, n). The input must be
-    Hermitian within ``tol`` (Frobenius, relative to each matrix's scale);
-    small asymmetry is repaired by symmetrization, larger asymmetry raises
-    :class:`NotHermitian`.
+    The input must be Hermitian within ``tol`` (Frobenius, relative to
+    max(1, ||h||)); small asymmetry is repaired by symmetrization, larger
+    asymmetry raises :class:`NotHermitian`.
     """
     h = np.asarray(h, dtype=np.complex128)
-    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionMismatch(f"matrix is {h.shape}, not square")
     if not np.isfinite(h).all():
         raise NonFinite("matrix contains NaN or Inf entries")
-    scale = np.maximum(1.0, np.linalg.norm(h, axis=(-2, -1)))
-    asym = np.linalg.norm(h - dag(h), axis=(-2, -1))
-    if np.any(asym > tol * scale):
-        worst = np.argmax(asym / scale)
-        raise NotHermitian(
-            f"asymmetry {asym.flat[worst]:.3e} exceeds {tol:.1e} * {scale.flat[worst]:.3e}"
-        )
+    scale = max(1.0, float(np.linalg.norm(h)))
+    asym = float(np.linalg.norm(h - dag(h)))
+    if asym > tol * scale:
+        raise NotHermitian(f"asymmetry {asym:.3e} exceeds {tol:.1e} * {scale:.3e}")
     try:
         w, v = np.linalg.eigh(herm_part(h))
     except np.linalg.LinAlgError:
@@ -123,7 +118,7 @@ def herm_eig(h, tol: float = HERM_TOL) -> HermEig:
         # describes the same matrix and takes a different reduction path.
         w, v = np.linalg.eigh(herm_part(h), UPLO="U")
     # eigh returns ascending eigenvalues
-    return HermEig(eigenvalues=w[..., ::-1].copy(), eigenvectors=v[..., ::-1].copy())
+    return HermEig(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
 
 
 def svd(m) -> Svd:

@@ -147,7 +147,7 @@ def build_fidelity_sdp(rho_a: DensityOperator, ch: KrausChannel) -> SdpProblem:
         raise DimensionMismatch(f"channel input {ch.dim_in} != source dim {rho_a.dim}")
     validate_cptp(ch, tol=1e-9)
     d_b, d_a = ch.dim_out, ch.dim_in
-    rows = (np.stack(ch.kraus_ops) @ rho_a.matrix).reshape(len(ch.kraus_ops), d_b * d_a)
+    rows = (ch.kraus_ops @ rho_a.matrix).reshape(len(ch.kraus_ops), d_b * d_a)
     g = herm_part(dag(rows) @ rows)
     return SdpProblem(objective=g, dim_in=d_b, dim_out=d_a)
 
@@ -159,9 +159,8 @@ def reduce_problem(
     the output; the reduced optimum equals the full optimum."""
     (_, v_out), (_, v_in, _) = _spectra(rho_a, ch)
     rho_red = density_operator(dag(v_out) @ rho_a.matrix @ v_out)
-    ops = tuple(dag(v_in) @ k @ v_out for k in ch.kraus_ops)
     ch_red = KrausChannel(
-        kraus_ops=ops,
+        kraus_ops=dag(v_in) @ ch.kraus_ops @ v_out,
         dim_in=v_out.shape[1],
         dim_out=v_in.shape[1],
         label_in=ch.label_in,

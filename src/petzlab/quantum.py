@@ -21,7 +21,7 @@ from .errors import (
     NotTracePreserving,
     TooManyKraus,
 )
-from .matcore import as_cmatrix, dag, herm_eig, kron
+from .matcore import as_cmatrix, dag, herm_eig
 
 CPTP_TOL = 1e-10
 CHOI_TOL = 1e-8
@@ -87,44 +87,46 @@ def density_operator(matrix, dims=None, labels=None) -> DensityOperator:
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """CPTP map stored as a list of Kraus operators of shape d_out x d_in."""
+    """CPTP map stored as one C-contiguous complex128 stack of Kraus
+    operators, of shape (L, d_out, d_in). Any sequence of d_out x d_in
+    matrices, or an array of that stack shape, is accepted."""
 
-    kraus_ops: tuple[np.ndarray, ...]
+    kraus_ops: np.ndarray
     dim_in: int
     dim_out: int
     label_in: str = "A"
     label_out: str = "B"
 
     def __post_init__(self):
-        if not self.kraus_ops:
+        ops = self.kraus_ops
+        if len(ops) == 0:
             raise DimensionMismatch("a channel needs at least one Kraus operator")
-        ops = tuple(np.asarray(k, dtype=np.complex128) for k in self.kraus_ops)
         shape = (self.dim_out, self.dim_in)
-        if any(k.shape != shape for k in ops):
+        try:
+            stack = np.asarray(ops, dtype=np.complex128)
+        except ValueError:  # operators of different shapes
+            stack = None
+        if stack is None or stack.shape != (len(ops),) + shape:
             for k in ops:  # the first non-matrix or non-finite operator raises first
                 as_cmatrix(k)
-            bad = next(k for k in ops if k.shape != shape)
-            raise DimensionMismatch(f"Kraus operator is {bad.shape}, expected {shape}")
-        if not np.isfinite(np.stack(ops)).all():
+            bad = next(np.shape(k) for k in ops if np.shape(k) != shape)
+            raise DimensionMismatch(f"Kraus operator is {bad}, expected {shape}")
+        if not np.isfinite(stack).all():
             raise NonFinite("matrix contains NaN or Inf entries")
-        object.__setattr__(self, "kraus_ops", ops)
+        object.__setattr__(self, "kraus_ops", np.ascontiguousarray(stack))
 
     def kraus_sum(self) -> np.ndarray:
         """Sum of K^dagger K over all Kraus operators."""
-        out = np.zeros((self.dim_in, self.dim_in), dtype=np.complex128)
-        for k in self.kraus_ops:
-            out += dag(k) @ k
-        return out
+        return adjoint_apply(self, np.eye(self.dim_out))
 
 
 def kraus_channel(kraus_ops, label_in="A", label_out="B", check=True) -> KrausChannel:
     """Build a :class:`KrausChannel` and (by default) validate trace preservation."""
-    ops = [np.asarray(k, dtype=np.complex128) for k in kraus_ops]
-    if not ops:
+    if len(kraus_ops) == 0:
         raise DimensionMismatch("a channel needs at least one Kraus operator")
-    d_out, d_in = as_cmatrix(ops[0]).shape  # KrausChannel checks the others
+    d_out, d_in = as_cmatrix(kraus_ops[0]).shape  # KrausChannel checks the others
     ch = KrausChannel(
-        kraus_ops=tuple(ops),
+        kraus_ops=kraus_ops,
         dim_in=d_in,
         dim_out=d_out,
         label_in=label_in,
@@ -150,7 +152,9 @@ def apply_channel(ch: KrausChannel, x, dims=None, acting_on: int = 0) -> np.ndar
     ``dims`` lists the subsystem dimensions of ``x`` (default: a single
     factor equal to the channel input) and ``acting_on`` is the index of the
     factor the channel acts on. Identity channels on the other factors are
-    implicit.
+    implicit: ``x`` is taken as blocks over the other factors' indices, each
+    a d_in x d_in matrix, and every block goes through sum_k K_k B K_k^dagger
+    (for a single factor, the one block is ``x``).
     """
     x = as_cmatrix(x)
     if dims is None:
@@ -163,20 +167,15 @@ def apply_channel(ch: KrausChannel, x, dims=None, acting_on: int = 0) -> np.ndar
     d_total = int(np.prod(dims))
     if x.shape != (d_total, d_total):
         raise DimensionMismatch(f"matrix is {x.shape}, dims {dims} require {d_total}")
-    if len(dims) == 1:
-        out = np.zeros((ch.dim_out, ch.dim_out), dtype=np.complex128)
-        for k in ch.kraus_ops:
-            out += k @ x @ dag(k)
-        return out
     left = int(np.prod(dims[:acting_on]))
     right = int(np.prod(dims[acting_on + 1 :]))
-    d_out_total = left * ch.dim_out * right
-    out = np.zeros((d_out_total, d_out_total), dtype=np.complex128)
-    eye_l, eye_r = np.eye(left), np.eye(right)
-    for k in ch.kraus_ops:
-        kk = kron(eye_l, k, eye_r)
-        out += kk @ x @ dag(kk)
-    return out
+    d_in, d_out = ch.dim_in, ch.dim_out
+    # blocks[(l, r, l', r')] = x[(l, :, r), (l', :, r')]
+    blocks = x.reshape(left, d_in, right, left, d_in, right).transpose(0, 2, 3, 5, 1, 4)
+    ops = ch.kraus_ops[:, None]
+    out = (ops @ blocks.reshape(-1, d_in, d_in) @ dag(ops)).sum(axis=0)
+    out = out.reshape(left, right, left, right, d_out, d_out).transpose(0, 4, 1, 2, 5, 3)
+    return out.reshape((left * d_out * right,) * 2)
 
 
 def apply_to_density(ch: KrausChannel, rho: DensityOperator, acting_on: str) -> DensityOperator:
@@ -195,10 +194,7 @@ def adjoint_apply(ch: KrausChannel, y) -> np.ndarray:
     y = as_cmatrix(y)
     if y.shape != (ch.dim_out, ch.dim_out):
         raise DimensionMismatch(f"operator is {y.shape}, channel output is {ch.dim_out}")
-    out = np.zeros((ch.dim_in, ch.dim_in), dtype=np.complex128)
-    for k in ch.kraus_ops:
-        out += dag(k) @ y @ k
-    return out
+    return (dag(ch.kraus_ops) @ y @ ch.kraus_ops).sum(axis=0)
 
 
 def tensor_power(ch: KrausChannel, n: int) -> KrausChannel:
@@ -208,13 +204,13 @@ def tensor_power(ch: KrausChannel, n: int) -> KrausChannel:
     entry for entry the products np.kron forms."""
     if n < 1:
         raise InvalidParameter(f"tensor power must be >= 1, got {n}")
-    ops = k = np.stack(ch.kraus_ops)
+    ops = k = ch.kraus_ops
     for _ in range(n - 1):
         m, d_out, d_in = ops.shape
         prod = ops[:, None, :, None, :, None] * k[None, :, None, :, None, :]
         ops = prod.reshape(m * len(k), d_out * ch.dim_out, d_in * ch.dim_in)
     return KrausChannel(
-        kraus_ops=tuple(ops),
+        kraus_ops=ops,
         dim_in=ch.dim_in**n,
         dim_out=ch.dim_out**n,
         label_in=ch.label_in,
@@ -241,15 +237,14 @@ def dilate(ch: KrausChannel, min_env: int) -> StinespringIsometry:
     max(d_A*d_B, min_env) slots.
     """
     d_a, d_b = ch.dim_in, ch.dim_out
-    ops = list(ch.kraus_ops)
+    ops = ch.kraus_ops
     if len(ops) > d_a * d_b:
-        reduced = channel_from_choi(choi_of_channel(ch), (d_a, d_b))
-        ops = list(reduced.kraus_ops)
+        ops = channel_from_choi(choi_of_channel(ch), (d_a, d_b)).kraus_ops
         if len(ops) > d_a * d_b:
             raise TooManyKraus(f"{len(ops)} Kraus operators exceed d_A*d_B = {d_a * d_b}")
     d_e = max(len(ops), min_env)
     v = np.zeros((d_b, d_e, d_a), dtype=np.complex128)
-    v[:, : len(ops), :] = np.stack(ops, axis=1)
+    v[:, : len(ops), :] = ops.transpose(1, 0, 2)
     v = v.reshape(d_b * d_e, d_a)
     return StinespringIsometry(v=v, dim_in=d_a, dim_out=d_b, dim_env=d_e)
 
@@ -269,7 +264,7 @@ def _environment_channel(iso: StinespringIsometry, label_in: str) -> KrausChanne
     Kraus operators (<b| tensor 1_E) V."""
     ops = iso.v.reshape(iso.dim_out, iso.dim_env, iso.dim_in)
     return KrausChannel(
-        tuple(ops), dim_in=iso.dim_in, dim_out=iso.dim_env, label_in=label_in, label_out="E"
+        ops, dim_in=iso.dim_in, dim_out=iso.dim_env, label_in=label_in, label_out="E"
     )
 
 
@@ -280,7 +275,7 @@ def complementary_channel(ch: KrausChannel) -> KrausChannel:
 
 def choi_of_channel(ch: KrausChannel) -> np.ndarray:
     """Choi matrix sum_ij |i><j| tensor N(|i><j|), input factor first."""
-    vecs = np.stack([k.T.reshape(-1) for k in ch.kraus_ops], axis=1)
+    vecs = ch.kraus_ops.transpose(0, 2, 1).reshape(len(ch.kraus_ops), -1).T
     return vecs @ dag(vecs)
 
 
@@ -301,10 +296,10 @@ def channel_from_choi(c, dims: tuple[int, int]) -> KrausChannel:
             f"Choi partial trace deviates from identity by {residual:.3e}", residual=residual
         )
     lam, vecs, _ = eig.split()
-    ops = [math.sqrt(mu) * vec.reshape(d_in, d_out).T for mu, vec in zip(lam, vecs.T)]
-    if not ops:
+    if not lam.size:
         raise NotPsd("Choi matrix is numerically zero")
-    return KrausChannel(kraus_ops=tuple(ops), dim_in=d_in, dim_out=d_out)
+    ops = (vecs.T * np.sqrt(lam)[:, None]).reshape(-1, d_in, d_out).transpose(0, 2, 1)
+    return KrausChannel(kraus_ops=ops, dim_in=d_in, dim_out=d_out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,7 +340,7 @@ def channel_on_purification(pur: PurifiedSource, ch: KrausChannel) -> DensityOpe
         raise DimensionMismatch(f"channel input {ch.dim_in} != source dim {pur.dim_a}")
     d_r = pur.rank
     psi = pur.vector.reshape(d_r, pur.dim_a)
-    branches = np.stack([(psi @ k.T).reshape(-1) for k in ch.kraus_ops], axis=1)
+    branches = (psi @ ch.kraus_ops.transpose(0, 2, 1)).reshape(len(ch.kraus_ops), -1).T
     return DensityOperator(
         matrix=branches @ dag(branches), dims=(d_r, ch.dim_out), labels=("R", ch.label_out)
     )
@@ -359,7 +354,7 @@ def entanglement_fidelity_direct(rho: DensityOperator, ch: KrausChannel) -> floa
     """
     if ch.dim_in != ch.dim_out or ch.dim_in != rho.dim:
         raise DimensionMismatch("channel must be endomorphic on the source system")
-    traces = np.einsum("ab,kba->k", rho.matrix, np.stack(ch.kraus_ops))
+    traces = np.einsum("ab,kba->k", rho.matrix, ch.kraus_ops)
     return matcore.clamp_unit(np.sum(np.abs(traces) ** 2))
 
 
@@ -390,7 +385,8 @@ def make_channel(kind: str, p: float = 0.0, n: int = 1) -> KrausChannel:
         ]
     else:
         raise InvalidParameter(f"unknown channel kind {kind!r}")
-    ops = [k for k in ops if np.linalg.norm(k) > 0]
+    ops = np.array(ops)
+    ops = ops[ops.any(axis=(1, 2))]  # drop zero operators, as sqrt(p) X at p = 0
     ch = kraus_channel(ops, label_in="A", label_out="B")
     if n != 1:  # tensor_power rejects n < 1
         ch = tensor_power(ch, n)

@@ -19,7 +19,8 @@ rank-one term per Kraus operator, the beta0 quadrature from bisecting one
 panel at a time, depth first, tensor powers from iterated np.kron, and
 the stacked interior-point loop through the numpy calls it made before they
 were trimmed (norms and traces by their wrappers),
-and Kraus lists checked one operator at a time.
+and Kraus lists checked, built and summed one operator at a time (a channel
+on one factor of a product through Kronecker-padded operators).
 """
 
 from __future__ import annotations
@@ -764,3 +765,43 @@ def kraus_channel_checked_per_operator(kraus_ops):
         raise DimensionMismatch("a channel needs at least one Kraus operator")
     d_out, d_in = ops[0].shape
     return kraus_ops_checked_per_operator(ops, d_in, d_out)
+
+
+# -- Kraus lists built and summed one operator at a time ---------------------------
+
+
+def apply_channel_kron(ch, x, dims, acting_on):
+    """sum_k P_k x P_k^dagger over the Kraus operators padded to the whole
+    product, P_k = 1_left tensor K_k tensor 1_right."""
+    left = int(np.prod(dims[:acting_on]))
+    right = int(np.prod(dims[acting_on + 1 :]))
+    d_out = left * ch.dim_out * right
+    out = np.zeros((d_out, d_out), dtype=complex)
+    eye_l, eye_r = np.eye(left), np.eye(right)
+    for k in ch.kraus_ops:
+        kk = kron(eye_l, k, eye_r)
+        out += kk @ x @ dag(kk)
+    return out
+
+
+def kraus_sum_loop(ch):
+    """sum_k K_k^dagger K_k, one operator at a time."""
+    out = np.zeros((ch.dim_in, ch.dim_in), dtype=complex)
+    for k in ch.kraus_ops:
+        out += dag(k) @ k
+    return out
+
+
+def kernel_completion_outer(u_a, kernel):
+    """|u_j><k_m| / sqrt(r) over the r columns u_j of u_a and the columns k_m
+    of kernel, one np.outer per pair, k_m slowest."""
+    r = u_a.shape[1]
+    return [np.outer(u, k.conj()) / math.sqrt(r) for k in kernel.T for u in u_a.T]
+
+
+def choi_kraus_per_eigenvector(c, dims):
+    """sqrt(mu) vec^T for each support eigenpair (mu, vec) of a Choi matrix
+    (input factor first), vec reshaped to d_in x d_out."""
+    d_in, d_out = dims
+    lam, vecs, _ = herm_eig(c, tol=1e-8).split()
+    return [math.sqrt(mu) * vec.reshape(d_in, d_out).T for mu, vec in zip(lam, vecs.T)]

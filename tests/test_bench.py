@@ -364,6 +364,21 @@ def test_fe_of_decoder_makes_no_eigendecomposition(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("setting", ["bitflip3", "lncy4"])
+def test_state_measures_reuse_the_stored_spectrum(monkeypatch, setting):
+    # H(AB) and sigma_RE^(1/2) come from the spectrum the state computed when
+    # it was built; only the marginals are decomposed
+    rho, ch = bench.SETTINGS[setting].build(0.3)
+    pur = quantum.purify(rho)
+    sigma_rb = quantum.channel_on_purification(pur, ch)
+    sigma_re = quantum.channel_on_purification(pur, quantum.complementary_channel(ch))
+    calls = _count_calls(monkeypatch, matcore, "herm_eig")
+    infomeasures.entropy_derived(sigma_rb, "coherent")
+    infomeasures.singly_min_petz_mi_half(sigma_re)
+    widths = [np.shape(args[0])[0] for args in calls]
+    assert widths and max(widths) < min(sigma_rb.dim, sigma_re.dim)
+
+
 # -- audit -----------------------------------------------------------------------
 
 

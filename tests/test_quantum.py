@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from petzlab import quantum
+from petzlab import bench, decoders, optdec, quantum
 from petzlab.errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -108,6 +108,71 @@ def test_kraus_stack_check_keeps_values_and_converts_once(monkeypatch, rng):
             assert k.dtype == np.complex128 and np.array_equal(k, r)
 
 
+def _assert_one_stack(ch, ref=None):
+    """kraus_ops is one C-contiguous complex128 (L, d_out, d_in) array, equal
+    to the per-operator list ``ref`` if given, and its Kraus sum is the sum
+    taken one operator at a time, bit for bit."""
+    ops = ch.kraus_ops
+    assert type(ops) is np.ndarray and ops.dtype == np.complex128 and ops.flags.c_contiguous
+    assert ops.ndim == 3 and ops.shape[1:] == (ch.dim_out, ch.dim_in)
+    if ref is not None:
+        assert len(ops) == len(ref)
+        assert all(np.array_equal(k, r) for k, r in zip(ops, ref))
+    assert np.array_equal(ch.kraus_sum(), oracles.kraus_sum_loop(ch))
+
+
+def test_kraus_ops_is_one_stack_from_sequences(rng):
+    ops = oracles.random_kraus(rng, 3, 4, 3)
+    ref = oracles.kraus_ops_checked_per_operator(ops, 3, 4)
+    for given in (tuple(ops), list(ops), np.array(ops)):
+        _assert_one_stack(KrausChannel(given, dim_in=3, dim_out=4), ref)
+    _assert_one_stack(kraus_channel(ops), ref)
+    # a strided view of a stack (here the adjoint map's operators) is copied to C order
+    _assert_one_stack(KrausChannel(dag(np.array(ops)), dim_in=4, dim_out=3), [dag(k) for k in ref])
+    # make_channel drops the zero operator sqrt(p) X at p = 0
+    _assert_one_stack(make_channel("bitflip", 0.0), [np.eye(2)])
+
+
+def test_kraus_ops_is_one_stack_from_every_derived_channel(rng):
+    base = make_channel("amplitude_damping", 0.3)
+    _assert_one_stack(tensor_power(base, 3), oracles.tensor_power_kron(base.kraus_ops, 3))
+
+    ch = _random_channel(rng, 2, 3, 3)
+    c = choi_of_channel(ch)
+    _assert_one_stack(channel_from_choi(c, (2, 3)), oracles.choi_kraus_per_eigenvector(c, (2, 3)))
+
+    iso = stinespring_dilation(ch)
+    v = iso.v.reshape(iso.dim_out, iso.dim_env, iso.dim_in)
+    _assert_one_stack(complementary_channel(ch), [v[b] for b in range(iso.dim_out)])
+
+
+def test_kraus_ops_is_one_stack_in_the_reduced_sdp(monkeypatch):
+    rho, ch = bench.SETTINGS["lncy4"].build(0.3)
+    seen = []
+    real = optdec.build_fidelity_sdp
+    monkeypatch.setattr(optdec, "build_fidelity_sdp", lambda r, c: seen.append(c) or real(r, c))
+    _, emb = optdec.reduce_problem(rho, ch)
+    (reduced,) = seen
+    ref = [dag(emb.v_in) @ k @ emb.v_out for k in ch.kraus_ops]
+    _assert_one_stack(reduced, ref)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3])
+def test_kraus_ops_is_one_stack_in_built_decoders(p):
+    # at p = 0 sigma_B has a kernel, so the Petz-family decoders end in its
+    # completion, |u_j><k_m| / sqrt(r) with m slowest
+    rho, ch = bench.SETTINGS["bitflip3"].build(p)
+    (_, u_a), (_, _, kernel) = decoders._spectra(rho, ch)
+    completion = oracles.kernel_completion_outer(u_a, kernel)
+    assert len(completion) == (12 if p == 0.0 else 0)
+    for dec in (decoders.build_petz(rho, ch), decoders.build_twirled_petz(rho, ch)):
+        _assert_one_stack(dec.channel)
+        tail = dec.channel.kraus_ops[len(dec.channel.kraus_ops) - len(completion) :]
+        assert len(tail) == len(completion)
+        assert all(np.array_equal(k, r) for k, r in zip(tail, completion))
+    _assert_one_stack(decoders.build_sw(rho, ch)[0].channel)
+
+
 def test_validate_rejects_double_identity():
     ch = KrausChannel(kraus_ops=(np.eye(2), np.eye(2)), dim_in=2, dim_out=2)
     with pytest.raises(NotTracePreserving) as err:
@@ -150,6 +215,19 @@ def test_apply_on_labeled_slot(rng):
     assert out.dims == (2, 2)
     assert out.labels == ("R", "B")
     assert np.allclose(out.marginal("R"), rho_a)
+
+
+def test_apply_channel_matches_kronecker_padded_sum(rng):
+    # on the middle of three factors to roundoff; on a single factor, where
+    # the padding is trivial, bit for bit
+    ch = _random_channel(rng, 3, 2, 4)
+    x = oracles.random_psd(rng, 2 * 3 * 2)
+    out = apply_channel(ch, x, dims=(2, 3, 2), acting_on=1)
+    ref = oracles.apply_channel_kron(ch, x, (2, 3, 2), 1)
+    assert out.shape == (8, 8)
+    assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
+    x = oracles.random_psd(rng, 3)
+    assert np.array_equal(apply_channel(ch, x), oracles.apply_channel_kron(ch, x, (3,), 0))
 
 
 def test_adjoint_identity():
