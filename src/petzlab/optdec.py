@@ -36,11 +36,15 @@ Nesterov-Todd direction in semidefinite programming", SIAM J. Optim. 8
 (1998) 769), Z^-1 = Lz^-dagger Lz^-1, and both step lengths from
 lambda_min(L^-1 dS L^-dagger); no eigendecomposition of X or Z is formed.
 
-Sectors of the same shape are solved as one stacked interior-point run
-(:func:`_solve_stack`): each step acts on the k x n x n stack at once, which
-shares the Python-level cost of an iteration among the k members, while
-each member keeps its own step lengths, centering, tolerance tol/K and
-convergence test and leaves the stack once it has converged.
+The sectors wider than 1 are solved as one stacked interior-point run
+(:func:`_solve_stack`). Each is first zero-padded to the widest input among
+them (:func:`_pad_input`): a pad block whose objective is 0 leaves the
+optimum unchanged, by the same pinching argument, so the padded member's
+primal, dual and gap certify its sector. Each step acts on the k x n x n
+stack at once, which shares the Python-level cost of an iteration among the
+k members, while each member keeps its own step lengths, centering,
+tolerance tol/K and convergence test and leaves the stack once it has
+converged.
 
 Sectors that carry the same irreducible representation of the permutation
 group have one objective up to a change of basis (the isotypic blocks repeat
@@ -437,8 +441,8 @@ def _interior_point(g: np.ndarray, dims: tuple[int, int], tol: float) -> list[Sd
 
 def solve_sdp(prob: SdpProblem, tol: float = 1e-7) -> SdpSolution:
     """Primal-dual path-following solve with NT scaling: :func:`_solve_stack`
-    on a stack of one, the loop that also solves the sector stacks of
-    :func:`_solve_sectors` (there each member at tol/K, leaving its stack
+    on a stack of one, the loop that also solves the padded sector stack of
+    :func:`_solve_sectors` (there each member at tol/K, leaving the stack
     when it converges)."""
     return _solve_stack([prob], tol)[0]
 
@@ -585,30 +589,46 @@ def _solve_one_wide(prob: SdpProblem) -> tuple[float, float]:
     return float(np.linalg.eigvalsh(g)[-1]), float(bound)
 
 
+def _pad_input(prob: SdpProblem, dim_in: int) -> SdpProblem:
+    """``prob`` on an input widened to ``dim_in`` by a block of zero objective.
+
+    The padded problem has prob's optimum: the block X_k of a feasible X on
+    prob's input is feasible for prob with the same objective value, and the
+    direct sum of a feasible X_k and 1/dim_out on the pad is feasible for
+    the padded problem with the same value. A dual Y_k of prob extends by 0
+    on the pad to a dual of the padded problem with the same value."""
+    d_b, d_a = prob.dim_in, prob.dim_out
+    g = np.zeros((dim_in, d_a, dim_in, d_a), dtype=prob.objective.dtype)
+    g[:d_b, :, :d_b] = prob.objective.reshape(d_b, d_a, d_b, d_a)
+    n = dim_in * d_a
+    return SdpProblem(objective=g.reshape(n, n), dim_in=dim_in, dim_out=d_a)
+
+
 def _solve_sectors(problems: list[SdpProblem], tol: float) -> tuple[float, float]:
     """The optimum and its certified gap, summed over the sector problems.
 
-    The sectors are grouped by shape (dim_in, dim_out). A group with
-    dim_in = 1 is solved in closed form (:func:`_solve_one_wide`), with a
-    gap at roundoff. Each other group is one stacked run of
-    :func:`_solve_stack`, in which every member converges on its own and
-    leaves the stack. A failure of any member fails the sum. Each of the K
-    sectors is solved at tol/K, and K counts the closed-form sectors too, so
-    the interior-point runs keep the tolerance, iterates and values they have
-    without the closed form. The summed gap then obeys the whole problem's
-    convergence rule, sum |gap_k| <= (tol/K) sum (1 + p_k) <= tol (1 + F)
-    because every p_k >= 0, and the sector residuals add in quadrature to
-    below 0.1 tol / sqrt(K).
+    A sector with dim_in = 1 is solved in closed form (:func:`_solve_one_wide`),
+    with a gap at roundoff. The wider sectors of one dim_out (every sector
+    of a split shares r_A) are zero-padded to the widest input among them
+    (:func:`_pad_input`, which keeps each optimum) and solved as one stacked
+    run of :func:`_solve_stack`, in which every member converges on its own
+    and leaves the stack; its primal, dual and gap certify its sector. A
+    copy in that run widens its gap by the padded width times the difference
+    of objectives, which holds since every padded feasible X has that trace.
+    A failure of any member fails the sum. Each of the K sectors is solved at
+    tol/K, and K counts the closed-form sectors too. The summed gap then
+    obeys the whole problem's convergence rule,
+    sum |gap_k| <= (tol/K) sum (1 + p_k) <= tol (1 + F) because every
+    p_k >= 0, and the sector residuals add in quadrature to below
+    0.1 tol / sqrt(K).
     """
-    shapes: dict[tuple[int, int], list[SdpProblem]] = {}
-    for prob in problems:
-        shapes.setdefault((prob.dim_in, prob.dim_out), []).append(prob)
-    terms = []
-    for (d_in, _), stack in shapes.items():
-        if d_in == 1:
-            terms += map(_solve_one_wide, stack)
-        else:
-            terms += [(s.primal, s.gap) for s in _solve_stack(stack, tol / len(problems))]
+    terms = [_solve_one_wide(prob) for prob in problems if prob.dim_in == 1]
+    wide = [prob for prob in problems if prob.dim_in > 1]
+    for d_a in dict.fromkeys(prob.dim_out for prob in wide):
+        stack = [prob for prob in wide if prob.dim_out == d_a]
+        width = max(prob.dim_in for prob in stack)
+        padded = [_pad_input(prob, width) for prob in stack]
+        terms += [(s.primal, s.gap) for s in _solve_stack(padded, tol / len(problems))]
     return sum(p for p, _ in terms), sum(gap for _, gap in terms)
 
 
@@ -619,9 +639,9 @@ def optimal_fidelity(rho_a: DensityOperator, ch: KrausChannel, tol: float = 1e-7
 
     A sector (or a whole reduced problem) with a one-dimensional input is
     solved in closed form as lambda_max of its objective, with a gap at
-    eigvalsh's roundoff; the others by interior point at tol/K, where K
-    counts every sector, the closed-form ones included, so their runs do not
-    depend on which sectors have a closed form (:func:`_solve_sectors`)."""
+    eigvalsh's roundoff; the others are zero-padded to the widest of them and
+    solved in one stacked interior-point run, each at tol/K, where K counts
+    every sector, the closed-form ones included (:func:`_solve_sectors`)."""
     return _solve_sectors(_sector_problems(rho_a, ch), tol)[0]
 
 

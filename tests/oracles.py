@@ -18,7 +18,8 @@ grouping of equal log-ratios, sigma_RB and the Choi matrix from one
 rank-one term per Kraus operator, the beta0 quadrature from bisecting one
 panel at a time, depth first, tensor powers from iterated np.kron, and
 the stacked interior-point loop through the numpy calls it made before they
-were trimmed (norms and traces by their wrappers),
+were trimmed (norms and traces by their wrappers), the sector sum with one
+stacked run per sector shape instead of one padded run,
 and Kraus lists checked, built and summed one operator at a time (a channel
 on one factor of a product through Kronecker-padded operators).
 """
@@ -61,9 +62,12 @@ from petzlab.matcore import (
 from petzlab.optdec import (
     MAX_ITER,
     STEP_FRACTION,
+    SdpProblem,
     SdpSolution,
     _schur_matrix,
     _schur_solve,
+    _solve_one_wide,
+    _solve_stack,
     _step_lengths,
     _tr_out,
 )
@@ -625,6 +629,22 @@ def solve_sdp_unstacked(prob, tol=1e-7):
             raise NumericalBreakdown(f"non-finite iterate at iteration {it}")
 
     raise MaxIterations(f"no convergence within {MAX_ITER} iterations")
+
+
+def solve_sectors_per_shape(problems, tol):
+    """``optdec._solve_sectors`` as it was before the wider sectors were
+    padded to one width: one stacked run per sector shape (dim_in, dim_out),
+    the 1-wide sectors in closed form. The body is kept verbatim."""
+    shapes: dict[tuple[int, int], list[SdpProblem]] = {}
+    for prob in problems:
+        shapes.setdefault((prob.dim_in, prob.dim_out), []).append(prob)
+    terms = []
+    for (d_in, _), stack in shapes.items():
+        if d_in == 1:
+            terms += map(_solve_one_wide, stack)
+        else:
+            terms += [(s.primal, s.gap) for s in _solve_stack(stack, tol / len(problems))]
+    return sum(p for p, _ in terms), sum(gap for _, gap in terms)
 
 
 # -- the interior-point loop before its numpy calls were trimmed ---------------

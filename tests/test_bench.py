@@ -784,6 +784,33 @@ def test_module_entry_point_runs_without_runpy_warning(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def _moved_rows(tmp_path, old_rows, new_rows):
+    """Exit code and output lines of scripts/csv_moved_rows.py on two CSVs."""
+    paths = [tmp_path / "old.csv", tmp_path / "new.csv"]
+    for path, rows in zip(paths, [old_rows, new_rows]):
+        emit_csv([CurvePoint("lncy4", p, s, v, 0.0, f) for p, s, v, f in rows], str(path))
+    root = os.path.dirname(os.path.dirname(__file__))
+    script = os.path.join(root, "scripts", "csv_moved_rows.py")
+    proc = subprocess.run(
+        [sys.executable, script, *map(str, paths)], capture_output=True, text=True, timeout=60
+    )
+    return proc.returncode, proc.stdout.splitlines()
+
+
+def test_csv_moved_rows_allows_only_optimal_moves(tmp_path):
+    base = [(0.5, "optimal", 0.8, "ok"), (0.5, "petz", 0.7, "ok"), (1.0, "optimal", 1.0, "ok")]
+    assert _moved_rows(tmp_path, base, base) == (0, ["0 of 3 rows moved"])
+    moved = [(0.5, "optimal", 0.8 + 2e-9, "ok"), *base[1:]]
+    expected = ["lncy4 0.5 optimal 2e-09", "1 of 3 rows moved"]
+    assert _moved_rows(tmp_path, base, moved) == (0, expected)
+    petz = [base[0], (0.5, "petz", 0.7 + 1e-12, "ok"), base[2]]
+    assert _moved_rows(tmp_path, base, petz)[0] == 1
+    flagged = [*base[:2], (1.0, "optimal", 1.0, "error:NumericalBreakdown")]
+    code, lines = _moved_rows(tmp_path, base, flagged)
+    assert code == 1 and lines[0] == "lncy4 1 optimal 0 flags ok -> error:NumericalBreakdown"
+    assert _moved_rows(tmp_path, base, base[:2])[0] == 1
+
+
 # -- the no-decoder series in closed form -------------------------------------------------
 
 NONE_POINTS = {

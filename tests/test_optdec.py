@@ -425,7 +425,7 @@ def test_sector_split_falls_back_on_one_perturbed_coupling(monkeypatch):
     assert len(optdec._sector_problems(rho, ch)) == len(bases) > 1
 
 
-# -- one stacked interior-point run per sector shape --------------------------------------
+# -- the wider sectors of a grid point padded to one width, in one stacked run -------------
 
 
 def _shape_stacks(problems):
@@ -477,16 +477,130 @@ def _record_stacks(monkeypatch):
     return runs
 
 
-# lncy4's 1-wide sector is solved in closed form, not by a stacked run
-@pytest.mark.parametrize("setting, runs", [("bitflip3", 2), ("lncy4", 2), ("fivequbit", 2)])
-def test_one_stacked_run_per_sector_shape(monkeypatch, setting, runs):
+# lncy4's 1-wide sector is solved in closed form, not by a stacked run; the
+# wider sectors, 2 and 4 (bitflip3), 3 and 6 (lncy4), 6 and 8 (fivequbit)
+# wide, are padded to one width and make one run
+@pytest.mark.parametrize("setting", ["bitflip3", "lncy4", "fivequbit"])
+def test_one_stacked_run_per_grid_point(monkeypatch, setting):
     stacks = _record_stacks(monkeypatch)
     problems = optdec._sector_problems(*SETTINGS[setting].build(0.5))
     optdec._solve_sectors(problems, 1e-7)
-    assert len(stacks) == runs
+    assert len(stacks) == 1
+    assert len({q.dim_in for q in problems if q.dim_in > 1}) == 2
     stacked = [q.dim_in for stack, _, _ in stacks for q in stack]
     assert 1 not in stacked
     assert len(stacked) == sum(q.dim_in > 1 for q in problems)
+
+
+def _padded_runs(monkeypatch, problems, tol):
+    """The sectors wider than 1 with the (padded problem, solution) of the
+    one stacked run _solve_sectors makes for them."""
+    stacks = _record_stacks(monkeypatch)
+    optdec._solve_sectors(problems, tol)
+    monkeypatch.undo()
+    ((padded, run_tol, sols),) = stacks
+    assert run_tol == tol / len(problems)
+    return [q for q in problems if q.dim_in > 1], padded, sols
+
+
+def _sector_block(m, d_in, width, d_out):
+    """The block of m (on width x d_out) on the first d_in input indices."""
+    block = m.reshape(width, d_out, width, d_out)[:d_in, :, :d_in]
+    return block.reshape(d_in * d_out, d_in * d_out)
+
+
+@pytest.mark.parametrize("setting", sorted(SECTOR_PARITY_POINTS))
+def test_padded_member_certifies_its_own_sector(monkeypatch, setting):
+    tol = 1e-7
+    for p in SECTOR_PARITY_POINTS[setting]:
+        problems = optdec._sector_problems(*SETTINGS[setting].build(float(p)))
+        if len(problems) == 1:  # p = 0 and p = 1 are solved whole
+            continue
+        wide, padded, sols = _padded_runs(monkeypatch, problems, tol)
+        for prob, pad, sol in zip(wide, padded, sols, strict=True):
+            d_in, d_out, width = prob.dim_in, prob.dim_out, pad.dim_in
+            g = herm_part(prob.objective)
+            norm = np.linalg.norm(g)
+            x_k = _sector_block(sol.x, d_in, width, d_out)
+            y_k = sol.y[:d_in, :d_in]
+            # the sector block of X attains the padded primal on G_k ...
+            assert abs(np.trace(g @ x_k).real - sol.primal) <= 1e-14 * norm
+            # ... and the pad adds exactly 0 to it
+            x_off = sol.x.reshape(width, d_out, width, d_out).copy()
+            x_off[:d_in, :, :d_in] = 0
+            x_off = x_off.reshape(sol.x.shape)
+            assert np.einsum("ij,ji->", herm_part(pad.objective), x_off) == 0
+            # X_k is feasible for the sector to the run's primal tolerance
+            assert np.linalg.norm(np.eye(d_in) - partial_trace(x_k, (d_in, d_out), 0)) <= (
+                0.1 * tol / len(problems)
+            )
+            # Y_k tensor 1 - G_k is the compression of Z + r_d, Z >= 0
+            r_d_bound = 0.1 * tol / len(problems) * (1 + norm)
+            slack = np.kron(y_k, np.eye(d_out)) - g
+            assert np.linalg.eigvalsh(slack)[0] >= -(r_d_bound + 1e-14 * norm * prob.dim)
+            # the pad's dual block is nonnegative up to r_d, so the sector's
+            # own gap is within the padded run's
+            own_gap = np.trace(y_k).real - np.trace(g @ x_k).real
+            assert own_gap <= abs(sol.gap) + width * r_d_bound
+
+
+def test_wider_sectors_keep_their_stacked_runs():
+    # the padded run against one stacked run per sector shape: both sums are
+    # within their certified gaps of the same optimum
+    tol = 1e-7
+    for setting, points in SECTOR_PARITY_POINTS.items():
+        for p in points:
+            problems = optdec._sector_problems(*SETTINGS[setting].build(float(p)))
+            primal, gap = optdec._solve_sectors(problems, tol)
+            old_primal, old_gap = oracles.solve_sectors_per_shape(problems, tol)
+            assert abs(primal - old_primal) <= abs(old_gap) + abs(gap)
+            assert abs(gap) <= tol * (1 + abs(primal))
+
+
+def _hand_built(rng, widths, d_out, complex_index):
+    """Reduced problems of the given input widths and one output width,
+    real but for the one at complex_index."""
+    problems = []
+    for k, d_in in enumerate(widths):
+        prob, _ = reduce_problem(*_random_instance(rng, d_out, d_in))
+        assert (prob.dim_in, prob.dim_out) == (d_in, d_out)
+        if k != complex_index:
+            real = prob.objective.real.astype(complex)
+            prob = SdpProblem(objective=real, dim_in=d_in, dim_out=d_out)
+        problems.append(prob)
+    return problems
+
+
+def _one_sum_within_gaps(monkeypatch, problems, tol):
+    """The stacked runs of _solve_sectors on ``problems`` and the dtypes of
+    their Cholesky factorizations; the sum is checked against a solve_sdp of
+    each problem."""
+    refs = [solve_sdp(q, tol=tol / len(problems)) for q in problems]
+    stacks = _record_stacks(monkeypatch)
+    dtypes = _cholesky_dtypes(monkeypatch)
+    primal, gap = optdec._solve_sectors(problems, tol)
+    monkeypatch.undo()
+    assert abs(primal - sum(r.primal for r in refs)) <= abs(gap) + sum(abs(r.gap) for r in refs)
+    assert abs(gap) <= tol * (1 + abs(primal))
+    return stacks, dtypes
+
+
+def test_mixed_widths_make_one_run_per_output_width(monkeypatch, rng):
+    tol = 1e-7
+    problems = _hand_built(rng, [2, 3, 4], 2, complex_index=1)
+    assert problems[1].objective.imag.any()
+    stacks, dtypes = _one_sum_within_gaps(monkeypatch, problems, tol)
+    assert len(stacks) == 1 and [q.dim_in for q in stacks[0][0]] == [4, 4, 4]
+    assert dtypes and set(dtypes) == {np.dtype(np.complex128)}
+
+    mixed = problems + _hand_built(rng, [2, 3], 3, complex_index=None)
+    stacks, _ = _one_sum_within_gaps(monkeypatch, mixed, tol)
+    shapes = sorted(tuple({(q.dim_in, q.dim_out) for q in stack}) for stack, _, _ in stacks)
+    assert shapes == [((3, 3),), ((4, 2),)]
+
+    for index in range(len(problems)):
+        with pytest.raises(NumericalBreakdown):
+            optdec._solve_sectors(_with_nan_objective(problems, index), tol)
 
 
 # -- sectors with a one-dimensional input in closed form -----------------------------------
@@ -534,30 +648,6 @@ def test_one_wide_closed_form_matches_interior_point_random(rng, dim_out, real):
         if real:
             g = g.real.astype(complex)  # real entries in a complex array
         _assert_one_wide_certified(SdpProblem(objective=g, dim_in=1, dim_out=dim_out), 1e-9)
-
-
-def test_wider_sectors_keep_their_stacked_runs(monkeypatch):
-    # the runs inside _solve_sectors are those of _solve_stack on the same
-    # shape stacks at tol/K, where K counts the closed-form sector
-    tol = 1e-7
-    for p in (0.1, 0.5, 0.9):
-        problems = optdec._sector_problems(*SETTINGS["lncy4"].build(p))
-        wide = [stack for stack in _shape_stacks(problems) if stack[0].dim_in > 1]
-        refs = [optdec._solve_stack(stack, tol / len(problems)) for stack in wide]
-        stacks = _record_stacks(monkeypatch)
-        primal, _ = optdec._solve_sectors(problems, tol)
-        assert [(stack, t) for stack, t, _ in stacks] == [
-            (stack, tol / len(problems)) for stack in wide
-        ]
-        for (_, _, sols), ref in zip(stacks, refs):
-            assert [(s.iterations, s.primal, s.dual, s.gap) for s in sols] == [
-                (s.iterations, s.primal, s.dual, s.gap) for s in ref
-            ]
-            for s, r in zip(sols, ref):
-                assert np.array_equal(s.x, r.x) and np.array_equal(s.y, r.y)
-        one_wide = [optdec._solve_one_wide(q)[0] for q in problems if q.dim_in == 1]
-        assert primal == sum([s.primal for sols in refs for s in sols] + one_wide)
-        monkeypatch.undo()
 
 
 def _with_nan_objective(problems, index):
