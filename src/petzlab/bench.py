@@ -14,16 +14,13 @@ measured wall times are written only when timing output is requested.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import math
-import multiprocessing
 import numbers
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -283,8 +280,13 @@ def _worker_pool(workers: int):
     The workers are spawned (not forked) while every variable of
     ``_BLAS_THREAD_VARS`` is 1, so each imports numpy with a one-thread BLAS;
     ``workers`` multi-threaded BLAS pools would oversubscribe the cores. The
-    caller's environment is restored when the pool has shut down.
+    caller's environment is restored when the pool has shut down. The
+    process-pool modules are imported here, so importing petzlab does not
+    load them.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
@@ -458,6 +460,8 @@ def audit_invariants(setting: str, points: int = 21, include_sdp: bool = True) -
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(prog="petzlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

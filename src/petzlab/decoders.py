@@ -30,6 +30,7 @@ from .errors import (
     AlignmentFailure,
     DegenerateChannelOutput,
     DimensionMismatch,
+    InvalidParameter,
     ToleranceNotMet,
 )
 from .matcore import (
@@ -277,7 +278,7 @@ def fe_closed_form(sigma_rb: DensityOperator, variant: str = "petz", t: float = 
         return kernel.value(t)
     if variant == "twirled":
         return kernel.twirled()
-    raise DimensionMismatch(f"unknown fidelity variant {variant!r}")
+    raise InvalidParameter(f"unknown fidelity variant {variant!r}")
 
 
 @functools.lru_cache(maxsize=8)

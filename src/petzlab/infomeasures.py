@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidOrder, NegativeEpsilon, SupportViolation
+from .errors import (
+    DimensionMismatch,
+    InvalidOrder,
+    InvalidParameter,
+    NegativeEpsilon,
+    SupportViolation,
+)
 from .matcore import (
     as_cmatrix,
     dag,
@@ -109,7 +115,7 @@ def entropy_derived(rho: DensityOperator, kind: str, cut: str | None = None) -> 
         return h_a + h_b - h_ab
     if kind == "coherent":
         return h_b - h_ab
-    raise InvalidOrder(f"unknown derived entropy kind {kind!r}")
+    raise InvalidParameter(f"unknown derived entropy kind {kind!r}")
 
 
 def relative_entropy(rho, sigma) -> DivergenceResult:

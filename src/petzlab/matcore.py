@@ -199,14 +199,14 @@ def schatten_norm(m, p: float) -> float:
     return float(np.sum(s**p) ** (1.0 / p))
 
 
-def _check_state(rho: np.ndarray, tol: float = STATE_TOL) -> HermEig:
-    """Check that ``rho`` is a density matrix; returns its eigendecomposition."""
+def _check_state(rho: np.ndarray) -> HermEig:
+    """Check that ``rho`` is a density matrix, to STATE_TOL; returns its eigendecomposition."""
     rho = as_cmatrix(rho)
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tol * 10:
+    if abs(tr - 1.0) > STATE_TOL * 10:
         raise NotState(f"trace {tr:.6g} is not 1")
     eig = herm_eig(rho)
-    if eig.eigenvalues[-1] < -tol * max(1.0, float(eig.eigenvalues[0])):
+    if eig.eigenvalues[-1] < -STATE_TOL * max(1.0, float(eig.eigenvalues[0])):
         raise NotState(f"minimum eigenvalue {eig.eigenvalues[-1]:.3e} is negative")
     return eig
 

@@ -17,7 +17,8 @@ any feasible X onto those blocks keeps tr_out X = 1 and tr[G X], so the
 optimum is the sum of the sector optima and the block sum of the sector
 duals is dual feasible (Gatermann-Parrilo, J. Pure Appl. Algebra 192
 (2004)). The sectors are proposed by the qubit permutations that leave the
-source and the support of the channel output invariant (the eigenspaces of
+source and the support of the channel output invariant (:func:`_stabilizers`,
+from one table of permuted row indices; the sectors are the eigenspaces of
 one fixed combination of them, :func:`_sector_bases`); only the check that
 the coupling of G between sectors is at most SECTOR_TOL * ||G|| certifies a
 split. Without a certified split the reduced problem is solved whole.
@@ -55,12 +56,14 @@ SECTOR_TOL * ||G|| of an earlier one (Frobenius norms) is a copy, takes that
 representative's iterates, and widens its dual and its certified gap by
 d_in times the difference.
 
-A stack whose objectives have an imaginary part that is exactly 0 is solved
-in real (float64) arithmetic: for real G, Re X is feasible whenever X is and
-has the same objective value, so the real and the complex SDP share their
-optimum, and the Cholesky, SVD, eigvalsh, inverse, Schur solve and products
-of every iteration run at real cost. The test is exact, not a tolerance; a
-stack with any nonzero imaginary entry stays complex.
+Whether a problem is solved in real or in complex arithmetic is decided
+once, from its objectives (:func:`_objectives`): a stack whose imaginary part
+is exactly 0 is solved in real (float64) arithmetic, since for real G, Re X
+is feasible whenever X is and has the same objective value, so the real and
+the complex SDP share their optimum. Every step of the solve, the Schur
+solve included, then runs in the objective's own arithmetic. The test is
+exact, not a tolerance; a stack with any nonzero imaginary entry stays
+complex.
 """
 
 from __future__ import annotations
@@ -231,31 +234,28 @@ def _schur_matrix(w: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
 
 def _schur_solve(lc: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve lc vec(Y_k) = vec(H_k) for a stack of right-hand sides in one
-    real factorization.
+    factorization, in the arithmetic of lc.
 
-    ``lc`` is the matrix of a Hermitian-preserving map on d x d matrices
-    (:func:`_schur_matrix`) and ``rhs`` is k x d x d; only the Hermitian part
-    of each H_k is used. R(Y) = Re Y + Im Y maps Hermitian matrices
-    isometrically onto real ones, and R(L(Y)) = L_R R(Y) with
-    L_R = Re lc + Im(lc with transposed columns), which has the conditioning
-    of lc. The solutions come back through Y = ((1+i)R + (1-i)R^T)/2, so
-    they are exactly Hermitian. A real ``lc`` (a real objective) maps real
-    symmetric matrices to real symmetric ones and is solved as it is; the
-    solutions are returned as their symmetric parts (Y + Y^T)/2. A stack of
-    maps lc (..., n, n) takes a stack of right-hand sides (..., k, d, d).
+    ``lc`` is the matrix of a Hermitian-preserving map L on d x d matrices
+    (:func:`_schur_matrix`) and ``rhs`` is k x d x d. L commutes with the
+    adjoint, so the Hermitian part of a solution solves the Hermitian part
+    of H_k: the solutions are returned as their Hermitian parts, which are
+    exactly Hermitian, and an anti-Hermitian part of H_k is dropped. A stack
+    of maps lc (..., n, n) takes a stack of right-hand sides (..., k, d, d).
     """
     lead, (k, d, _) = rhs.shape[:-3], rhs.shape[-3:]
-    n = d * d
-    complex_map = np.iscomplexobj(lc)
-    if complex_map:
-        lc_t = lc.reshape(lead + (n, d, d)).swapaxes(-1, -2).reshape(lead + (n, n))
-        herm = herm_part(rhs)
-        lc, rhs = lc.real + lc_t.imag, herm.real + herm.imag
-    r = np.linalg.solve(lc, rhs.reshape(lead + (k, n)).swapaxes(-1, -2))
-    r = r.swapaxes(-1, -2).reshape(lead + (k, d, d))
-    rt = r.swapaxes(-1, -2)
-    sym = (r + rt) / 2
-    return sym + 1j * ((r - rt) / 2) if complex_map else sym
+    r = np.linalg.solve(lc, rhs.reshape(lead + (k, d * d)).swapaxes(-1, -2))
+    return herm_part(r.swapaxes(-1, -2).reshape(lead + (k, d, d)))
+
+
+def _objectives(problems: list[SdpProblem]) -> np.ndarray:
+    """The Hermitian parts of the problems' objectives as one stack, in real
+    (float64) arithmetic when its imaginary part is exactly 0. A non-finite
+    objective raises :class:`NumericalBreakdown`."""
+    g = herm_part(np.stack([prob.objective for prob in problems]))
+    if not np.isfinite(g).all():
+        raise NumericalBreakdown("non-finite objective")
+    return g if g.imag.any() else g.real
 
 
 def _solve_stack(problems: list[SdpProblem], tol: float) -> list[SdpSolution]:
@@ -271,14 +271,11 @@ def _solve_stack(problems: list[SdpProblem], tol: float) -> list[SdpSolution]:
     for G_i, and |tr[(G_i - G_r) X]| <= e tr X = d_in e. The solutions come
     back in the order of ``problems``. A non-finite objective raises
     :class:`NumericalBreakdown` before any member is compared or solved. A
-    stack whose imaginary part is exactly 0 is solved in real arithmetic.
+    stack whose imaginary part is exactly 0 is solved in real arithmetic
+    (:func:`_objectives`).
     """
     d_b, d_a = problems[0].dim_in, problems[0].dim_out
-    g = herm_part(np.stack([prob.objective for prob in problems]))
-    if not np.isfinite(g).all():
-        raise NumericalBreakdown("non-finite objective")
-    if not g.imag.any():
-        g = g.real
+    g = _objectives(problems)
 
     reps, diffs = [], []  # each member's representative and ||G_i - G_r||
     distinct: list[int] = []
@@ -318,9 +315,9 @@ def _interior_point(g: np.ndarray, dims: tuple[int, int], tol: float) -> list[Sd
     eliminated down to a Hermitian positive definite Schur complement on the
     input system. Its solution is linear in the complementarity residual
     r_c, and the corrector's r_c = sigma mu Z^-1 - X is the predictor's plus
-    sigma mu Z^-1, so each iteration factors the Schur matrix once, in real
-    coordinates (:func:`_schur_solve`), for the two right-hand sides
-    tr_out[W r_d W - X] - r_p and tr_out[Z^-1].
+    sigma mu Z^-1, so each iteration factors the Schur matrix once, in the
+    objective's own arithmetic (:func:`_schur_solve`), for the two
+    right-hand sides tr_out[W r_d W - X] - r_p and tr_out[Z^-1].
 
     Each iteration factors the stack [X; Z] by Cholesky and inverts the
     factors once; the NT scaling point W (:func:`_nt_scaling`, one SVD;
@@ -447,39 +444,33 @@ def solve_sdp(prob: SdpProblem, tol: float = 1e-7) -> SdpSolution:
     return _solve_stack([prob], tol)[0]
 
 
-def _permute_rows(m: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
-    """P m for the qubit permutation P that moves qubit perm[j] to position j,
-    applied to the 2^n-dimensional row index of m by transposing axes."""
-    n = len(perm)
-    return m.reshape((2,) * n + (-1,)).transpose(*perm, n).reshape(m.shape)
+def _stabilizers(rho: np.ndarray, pi_b: np.ndarray, n: int) -> list[tuple[int, np.ndarray]]:
+    """The qubit permutations P other than 1 with P rho P^dagger = rho and
+    P pi_b P^dagger = pi_b, each to PROPOSAL_TOL in Frobenius norm, as pairs
+    (j, idx) of the enumeration index j >= 1 of P in
+    itertools.permutations(range(n)) and its row indices, (P v)[i] = v[idx[i]].
 
-
-def _is_symmetric(m: np.ndarray, perm: tuple[int, ...]) -> bool:
-    """Whether P m P^dagger = m for the (real) qubit permutation P, to PROPOSAL_TOL."""
-    pmp = _permute_rows(_permute_rows(m, perm).T, perm).T
-    return float(np.linalg.norm(pmp - m)) <= PROPOSAL_TOL
-
-
-def _stabilizer_candidates(m: np.ndarray, n: int) -> list[tuple[int, tuple[int, ...]]]:
-    """The qubit permutations (with their enumeration index j >= 1) that may
-    fix the 2^n x 2^n matrix m, for :func:`_is_symmetric` to decide.
-
-    For a fixed probe vector x, ||m P x - P m x|| = ||(m - P m P^dagger) P x||,
-    so P m P^dagger = m to PROPOSAL_TOL in Frobenius norm implies
-    ||m P x - P m x|| <= PROPOSAL_TOL ||x||, and no symmetry is dropped. Entry
-    i of P v is v at sum_k b_k 2^(n-1-perm[k]) over the bits b of i (as in
-    :func:`_permute_rows`), so the test gathers the (n! x 2^n) arrays of
-    P x and P m x, never a stack of permuted matrices.
+    P moves qubit perm[k] to position k, so idx[i] = sum_k b_k 2^(n-1-perm[k])
+    over the bits b of i, and P m P^dagger = m[idx][:, idx]; the table of
+    idx has one row per permutation and is built once. A probe prefilter
+    on rho runs first: for a fixed vector x,
+    ||rho P x - P rho x|| = ||(rho - P rho P^dagger) P x||, so a P that fixes
+    rho passes ||rho P x - P rho x|| <= PROPOSAL_TOL ||x||, and the
+    (n! x 2^n) arrays of P x and P rho x decide it for every P at once. The
+    survivors are then confirmed on rho and pi_b.
     """
     d = 2**n
     x = np.cos(np.arange(1, d + 1))  # fixed and generic
     bits = (np.arange(d)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     place = 2 ** np.arange(n - 1, -1, -1)
-    perms = list(itertools.permutations(range(n)))
-    idx = place[np.array(perms)[1:]] @ bits.T  # j = 0 is the identity
-    resid = np.linalg.norm(x[idx] @ m.T - (m @ x)[idx], axis=1)
-    keep = 1 + np.flatnonzero(resid <= PROPOSAL_TOL * np.linalg.norm(x))
-    return [(int(j), perms[j]) for j in keep]
+    perms = np.array(list(itertools.permutations(range(n))))[1:]  # j = 0 is the identity
+    table = place[perms] @ bits.T
+    resid = np.linalg.norm(x[table] @ rho.T - (rho @ x)[table], axis=1)
+    return [
+        (int(j) + 1, table[j])
+        for j in np.flatnonzero(resid <= PROPOSAL_TOL * np.linalg.norm(x))
+        if all(np.linalg.norm(m[table[j]][:, table[j]] - m) <= PROPOSAL_TOL for m in (rho, pi_b))
+    ]
 
 
 def _sector_bases(rho_a: DensityOperator, v_in: np.ndarray) -> list[np.ndarray]:
@@ -487,8 +478,8 @@ def _sector_bases(rho_a: DensityOperator, v_in: np.ndarray) -> list[np.ndarray]:
 
     For d_A = d_B = 2^n, every qubit permutation P with P rho P^dagger = rho
     that maps the support projector v_in v_in^dagger of sigma_B to itself
-    (brute force over the n! permutations, prefiltered by
-    :func:`_stabilizer_candidates`) gives Q_P = v_in^dagger P v_in. With the
+    (brute force over the n! permutations, :func:`_stabilizers`) gives
+    Q_P = v_in^dagger P v_in, with the rows of v_in gathered by P. With the
     fixed coefficients c_P = 1/j over the permutations in enumeration order,
     a = sum_P c_P Q_P, and the sectors are the eigenspaces of its Hermitian
     part h = a + a^dagger. A G that commutes with every Q_P tensor 1
@@ -507,12 +498,7 @@ def _sector_bases(rho_a: DensityOperator, v_in: np.ndarray) -> list[np.ndarray]:
     n = d.bit_length() - 1
     if v_in.shape[0] != d or d != 2**n:
         return [np.eye(r_b)]
-    pi_b = v_in @ dag(v_in)
-    qs = [
-        (j, dag(v_in) @ _permute_rows(v_in, perm))
-        for j, perm in _stabilizer_candidates(rho_a.matrix, n)
-        if _is_symmetric(rho_a.matrix, perm) and _is_symmetric(pi_b, perm)
-    ]
+    qs = [(j, dag(v_in) @ v_in[idx]) for j, idx in _stabilizers(rho_a.matrix, v_in @ dag(v_in), n)]
     if not qs:
         return [np.eye(r_b)]
     a = sum(q / j for j, q in qs)
@@ -569,7 +555,7 @@ def _solve_one_wide(prob: SdpProblem) -> tuple[float, float]:
     the output, so the optimum is lambda_max(G): X = v v^dagger for a top
     eigenvector v attains it, and y = lambda_max is dual feasible. It comes
     from one eigvalsh of the Hermitian part of G, in real arithmetic when
-    the imaginary part is exactly 0, as in :func:`_solve_stack`.
+    the imaginary part is exactly 0 (:func:`_objectives`).
 
     LAPACK's symmetric eigensolvers are backward stable: a computed
     eigenvalue is an exact one of G + E with ||E||_2 <= p(n) eps ||G||_2 for
@@ -580,11 +566,7 @@ def _solve_one_wide(prob: SdpProblem) -> tuple[float, float]:
     of it. A non-finite objective raises :class:`NumericalBreakdown`, as in
     :func:`_solve_stack`.
     """
-    g = herm_part(prob.objective)
-    if not np.isfinite(g).all():
-        raise NumericalBreakdown("non-finite objective")
-    if not g.imag.any():
-        g = g.real
+    g = _objectives([prob])[0]
     bound = 4 * prob.dim_out**2 * np.finfo(float).eps * np.linalg.norm(g)
     return float(np.linalg.eigvalsh(g)[-1]), float(bound)
 

@@ -19,13 +19,17 @@ rank-one term per Kraus operator, the beta0 quadrature from bisecting one
 panel at a time, depth first, tensor powers from iterated np.kron, and
 the stacked interior-point loop through the numpy calls it made before they
 were trimmed (norms and traces by their wrappers), the sector sum with one
-stacked run per sector shape instead of one padded run,
+stacked run per sector shape instead of one padded run, the Schur solve
+as the real system it was before it ran in the objective's arithmetic, the
+qubit-permutation sectors from matrices permuted by reshaping and tested
+one permutation at a time,
 and Kraus lists checked, built and summed one operator at a time (a channel
 on one factor of a product through Kronecker-padded operators).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -61,6 +65,7 @@ from petzlab.matcore import (
 )
 from petzlab.optdec import (
     MAX_ITER,
+    PROPOSAL_TOL,
     STEP_FRACTION,
     SdpProblem,
     SdpSolution,
@@ -760,6 +765,102 @@ def interior_point_untrimmed(g: np.ndarray, dims: tuple[int, int], tol: float) -
             raise NumericalBreakdown(f"non-finite iterate at iteration {it}")
 
     raise MaxIterations(f"no convergence within {MAX_ITER} iterations")
+
+
+# -- the Schur solve in real coordinates ------------------------------------------
+
+
+def schur_solve_real_form(lc: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve lc vec(Y_k) = vec(H_k) for a stack of right-hand sides in one
+    real factorization.
+
+    ``lc`` is the matrix of a Hermitian-preserving map on d x d matrices
+    (:func:`_schur_matrix`) and ``rhs`` is k x d x d; only the Hermitian part
+    of each H_k is used. R(Y) = Re Y + Im Y maps Hermitian matrices
+    isometrically onto real ones, and R(L(Y)) = L_R R(Y) with
+    L_R = Re lc + Im(lc with transposed columns), which has the conditioning
+    of lc. The solutions come back through Y = ((1+i)R + (1-i)R^T)/2, so
+    they are exactly Hermitian. A real ``lc`` (a real objective) maps real
+    symmetric matrices to real symmetric ones and is solved as it is; the
+    solutions are returned as their symmetric parts (Y + Y^T)/2. A stack of
+    maps lc (..., n, n) takes a stack of right-hand sides (..., k, d, d).
+    """
+    lead, (k, d, _) = rhs.shape[:-3], rhs.shape[-3:]
+    n = d * d
+    complex_map = np.iscomplexobj(lc)
+    if complex_map:
+        lc_t = lc.reshape(lead + (n, d, d)).swapaxes(-1, -2).reshape(lead + (n, n))
+        herm = herm_part(rhs)
+        lc, rhs = lc.real + lc_t.imag, herm.real + herm.imag
+    r = np.linalg.solve(lc, rhs.reshape(lead + (k, n)).swapaxes(-1, -2))
+    r = r.swapaxes(-1, -2).reshape(lead + (k, d, d))
+    rt = r.swapaxes(-1, -2)
+    sym = (r + rt) / 2
+    return sym + 1j * ((r - rt) / 2) if complex_map else sym
+
+
+# -- qubit-permutation sectors from matrices permuted by reshaping ------------------
+
+
+def permute_rows(m: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
+    """P m for the qubit permutation P that moves qubit perm[j] to position j,
+    applied to the 2^n-dimensional row index of m by transposing axes."""
+    n = len(perm)
+    return m.reshape((2,) * n + (-1,)).transpose(*perm, n).reshape(m.shape)
+
+
+def is_symmetric(m: np.ndarray, perm: tuple[int, ...]) -> bool:
+    """Whether P m P^dagger = m for the (real) qubit permutation P, to PROPOSAL_TOL."""
+    pmp = permute_rows(permute_rows(m, perm).T, perm).T
+    return float(np.linalg.norm(pmp - m)) <= PROPOSAL_TOL
+
+
+def stabilizers_by_reshape(rho: np.ndarray, pi_b: np.ndarray, n: int) -> list:
+    """(j, perm) for every qubit permutation perm other than the identity,
+    j its index in itertools.permutations(range(n)), that fixes rho and pi_b
+    by :func:`is_symmetric`: no probe prefilter, one permutation at a time."""
+    perms = list(itertools.permutations(range(n)))
+    return [
+        (j, perms[j])
+        for j in range(1, len(perms))
+        if is_symmetric(rho, perms[j]) and is_symmetric(pi_b, perms[j])
+    ]
+
+
+def sector_bases_by_reshape(rho_a, v_in: np.ndarray) -> list[np.ndarray]:
+    """``optdec._sector_bases`` as it was when it permuted v_in by reshaping
+    (:func:`permute_rows`) and tested each permutation by :func:`is_symmetric`;
+    the body is kept verbatim but for :func:`stabilizers_by_reshape`, which
+    tests every permutation, not only those a probe prefilter passed. The
+    prefilter kept every symmetry, so the accepted set is the same."""
+    d, r_b = rho_a.dim, v_in.shape[1]
+    n = d.bit_length() - 1
+    if v_in.shape[0] != d or d != 2**n:
+        return [np.eye(r_b)]
+    pi_b = v_in @ dag(v_in)
+    qs = [
+        (j, dag(v_in) @ permute_rows(v_in, perm))
+        for j, perm in stabilizers_by_reshape(rho_a.matrix, pi_b, n)
+    ]
+    if not qs:
+        return [np.eye(r_b)]
+    a = sum(q / j for j, q in qs)
+    eig = herm_eig(a + dag(a))
+    w = eig.eigenvalues
+    cuts = np.flatnonzero(w[:-1] - w[1:] > PROPOSAL_TOL * np.abs(w).max()) + 1
+    bases = np.split(eig.eigenvectors, cuts, axis=1)
+    reps: list[np.ndarray] = []
+    for i, v in enumerate(bases):
+        for rep in reps:
+            if rep.shape != v.shape:
+                continue
+            u, s, vh = np.linalg.svd(dag(v) @ a @ rep)
+            if s[0] > PROPOSAL_TOL * np.linalg.norm(a) and s[0] - s[-1] <= PROPOSAL_TOL * s[0]:
+                bases[i] = v @ (u @ vh)
+                break
+        else:
+            reps.append(v)
+    return bases
 
 
 # -- Kraus operators checked one at a time ---------------------------------------

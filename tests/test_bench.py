@@ -784,6 +784,26 @@ def test_module_entry_point_runs_without_runpy_warning(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_does_not_load_the_process_pool_modules():
+    # the CLI parser and the worker pool import them when they run
+    src = os.path.dirname(os.path.dirname(petzlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, petzlab; "
+        "print([m for m in ('argparse', 'multiprocessing', 'concurrent.futures') "
+        "if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _moved_rows(tmp_path, old_rows, new_rows):
     """Exit code and output lines of scripts/csv_moved_rows.py on two CSVs."""
     paths = [tmp_path / "old.csv", tmp_path / "new.csv"]

@@ -20,7 +20,7 @@ from petzlab.decoders import (
     fe_of_decoder,
     identity_decoder,
 )
-from petzlab.errors import ToleranceNotMet
+from petzlab.errors import InvalidParameter, ToleranceNotMet
 from petzlab.matcore import dag
 from petzlab.quantum import (
     apply_channel,
@@ -142,6 +142,12 @@ def test_closed_form_identity_channel_is_one(rng):
     rho = density_operator(oracles.random_state(rng, 3))
     ch = kraus_channel([np.eye(3)])
     assert fe_closed_form(_sigma_rb(rho, ch), "petz") == pytest.approx(1.0, abs=1e-10)
+
+
+def test_closed_form_rejects_an_unknown_variant(rng):
+    rho = density_operator(oracles.random_state(rng, 2))
+    with pytest.raises(InvalidParameter, match="bogus"):
+        fe_closed_form(_sigma_rb(rho, kraus_channel([np.eye(2)])), "bogus")
 
 
 def test_closed_form_matches_simulation(rng):

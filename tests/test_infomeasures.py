@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from petzlab.bench import SETTINGS
-from petzlab.errors import InvalidOrder, NegativeEpsilon, SupportViolation
+from petzlab.errors import InvalidOrder, InvalidParameter, NegativeEpsilon, SupportViolation
 from petzlab.infomeasures import (
     entropy,
     entropy_derived,
@@ -84,6 +84,12 @@ def test_derived_product_mutual_information(rng):
 def test_derived_coherent_information_bell():
     rho = DensityOperator(matrix=_max_entangled(2), dims=(2, 2), labels=("A", "B"))
     assert entropy_derived(rho, "coherent") == pytest.approx(1.0, abs=1e-10)
+
+
+def test_derived_entropy_rejects_an_unknown_kind():
+    rho = DensityOperator(matrix=_max_entangled(2), dims=(2, 2), labels=("A", "B"))
+    with pytest.raises(InvalidParameter, match="bogus"):
+        entropy_derived(rho, "bogus")
 
 
 def test_derived_mutual_matches_eigen_oracle(rng):

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -281,6 +279,27 @@ def test_schur_solve_real_form_matches_complex_solve(rng):
             ref = np.linalg.solve(lc, rhs[k].reshape(-1)).reshape(d_b, d_b)
             assert np.linalg.norm(dy[k] - ref) <= 1e-10 * np.linalg.norm(ref)
             assert np.array_equal(dy[k], dag(dy[k]))
+
+
+def test_schur_solve_matches_the_real_form(rng):
+    # bit-identical on real maps; within roundoff of the real-form solve on
+    # complex ones, and still exactly Hermitian
+    for d_b, d_a in [(1, 3), (2, 2), (3, 2), (4, 3)]:
+        n = d_b * d_a
+        for cplx in (False, True):
+            w = oracles.random_psd(rng, n) + 0.1 * np.eye(n)
+            w = w if cplx else w.real
+            lc = _schur_matrix(w[None], (d_b, d_a))
+            rhs = np.stack([oracles.random_hermitian(rng, d_b) for _ in range(2)])[None]
+            rhs = rhs if cplx else rhs.real
+            dy = _schur_solve(lc, rhs)
+            ref = oracles.schur_solve_real_form(lc, rhs)
+            assert dy.dtype == ref.dtype == (np.complex128 if cplx else np.float64)
+            if cplx:
+                assert np.linalg.norm(dy - ref) <= 1e-14 * np.linalg.norm(ref)
+                assert np.array_equal(dy, dag(dy))
+            else:
+                assert np.array_equal(dy, ref)
 
 
 def _assert_matches_two_solve_newton(prob):
@@ -876,12 +895,13 @@ def test_copy_within_sector_tol_widens_its_gap(rng):
 
 def _cyclic_average(m, n):
     shifts = [tuple((np.arange(n) + s) % n) for s in range(n)]
-    return sum(optdec._permute_rows(optdec._permute_rows(m, p).T, p).T for p in shifts) / n
+    return sum(oracles.permute_rows(oracles.permute_rows(m, p).T, p).T for p in shifts) / n
 
 
 def test_stabilizer_prefilter_keeps_every_symmetry(rng):
-    # the probe test is implied by _is_symmetric, so every permutation that
-    # _is_symmetric accepts is a candidate, and on these inputs no other is
+    # the probe prefilter of _stabilizers is implied by the Frobenius test,
+    # so it keeps every permutation that the test one permutation at a time
+    # accepts, and _stabilizers accepts no other
     n = 7  # 5040 permutations
     w_state = np.zeros(2**n)
     w_state[2 ** np.arange(n)] = 1 / np.sqrt(n)
@@ -890,15 +910,41 @@ def test_stabilizer_prefilter_keeps_every_symmetry(rng):
         (_cyclic_average(oracles.random_state(rng, 2**n), n), n),
         (oracles.random_state(rng, 2**n), n),
     ]
-    cases += [(SETTINGS[s].build(0.3)[0].matrix, k) for s, k in [("bitflip3", 3), ("lncy4", 4), ("fivequbit", 5)]]
+    settings = [("bitflip3", 3), ("lncy4", 4), ("fivequbit", 5)]
+    cases += [(SETTINGS[s].build(0.3)[0].matrix, k) for s, k in settings]
+    for s, k in settings:
+        v_in = reduce_problem(*SETTINGS[s].build(0.3))[1].v_in
+        cases.append((v_in @ dag(v_in), k))  # the support projector pi_B
     for m, k in cases:
-        perms = list(itertools.permutations(range(k)))
-        symmetric = [j for j in range(1, len(perms)) if optdec._is_symmetric(m, perms[j])]
-        candidates = optdec._stabilizer_candidates(m, k)
-        assert [j for j, _ in candidates] == symmetric
-        assert all(perm == perms[j] for j, perm in candidates)
-    assert len(optdec._stabilizer_candidates(cases[0][0], n)) == 5039
-    assert len(optdec._stabilizer_candidates(cases[1][0], n)) >= 6
+        stabilizers = optdec._stabilizers(m, m, k)
+        accepted = oracles.stabilizers_by_reshape(m, m, k)
+        assert [j for j, _ in stabilizers] == [j for j, _ in accepted]
+        rows = np.arange(2**k)[:, None]
+        for (_, idx), (_, perm) in zip(stabilizers, accepted):
+            assert np.array_equal(idx, oracles.permute_rows(rows, perm)[:, 0])
+    assert len(optdec._stabilizers(cases[0][0], cases[0][0], n)) == 5039
+    assert len(optdec._stabilizers(cases[1][0], cases[1][0], n)) >= 6
+
+
+SECTOR_BASIS_POINTS = {
+    "bitflip3": GRID_21,
+    "lncy4": GRID_21,
+    "fivequbit": [*GRID_21, 0.99, 0.999],
+    "identity": GRID_21,
+}
+
+
+@pytest.mark.parametrize("setting", sorted(SECTOR_BASIS_POINTS))
+def test_sector_bases_match_the_reshaping_oracle(setting):
+    # the index table gathers the same entries as permuting by reshaping,
+    # so every basis is bit-identical
+    for p in SECTOR_BASIS_POINTS[setting]:
+        rho, ch = SETTINGS[setting].build(float(p))
+        v_in = reduce_problem(rho, ch)[1].v_in
+        bases = optdec._sector_bases(rho, v_in)
+        ref = oracles.sector_bases_by_reshape(rho, v_in)
+        assert len(bases) == len(ref)
+        assert all(np.array_equal(b, r) for b, r in zip(bases, ref))
 
 
 # -- real objectives are solved in real arithmetic -----------------------------------------
