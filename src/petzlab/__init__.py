@@ -9,7 +9,6 @@ from . import bench, decoders, errors, infomeasures, matcore, optdec, quantum
 from .decoders import (
     Decoder,
     RotatedFidelity,
-    SwConstruction,
     beta0_quadrature,
     build_petz,
     build_rotated_petz,

@@ -15,7 +15,9 @@ twirled fidelity is integrated on the half line t >= 0. The twirled decoder's
 Kraus operators are the eigenvectors of its (r_B r_A)^2 core, the Petz
 Choi matrix in the eigenbases of (sigma_B, rho) multiplied entrywise by the
 averaged phases and renormalized to trace preservation on supp sigma_B;
-its kernel gets the completion the Petz map uses.
+its kernel gets the completion the Petz map uses. The SW decoder is the
+Uhlmann polar factor of one overlap matrix, from one eigendecomposition
+of sigma_E and one SVD (:func:`build_sw`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AlignmentFailure,
     DegenerateChannelOutput,
     DimensionMismatch,
     InvalidParameter,
@@ -40,14 +41,10 @@ from .matcore import (
     matrix_power_on_support,
     partial_trace,
     psd_eig,
-    support_mask,
 )
 from .quantum import (
-    CPTP_TOL,
     DensityOperator,
     KrausChannel,
-    PurifiedSource,
-    StinespringIsometry,
     apply_channel,
     channel_on_purification,
     choi_of_channel,
@@ -55,8 +52,6 @@ from .quantum import (
     purify,
     validate_cptp,
 )
-
-ALIGNMENT_TOL = 1e-8
 
 # Hard truncation of the beta0 integral at |t| <= 8; the tail mass is
 # 1 - tanh(4*pi) ~ 2.4e-11.
@@ -159,11 +154,10 @@ def _petz_family_kraus(rho_a: DensityOperator, ch: KrausChannel, t: float):
     return _eigenbasis_kraus(u_a, u_b, kernel, vecs * np.exp(-0.5j * t * theta))
 
 
-def _decoder(
-    ops, ch: KrausChannel, kind: str, t: float | None = None, tol: float = CPTP_TOL
-) -> Decoder:
-    """The Kraus stack ``ops``, checked to be CPTP within ``tol``, as a decoder
-    from the output of ``ch`` back to its input."""
+def _decoder(ops, ch: KrausChannel, kind: str, t: float | None = None) -> Decoder:
+    """The Kraus stack ``ops``, checked to be CPTP within
+    :data:`~petzlab.quantum.CPTP_TOL`, as a decoder from the output of
+    ``ch`` back to its input."""
     dec = KrausChannel(
         kraus_ops=ops,
         dim_in=ch.dim_out,
@@ -171,7 +165,7 @@ def _decoder(
         label_in=ch.label_out,
         label_out=ch.label_in,
     )
-    validate_cptp(dec, tol)
+    validate_cptp(dec)
     return Decoder(channel=dec, kind=kind, t=t)
 
 
@@ -475,163 +469,38 @@ def fe_of_decoder(rho_a: DensityOperator, ch: KrausChannel, decoder: Decoder) ->
 # ---------------------------------------------------------------------------
 
 
-def _apply_block_kron(a_diag: np.ndarray, b_mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(diag(a) tensor B) @ x without forming the Kronecker product."""
-    d, cols = a_diag.size, x.shape[1]
-    xt = x.reshape(d, b_mat.shape[1], cols)
-    out = np.einsum("ef,kfc->kec", b_mat, xt, optimize=True)
-    out *= a_diag[:, None, None]
-    return out.reshape(d * b_mat.shape[0], cols)
-
-
-class SwConstruction:
-    """Intermediate objects of the SW decoder construction for a purified
-    source and a Stinespring isometry of the channel.
-
-    Four factorizations build it: the eigendecomposition of sigma_E, one
-    full SVD X = U_X diag(s) V_X^dagger of the coefficient matrix of |sigma>
-    for the (RE)|(B) cut, one complete QR of the right factor of the overlap
-    matrix M, and the SVD of M's r x r core. Every completion comes from
-    them: Omega conj(U_X) is unitary, so its first r columns are M's left
-    factor and the rest complete U on the left; the complete QR completes U
-    on the right; and W = Omega conj(U_X) blockdiag(V_X^T, 1) is explicit.
-    The decoder only needs the columns of U W over the physical input block
-    |0>_{R'A'} tensor B; the dense M, U and W are built on request.
-    """
-
-    def __init__(self, pur: PurifiedSource, iso: StinespringIsometry):
-        d, d_b, d_e = pur.rank, iso.dim_out, iso.dim_env
-        self.d_code, self.d_a, self.d_b, self.d_e = d, iso.dim_in, d_b, d_e
-        self.dim = d * d_e  # dimension of R'E'
-        self.basis_a = pur.basis_a
-
-        # |sigma>_RBE = (1_R tensor V)|rho>, stored as (R, B, E).
-        va = iso.v @ pur.basis_a  # (d_B d_E) x d
-        psi3 = (va * np.sqrt(pur.schmidt_coeffs)).T.reshape(d, d_b, d_e)
-        sigma_e = np.einsum("kbe,kbf->ef", psi3, psi3.conj(), optimize=True)
-        eig_e = herm_eig(sigma_e)
-        e = self.env_eigenvectors = eig_e.eigenvectors
-        self.omega_env = e @ e.T  # Omega = 1_R' tensor (E E^T)
-
-        # Coefficient matrix of |sigma> for the (RE)|(B) cut and its full SVD;
-        # sigma_RE = X X^dagger. The support is cut on s, the spectrum of
-        # sigma_RE^(1/2), since the alignment acts on amplitudes: cutting s^2
-        # drops bitflip3's directions with s ~ 1e-7 * s_max at p = 1e-14, and the
-        # alignment check then rejects the decoder.
-        self.x_coeff = psi3.transpose(0, 2, 1).reshape(self.dim, d_b)
-        u_x, s_x, vh_x = np.linalg.svd(self.x_coeff)
-        rank = int(np.count_nonzero(support_mask(s_x)))
-        self.u_r = u_x[:, :rank]  # eigenvectors of sigma_RE on its support
-        self.s_r = s_x[:rank]  # singular values: sqrt of sigma_RE eigenvalues
-        self._omega_ux = self._apply_omega(u_x.conj())  # unitary
-        self.w_input_block = self._omega_ux[:, :d_b] @ vh_x.conj()  # W (|0> tensor 1_B)
-
-        # T = sigma_hat^(1/2) sigma_RE^(1/2) = L diag(s_r) U_r^dagger and
-        # M = Omega T^T Omega^* = m_left diag(s_r) m_right, where
-        # m_left = Omega u_r^* has orthonormal columns.
-        sqrt_mu = np.sqrt(np.clip(eig_e.eigenvalues, 0.0, None))
-        ell = _apply_block_kron(np.sqrt(pur.schmidt_coeffs), (e * sqrt_mu) @ dag(e), self.u_r)
-        self._m_left = self._omega_ux[:, :rank]
-        self._m_right = self._apply_omega(ell, conjugate=True).T
-
-        # Thin SVD of M through the complete QR of its right factor, and the
-        # kernels that complete U = u_right^dagger u_left^dagger + v_ker u_ker^dagger.
-        q2, r2 = np.linalg.qr(dag(self._m_right), mode="complete")
-        core_u, self.m_singular_values, core_vh = np.linalg.svd(
-            self.s_r[:, None] * dag(r2[:rank])
-        )
-        self._u_left = self._m_left @ core_u
-        self._u_right = core_vh @ dag(q2[:, :rank])
-        self._u_ker = self._omega_ux[:, rank:]
-        self._v_ker = q2[:, rank:]
-
-    def _apply_omega(self, x: np.ndarray, conjugate: bool = False) -> np.ndarray:
-        om = self.omega_env.conj() if conjugate else self.omega_env
-        return _apply_block_kron(np.ones(self.d_code), om, x)
-
-    def _apply_u(self, x: np.ndarray) -> np.ndarray:
-        """U x for the alignment unitary U."""
-        thin = dag(self._u_right) @ (dag(self._u_left) @ x)
-        return thin + self._v_ker @ (dag(self._u_ker) @ x)
-
-    # -- dense matrices ------------------------------------------------------------
-
-    @functools.cached_property
-    def m_matrix(self) -> np.ndarray:
-        """Overlap matrix M on R'E' (dense), in the padded frame d_E = d_A d_B
-        of :func:`~petzlab.quantum.stinespring_dilation`.
-
-        M vanishes outside supp sigma_E, so the extra environment slots of
-        that frame carry zero rows and columns.
-        """
-        d, d_e, d_pad = self.d_code, self.d_e, self.d_a * self.d_b
-        m = np.zeros((d, d_pad, d, d_pad), dtype=np.complex128)
-        m[:, :d_e, :, :d_e] = ((self._m_left * self.s_r) @ self._m_right).reshape(
-            d, d_e, d, d_e
-        )
-        return m.reshape(d * d_pad, d * d_pad)
-
-    @functools.cached_property
-    def u_matrix(self) -> np.ndarray:
-        """Alignment unitary U with tr[M U] = ||M||_1 (dense)."""
-        return self._apply_u(np.eye(self.dim, dtype=np.complex128))
-
-    @functools.cached_property
-    def w_matrix(self) -> np.ndarray:
-        """Purification-alignment unitary W (dense)."""
-        return np.hstack([self.w_input_block, self._omega_ux[:, self.d_b :]])
-
-    # -- invariants ------------------------------------------------------------
-
-    def psi_sigma_matrix(self) -> np.ndarray:
-        """Coefficient matrix of |Psi^sigma> = sigma_RE^(1/2)|Omega> (dense)."""
-        return (self.u_r * self.s_r) @ self._m_left.T  # m_left = Omega u_r^*
-
-    def alignment_residual(self) -> float:
-        """Frobenius residual of |Psi^sigma> = W (|sigma> tensor |0>)."""
-        aligned = self.x_coeff @ self.w_input_block.T
-        return float(np.linalg.norm(self.psi_sigma_matrix() - aligned))
-
-    def trace_mu_guard(self) -> tuple[float, float]:
-        """tr[M U] as (real, imag); equals ||M||_1 up to roundoff."""
-        val = complex(np.trace(self._m_right @ self._apply_u(self._m_left * self.s_r)))
-        return val.real, val.imag
-
-    def _to_a(self, cols: np.ndarray) -> np.ndarray:
-        """Kraus operators (<sigma_E eigenvector l| on E', Schmidt basis of A on
-        R') applied to columns on R'E': one operator per environment slot."""
-        t = cols.reshape(self.d_code, self.d_e, cols.shape[1])
-        z = np.einsum("el,kec->klc", self.env_eigenvectors.conj(), t, optimize=True)
-        return np.einsum("ak,klc->lac", self.basis_a, z, optimize=True)
-
-    def decoder_kraus(self) -> np.ndarray:
-        """Kraus operators of the decoder, K_l (|0>_{R'A'} tensor 1_B)."""
-        return self._to_a(self._apply_u(self.w_input_block))
-
-    def kraus_full(self) -> np.ndarray:
-        """Kraus operators K_l of the full R'E' -> A stage (dense)."""
-        return self._to_a(self.u_matrix @ self.w_matrix)
-
-
-def build_sw(rho_a: DensityOperator, ch: KrausChannel) -> tuple[Decoder, SwConstruction]:
-    """Schumacher-Westmoreland decoder for (rho_A, N).
+def build_sw(rho_a: DensityOperator, ch: KrausChannel) -> tuple[Decoder, np.ndarray]:
+    """Schumacher-Westmoreland decoder for (rho_A, N): the Uhlmann alignment
+    of |sigma>_RBE = (1_R tensor V)|rho> with a purification of
+    sigma_R tensor sigma_E.
 
     The environment has one slot per Kraus operator (after the Choi
     reduction of :func:`~petzlab.quantum.dilate`), padded with zero slots
-    only up to ceil(d_B / rank(rho_A)) so that the input block
-    |0>_{R'A'} tensor B fits inside R'E'. The reference system has
-    dimension rank(rho_A). Alignment unitaries come from SVDs factored on
-    the support of sigma_RE^(1/2) (the support mask applied to the singular
-    values of its coefficient matrix); their completions come from the same
-    factorizations (:class:`SwConstruction`) and do not affect the decoder's
-    action on the channel's output support.
+    only up to ceil(d_B / rank(rho_A)) so that B fits inside R'E'; R' has
+    dimension rank(rho_A). Let X be the (RE) x B coefficient matrix of
+    |sigma>, and Phi = diag(sqrt(lam)) tensor E diag(sqrt(mu)) that of a
+    purification of sigma_R tensor sigma_E, from the one eigendecomposition
+    sigma_E = E diag(mu) E^dagger. The overlap <Phi| (1 tensor T)|sigma> is
+    tr(T N) for the d_B x (R'E') matrix N = X^T Phi^*, and the thin SVD
+    N = U S V^dagger gives the maximizing isometry T = V U^dagger: B -> R'E'.
+    The decoder's Kraus operators are basis_a T[(., e'), :], one per
+    environment slot e'. Any other purification of sigma_E, such as
+    sigma_E^(1/2), changes T by a unitary on E', which the trace over E'
+    removes. Off supp sigma_B, where N vanishes, T is whichever isometric
+    completion the SVD returns, which no fidelity sees. On a direction of
+    singular value s, T carries the SVD's roundoff, about eps * S[0] / s.
+
+    Returns the decoder and the singular values S of N, descending; their
+    sum is the fidelity F(sigma_RE, sigma_R tensor sigma_E) that T attains.
     """
     pur = purify(rho_a)
-    cons = SwConstruction(pur, dilate(ch, -(-ch.dim_out // pur.rank)))
-    residual = cons.alignment_residual()
-    if residual > ALIGNMENT_TOL:
-        raise AlignmentFailure(f"alignment residual {residual:.3e} exceeds {ALIGNMENT_TOL}")
-    re_mu, im_mu = cons.trace_mu_guard()
-    if re_mu < -1e-9 or abs(im_mu) > 1e-9 * max(1.0, re_mu):
-        raise AlignmentFailure(f"tr[MU] = {re_mu:.3e} + {im_mu:.3e}i is not real-positive")
-    return _decoder(cons.decoder_kraus(), ch, "sw", tol=1e-9), cons
+    iso = dilate(ch, -(-ch.dim_out // pur.rank))
+    d, d_b, d_e = pur.rank, iso.dim_out, iso.dim_env
+    sqrt_lam = np.sqrt(pur.schmidt_coeffs)
+    sigma = ((iso.v @ pur.basis_a) * sqrt_lam).T.reshape(d, d_b, d_e)  # sigma[r, b, e]
+    eig_e = herm_eig(np.einsum("rbe,rbf->ef", sigma, sigma.conj(), optimize=True))
+    root_e = eig_e.eigenvectors * np.sqrt(np.clip(eig_e.eigenvalues, 0.0, None))
+    overlap = (sqrt_lam[:, None, None] * sigma) @ root_e.conj()  # N[r, b, e']
+    u, s, vh = np.linalg.svd(overlap.transpose(1, 0, 2).reshape(d_b, d * d_e), full_matrices=False)
+    t = (dag(vh) @ dag(u)).reshape(d, d_e, d_b)
+    return _decoder(np.einsum("ar,reb->eab", pur.basis_a, t, optimize=True), ch, "sw"), s

@@ -60,10 +60,6 @@ class ToleranceNotMet(PetzlabError, RuntimeError):
     """An iterative procedure could not reach the requested tolerance."""
 
 
-class AlignmentFailure(PetzlabError, RuntimeError):
-    """The purification-alignment unitary failed its residual check."""
-
-
 class MaxIterations(PetzlabError, RuntimeError):
     """The SDP solver hit its iteration cap before converging."""
 

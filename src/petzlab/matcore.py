@@ -8,8 +8,8 @@ reject non-finite input.
 Support policy: the support of a Hermitian matrix with descending spectrum
 w is the set of eigenvalues above RANK_CUT * max(w[0], 0); the rest is its
 kernel. :func:`support_mask` is the only place this cut is made. Every
-power on the support, purification rank, Kraus count, kernel completion,
-SW rank and entropy in the package takes its support from it.
+power on the support, purification rank, Kraus count, kernel completion
+and entropy in the package takes its support from it.
 """
 
 from __future__ import annotations

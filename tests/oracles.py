@@ -5,7 +5,8 @@ come from characteristic-polynomial roots, partial traces from explicit
 index loops, minimizations from parameter grids, integrals from dense
 trapezoids, the twirled Choi matrix from one rotated decoder per quadrature
 node or from a dense Choi matrix and its full eigendecomposition, the SW
-decoder from a literal dense transcription of its construction, the SDP
+decoder from a literal dense transcription of its construction and from
+the factored construction with explicit alignment frames, the SDP
 Newton step from two complex Schur solves, the SDP loop one problem at a
 time with scalar step lengths, its NT scaling from eigendecompositions and
 its step lengths from a fresh Cholesky factorization per call, decoder fidelities and the SDP
@@ -29,6 +30,7 @@ on one factor of a product through Kronecker-padded operators).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -62,6 +64,7 @@ from petzlab.matcore import (
     matrix_power_on_support,
     partial_trace,
     psd_sqrt,
+    support_mask,
 )
 from petzlab.optdec import (
     MAX_ITER,
@@ -77,10 +80,13 @@ from petzlab.optdec import (
     _tr_out,
 )
 from petzlab.quantum import (
+    PurifiedSource,
+    StinespringIsometry,
     apply_channel,
     channel_from_choi,
     channel_on_purification,
     choi_of_channel,
+    dilate,
     purify,
     stinespring_dilation,
 )
@@ -473,6 +479,157 @@ def sw_decoder_literal(rho, ch):
         k_l = s_l @ u_mat @ w_mat
         kraus.append(k_l @ emb)
     return kraus, m_mat, u_mat, w_mat
+
+
+# -- SW decoder through explicit alignment frames --------------------------------
+# The factored construction build_sw ran before it took the polar factor of
+# one overlap matrix: four factorizations, the W, M and U frames, and their
+# completions.
+
+
+def _apply_block_kron(a_diag: np.ndarray, b_mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(diag(a) tensor B) @ x without forming the Kronecker product."""
+    d, cols = a_diag.size, x.shape[1]
+    xt = x.reshape(d, b_mat.shape[1], cols)
+    out = np.einsum("ef,kfc->kec", b_mat, xt, optimize=True)
+    out *= a_diag[:, None, None]
+    return out.reshape(d * b_mat.shape[0], cols)
+
+
+class SwConstruction:
+    """Intermediate objects of the SW decoder construction for a purified
+    source and a Stinespring isometry of the channel.
+
+    Four factorizations build it: the eigendecomposition of sigma_E, one
+    full SVD X = U_X diag(s) V_X^dagger of the coefficient matrix of |sigma>
+    for the (RE)|(B) cut, one complete QR of the right factor of the overlap
+    matrix M, and the SVD of M's r x r core. Every completion comes from
+    them: Omega conj(U_X) is unitary, so its first r columns are M's left
+    factor and the rest complete U on the left; the complete QR completes U
+    on the right; and W = Omega conj(U_X) blockdiag(V_X^T, 1) is explicit.
+    The decoder only needs the columns of U W over the physical input block
+    |0>_{R'A'} tensor B; the dense M, U and W are built on request.
+    """
+
+    def __init__(self, pur: PurifiedSource, iso: StinespringIsometry):
+        d, d_b, d_e = pur.rank, iso.dim_out, iso.dim_env
+        self.d_code, self.d_a, self.d_b, self.d_e = d, iso.dim_in, d_b, d_e
+        self.dim = d * d_e  # dimension of R'E'
+        self.basis_a = pur.basis_a
+
+        # |sigma>_RBE = (1_R tensor V)|rho>, stored as (R, B, E).
+        va = iso.v @ pur.basis_a  # (d_B d_E) x d
+        psi3 = (va * np.sqrt(pur.schmidt_coeffs)).T.reshape(d, d_b, d_e)
+        sigma_e = np.einsum("kbe,kbf->ef", psi3, psi3.conj(), optimize=True)
+        eig_e = herm_eig(sigma_e)
+        e = self.env_eigenvectors = eig_e.eigenvectors
+        self.omega_env = e @ e.T  # Omega = 1_R' tensor (E E^T)
+
+        # Coefficient matrix of |sigma> for the (RE)|(B) cut and its full SVD;
+        # sigma_RE = X X^dagger. The support is cut on s, the spectrum of
+        # sigma_RE^(1/2), since the alignment acts on amplitudes: cutting s^2
+        # drops bitflip3's directions with s ~ 1e-7 * s_max at p = 1e-14, and the
+        # alignment check then rejects the decoder.
+        self.x_coeff = psi3.transpose(0, 2, 1).reshape(self.dim, d_b)
+        u_x, s_x, vh_x = np.linalg.svd(self.x_coeff)
+        rank = int(np.count_nonzero(support_mask(s_x)))
+        self.u_r = u_x[:, :rank]  # eigenvectors of sigma_RE on its support
+        self.s_r = s_x[:rank]  # singular values: sqrt of sigma_RE eigenvalues
+        self._omega_ux = self._apply_omega(u_x.conj())  # unitary
+        self.w_input_block = self._omega_ux[:, :d_b] @ vh_x.conj()  # W (|0> tensor 1_B)
+
+        # T = sigma_hat^(1/2) sigma_RE^(1/2) = L diag(s_r) U_r^dagger and
+        # M = Omega T^T Omega^* = m_left diag(s_r) m_right, where
+        # m_left = Omega u_r^* has orthonormal columns.
+        sqrt_mu = np.sqrt(np.clip(eig_e.eigenvalues, 0.0, None))
+        ell = _apply_block_kron(np.sqrt(pur.schmidt_coeffs), (e * sqrt_mu) @ dag(e), self.u_r)
+        self._m_left = self._omega_ux[:, :rank]
+        self._m_right = self._apply_omega(ell, conjugate=True).T
+
+        # Thin SVD of M through the complete QR of its right factor, and the
+        # kernels that complete U = u_right^dagger u_left^dagger + v_ker u_ker^dagger.
+        q2, r2 = np.linalg.qr(dag(self._m_right), mode="complete")
+        core_u, self.m_singular_values, core_vh = np.linalg.svd(
+            self.s_r[:, None] * dag(r2[:rank])
+        )
+        self._u_left = self._m_left @ core_u
+        self._u_right = core_vh @ dag(q2[:, :rank])
+        self._u_ker = self._omega_ux[:, rank:]
+        self._v_ker = q2[:, rank:]
+
+    def _apply_omega(self, x: np.ndarray, conjugate: bool = False) -> np.ndarray:
+        om = self.omega_env.conj() if conjugate else self.omega_env
+        return _apply_block_kron(np.ones(self.d_code), om, x)
+
+    def _apply_u(self, x: np.ndarray) -> np.ndarray:
+        """U x for the alignment unitary U."""
+        thin = dag(self._u_right) @ (dag(self._u_left) @ x)
+        return thin + self._v_ker @ (dag(self._u_ker) @ x)
+
+    # -- dense matrices ------------------------------------------------------------
+
+    @functools.cached_property
+    def m_matrix(self) -> np.ndarray:
+        """Overlap matrix M on R'E' (dense), in the padded frame d_E = d_A d_B
+        of :func:`~petzlab.quantum.stinespring_dilation`.
+
+        M vanishes outside supp sigma_E, so the extra environment slots of
+        that frame carry zero rows and columns.
+        """
+        d, d_e, d_pad = self.d_code, self.d_e, self.d_a * self.d_b
+        m = np.zeros((d, d_pad, d, d_pad), dtype=np.complex128)
+        m[:, :d_e, :, :d_e] = ((self._m_left * self.s_r) @ self._m_right).reshape(
+            d, d_e, d, d_e
+        )
+        return m.reshape(d * d_pad, d * d_pad)
+
+    @functools.cached_property
+    def u_matrix(self) -> np.ndarray:
+        """Alignment unitary U with tr[M U] = ||M||_1 (dense)."""
+        return self._apply_u(np.eye(self.dim, dtype=np.complex128))
+
+    @functools.cached_property
+    def w_matrix(self) -> np.ndarray:
+        """Purification-alignment unitary W (dense)."""
+        return np.hstack([self.w_input_block, self._omega_ux[:, self.d_b :]])
+
+    # -- invariants ------------------------------------------------------------
+
+    def psi_sigma_matrix(self) -> np.ndarray:
+        """Coefficient matrix of |Psi^sigma> = sigma_RE^(1/2)|Omega> (dense)."""
+        return (self.u_r * self.s_r) @ self._m_left.T  # m_left = Omega u_r^*
+
+    def alignment_residual(self) -> float:
+        """Frobenius residual of |Psi^sigma> = W (|sigma> tensor |0>)."""
+        aligned = self.x_coeff @ self.w_input_block.T
+        return float(np.linalg.norm(self.psi_sigma_matrix() - aligned))
+
+    def trace_mu_guard(self) -> tuple[float, float]:
+        """tr[M U] as (real, imag); equals ||M||_1 up to roundoff."""
+        val = complex(np.trace(self._m_right @ self._apply_u(self._m_left * self.s_r)))
+        return val.real, val.imag
+
+    def _to_a(self, cols: np.ndarray) -> np.ndarray:
+        """Kraus operators (<sigma_E eigenvector l| on E', Schmidt basis of A on
+        R') applied to columns on R'E': one operator per environment slot."""
+        t = cols.reshape(self.d_code, self.d_e, cols.shape[1])
+        z = np.einsum("el,kec->klc", self.env_eigenvectors.conj(), t, optimize=True)
+        return np.einsum("ak,klc->lac", self.basis_a, z, optimize=True)
+
+    def decoder_kraus(self) -> np.ndarray:
+        """Kraus operators of the decoder, K_l (|0>_{R'A'} tensor 1_B)."""
+        return self._to_a(self._apply_u(self.w_input_block))
+
+    def kraus_full(self) -> np.ndarray:
+        """Kraus operators K_l of the full R'E' -> A stage (dense)."""
+        return self._to_a(self.u_matrix @ self.w_matrix)
+
+
+def sw_construction(rho, ch):
+    """:class:`SwConstruction` on the environment that build_sw dilates:
+    one slot per Kraus operator, at least ceil(d_B / rank(rho))."""
+    pur = purify(rho)
+    return SwConstruction(pur, dilate(ch, -(-ch.dim_out // pur.rank)))
 
 
 # -- SDP Newton step with two complex Schur solves -----------------------------
