@@ -245,7 +245,7 @@ def _series_values(setting: str, p: float, wanted: tuple[str, ...], tol: float):
                         )
                     )
                     continue
-                value, _ = optdec._solve_sectors(problems, tol)
+                value, _ = optdec._solve_sectors(optdec._refine_sectors(problems), tol)
             elif series == "lower_sw":
                 w_r = matrix_power_on_support(sigma_r, -1.0)
                 value = clamp_unit(2.0 ** infomeasures.min_petz_mi_order2(sigma_rb, w_r))

@@ -23,12 +23,29 @@ one fixed combination of them, :func:`_sector_bases`); only the check that
 the coupling of G between sectors is at most SECTOR_TOL * ||G|| certifies a
 split. Without a certified split the reduced problem is solved whole.
 
-A sector with a one-dimensional input (lncy4 has one 1-wide sector at every
-interior point) needs no interior point: tr_out X = 1 makes X a density
-matrix on the output, so its optimum is lambda_max(G_k), attained by the
-projector onto a top eigenvector and certified by the dual y = lambda_max.
-:func:`_solve_one_wide` takes it from one eigvalsh, with a gap at
-eigvalsh's roundoff.
+The permutation sectors need not be irreducible, and :func:`_refine_sectors`
+splits each further into the pieces of its objective's own block algebra
+(Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27 (2010)
+125). With G_k = sum_ab G_ab tensor |a><b| over the output indices, one
+eigh of a fixed generic Hermitian combination h = sum_ab c_ab (G_ab + G_ba)
+gives a basis of the sector's input; the pieces are the connected components
+of the graph on that basis with an edge where some entry of a rotated G_ab
+exceeds SECTOR_TOL * ||G_k|| (:func:`_propose_pieces`). The split is
+certified by the same rule as the permutation split, a coupling of G_k
+between the pieces of at most SECTOR_TOL * ||G_k||, and a refused split
+keeps the sector whole. A sector within SECTOR_TOL of an earlier one (the
+aligned copies below) reuses that sector's basis and pieces, so its pieces
+stay copies. lncy4's sectors (1, 3, 3, 3, 6 wide) become pieces 1 to 3 wide,
+bitflip3's (2, 2, 4) pieces 2 wide (1 wide at p = 0.5); fivequbit's sectors
+are irreducible and stay whole. A reduced problem the permutation split left
+whole is solved whole.
+
+A sector or piece with a one-dimensional input (lncy4 has five 1-wide
+pieces at every interior point) needs no interior point: tr_out X = 1 makes
+X a density matrix on the output, so its optimum is lambda_max(G_k),
+attained by the projector onto a top eigenvector and certified by the dual
+y = lambda_max. :func:`_solve_one_wide_stack` takes them all from one
+stacked eigvalsh, with gaps at eigvalsh's roundoff.
 
 Each interior-point iteration factors X = Lx Lx^dagger and Z = Lz Lz^dagger
 once by Cholesky and inverts the factors. The Nesterov-Todd scaling point
@@ -548,14 +565,104 @@ def _sector_problems(rho_a: DensityOperator, ch: KrausChannel) -> list[SdpProble
     ]
 
 
+def _refine_sectors(problems: list[SdpProblem]) -> list[SdpProblem]:
+    """Each sector problem split into the pieces of its objective's block
+    algebra where that split is certified, else kept whole (the same object).
+
+    With G_k = sum_ab G_ab tensor |a><b| over the output indices a, b, a
+    split of the input into orthogonal subspaces that block-diagonalizes
+    every G_ab is a split of the sector, by the pinching argument of the
+    module docstring. The pieces are proposed by :func:`_propose_pieces` and
+    certified, as the permutation sectors are, by a coupling of G_k between
+    them of at most SECTOR_TOL * ||G_k|| (Frobenius norms). A sector within
+    SECTOR_TOL of an earlier one of its shape (the aligned copies of
+    :func:`_sector_bases`) reuses that sector's proposal, so that its pieces
+    stay copies for :func:`_solve_stack`. A non-finite objective raises
+    :class:`NumericalBreakdown` (:func:`_objectives`).
+
+    A list of one problem, a reduced problem that no certified permutation
+    split broke up, is returned as it is: it is solved whole.
+    """
+    if len(problems) == 1:
+        return problems
+    refined: list[SdpProblem] = []
+    proposals: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (G_r, v, labels)
+    for prob in problems:
+        if prob.dim_in == 1:
+            refined.append(prob)
+            continue
+        d_b, d_a = prob.dim_in, prob.dim_out
+        g = _objectives([prob])[0]
+        g4, norm = g.reshape(d_b, d_a, d_b, d_a), np.linalg.norm(g)
+        for g_r, v, labels in proposals:
+            if g_r.shape == g.shape and np.linalg.norm(g - g_r) <= SECTOR_TOL * np.linalg.norm(g_r):
+                break
+        else:
+            v, labels = _propose_pieces(g4, norm)
+            proposals.append((g, v, labels))
+        if not labels.any():  # one piece
+            refined.append(prob)
+            continue
+        rot = _rotated(g4, v)
+        if np.linalg.norm(rot.transpose(0, 2, 1, 3)[labels[:, None] != labels]) > SECTOR_TOL * norm:
+            refined.append(prob)
+            continue
+        for label in range(labels.max() + 1):
+            idx = np.flatnonzero(labels == label)
+            n = len(idx) * d_a
+            piece = rot[idx][:, :, idx].reshape(n, n)
+            refined.append(SdpProblem(objective=piece, dim_in=len(idx), dim_out=d_a))
+    return refined
+
+
+def _propose_pieces(g4: np.ndarray, norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """A basis v of the input of the objective g4 (d_b, d_a, d_b, d_a) and
+    the label 0, 1, ... of the proposed piece of each basis vector.
+
+    h = sum_ab c_ab (G_ab + G_ba), with fixed and generic c_ab, is a
+    Hermitian element of the algebra the G_ab generate, so its eigenbasis v
+    block-diagonalizes every G_ab on the blocks of that algebra whose
+    eigenvalues of h differ (Murota, Kanno, Kojima and Kojima, Japan J.
+    Indust. Appl. Math. 27 (2010) 125). The pieces are the connected
+    components of the graph on the basis vectors with an edge (i, j) where
+    some |(v^dagger G_ab v)_ij| exceeds SECTOR_TOL * norm. If eigh fails,
+    the one piece is proposed.
+    """
+    d_b, d_a = g4.shape[:2]
+    c = np.cos(np.arange(1, d_a * d_a + 1)).reshape(d_a, d_a)  # fixed and generic
+    try:
+        v = np.linalg.eigh(np.einsum("ab,iajb->ij", c + c.T, g4))[1]
+    except np.linalg.LinAlgError:
+        return np.eye(d_b), np.zeros(d_b, dtype=int)
+    reach = (np.abs(_rotated(g4, v)) > SECTOR_TOL * norm).any(axis=(1, 3)) | np.eye(d_b, dtype=bool)
+    while ((wider := reach @ reach) != reach).any():  # transitive closure
+        reach = wider
+    root = reach.argmax(axis=1)  # the smallest index of each vector's component
+    return v, np.cumsum(root == np.arange(d_b))[root] - 1
+
+
+def _rotated(g4: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The objective g4 (d_b, d_a, d_b, d_a) with its input in the basis v,
+    (v tensor 1)^dagger G (v tensor 1), in the same layout."""
+    left = (dag(v) @ g4.reshape(len(v), -1)).reshape(g4.shape)
+    return (left.swapaxes(2, 3) @ v).swapaxes(2, 3)
+
+
 def _solve_one_wide(prob: SdpProblem) -> tuple[float, float]:
-    """The optimum and its gap of a problem with dim_in = 1, in closed form.
+    """The optimum and its gap of one problem with dim_in = 1
+    (:func:`_solve_one_wide_stack`)."""
+    return _solve_one_wide_stack([prob])[0]
+
+
+def _solve_one_wide_stack(problems: list[SdpProblem]) -> list[tuple[float, float]]:
+    """The optimum and its gap of each problem with dim_in = 1 of a stack
+    that shares dim_out, in closed form.
 
     With a one-dimensional input, tr_out X = 1 makes X a density matrix on
     the output, so the optimum is lambda_max(G): X = v v^dagger for a top
-    eigenvector v attains it, and y = lambda_max is dual feasible. It comes
-    from one eigvalsh of the Hermitian part of G, in real arithmetic when
-    the imaginary part is exactly 0 (:func:`_objectives`).
+    eigenvector v attains it, and y = lambda_max is dual feasible. The stack
+    takes one eigvalsh of the Hermitian parts of its objectives, in real
+    arithmetic when their imaginary part is exactly 0 (:func:`_objectives`).
 
     LAPACK's symmetric eigensolvers are backward stable: a computed
     eigenvalue is an exact one of G + E with ||E||_2 <= p(n) eps ||G||_2 for
@@ -566,9 +673,9 @@ def _solve_one_wide(prob: SdpProblem) -> tuple[float, float]:
     of it. A non-finite objective raises :class:`NumericalBreakdown`, as in
     :func:`_solve_stack`.
     """
-    g = _objectives([prob])[0]
-    bound = 4 * prob.dim_out**2 * np.finfo(float).eps * np.linalg.norm(g)
-    return float(np.linalg.eigvalsh(g)[-1]), float(bound)
+    g = _objectives(problems)
+    bounds = 4 * problems[0].dim_out ** 2 * np.finfo(float).eps * np.linalg.norm(g, axis=(-2, -1))
+    return list(zip(np.linalg.eigvalsh(g)[:, -1].tolist(), bounds.tolist()))
 
 
 def _pad_input(prob: SdpProblem, dim_in: int) -> SdpProblem:
@@ -586,12 +693,20 @@ def _pad_input(prob: SdpProblem, dim_in: int) -> SdpProblem:
     return SdpProblem(objective=g.reshape(n, n), dim_in=dim_in, dim_out=d_a)
 
 
-def _solve_sectors(problems: list[SdpProblem], tol: float) -> tuple[float, float]:
-    """The optimum and its certified gap, summed over the sector problems.
+def _by_dim_out(problems: list[SdpProblem]) -> list[list[SdpProblem]]:
+    """The problems grouped by dim_out, in order of first appearance."""
+    widths = dict.fromkeys(prob.dim_out for prob in problems)
+    return [[prob for prob in problems if prob.dim_out == d_a] for d_a in widths]
 
-    A sector with dim_in = 1 is solved in closed form (:func:`_solve_one_wide`),
-    with a gap at roundoff. The wider sectors of one dim_out (every sector
-    of a split shares r_A) are zero-padded to the widest input among them
+
+def _solve_sectors(problems: list[SdpProblem], tol: float) -> tuple[float, float]:
+    """The optimum and its certified gap, summed over the sector problems
+    (the permutation sectors, or their pieces from :func:`_refine_sectors`).
+
+    The sectors with dim_in = 1 of one dim_out are solved in closed form
+    from one stacked eigvalsh (:func:`_solve_one_wide_stack`), with gaps at
+    roundoff. The wider sectors of one dim_out (every sector of a split
+    shares r_A) are zero-padded to the widest input among them
     (:func:`_pad_input`, which keeps each optimum) and solved as one stacked
     run of :func:`_solve_stack`, in which every member converges on its own
     and leaves the stack; its primal, dual and gap certify its sector. A
@@ -604,10 +719,10 @@ def _solve_sectors(problems: list[SdpProblem], tol: float) -> tuple[float, float
     p_k >= 0, and the sector residuals add in quadrature to below
     0.1 tol / sqrt(K).
     """
-    terms = [_solve_one_wide(prob) for prob in problems if prob.dim_in == 1]
-    wide = [prob for prob in problems if prob.dim_in > 1]
-    for d_a in dict.fromkeys(prob.dim_out for prob in wide):
-        stack = [prob for prob in wide if prob.dim_out == d_a]
+    terms = []
+    for stack in _by_dim_out([prob for prob in problems if prob.dim_in == 1]):
+        terms += _solve_one_wide_stack(stack)
+    for stack in _by_dim_out([prob for prob in problems if prob.dim_in > 1]):
         width = max(prob.dim_in for prob in stack)
         padded = [_pad_input(prob, width) for prob in stack]
         terms += [(s.primal, s.gap) for s in _solve_stack(padded, tol / len(problems))]
@@ -616,15 +731,18 @@ def _solve_sectors(problems: list[SdpProblem], tol: float) -> tuple[float, float
 
 def optimal_fidelity(rho_a: DensityOperator, ch: KrausChannel, tol: float = 1e-7) -> float:
     """Maximal achievable entanglement fidelity: the reduced SDP, solved
-    sector by sector where a qubit-permutation split of it is certified
-    (see the module docstring), else whole.
+    sector by sector where a qubit-permutation split of it is certified, and
+    each sector piece by piece where a split into the blocks of its
+    objective's algebra is certified (:func:`_refine_sectors`; see the module
+    docstring), else whole.
 
-    A sector (or a whole reduced problem) with a one-dimensional input is
-    solved in closed form as lambda_max of its objective, with a gap at
-    eigvalsh's roundoff; the others are zero-padded to the widest of them and
-    solved in one stacked interior-point run, each at tol/K, where K counts
-    every sector, the closed-form ones included (:func:`_solve_sectors`)."""
-    return _solve_sectors(_sector_problems(rho_a, ch), tol)[0]
+    The pieces (or a whole reduced problem) with a one-dimensional input are
+    solved in closed form as lambda_max of their objectives, from one
+    stacked eigvalsh with gaps at its roundoff; the others are zero-padded
+    to the widest of them and solved in one stacked interior-point run, each
+    at tol/K, where K counts every piece, the closed-form ones included
+    (:func:`_solve_sectors`)."""
+    return _solve_sectors(_refine_sectors(_sector_problems(rho_a, ch)), tol)[0]
 
 
 def bk_bracket_check(

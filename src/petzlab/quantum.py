@@ -116,8 +116,9 @@ class KrausChannel:
         object.__setattr__(self, "kraus_ops", np.ascontiguousarray(stack))
 
     def kraus_sum(self) -> np.ndarray:
-        """Sum of K^dagger K over all Kraus operators."""
-        return adjoint_apply(self, np.eye(self.dim_out))
+        """Sum of K^dagger K over all Kraus operators, as one stacked product
+        (:func:`adjoint_apply` with Y = 1 without the product by 1)."""
+        return (dag(self.kraus_ops) @ self.kraus_ops).sum(axis=0)
 
 
 def kraus_channel(kraus_ops, label_in="A", label_out="B", check=True) -> KrausChannel:

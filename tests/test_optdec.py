@@ -712,6 +712,212 @@ def test_non_finite_one_wide_sector_fails_only_the_optimal_row(monkeypatch, tmp_
     _assert_nan_sector_fails_only_the_optimal_row(monkeypatch, tmp_path, -1)
 
 
+# -- sectors refined into the pieces of their objective's block algebra ------------------
+
+REFINE_EXTREME_P = [1e-14, 1e-6, 1 - 1e-6, 1 - 1e-14]
+
+
+def _sector_pieces(problems, pieces):
+    """The pieces of each sector, in order: [sector] for a sector kept whole."""
+    out, pos = [], 0
+    for prob in problems:
+        if pieces[pos] is prob:
+            out.append([prob])
+            pos += 1
+            continue
+        own = []
+        while sum(q.dim_in for q in own) < prob.dim_in:
+            own.append(pieces[pos])
+            pos += 1
+        assert sum(q.dim_in for q in own) == prob.dim_in
+        out.append(own)
+    assert pos == len(pieces)
+    return out
+
+
+def _assert_pieces_certified(problems, pieces):
+    """Every split sector's own proposal leaves a coupling of at most
+    SECTOR_TOL * ||G_k|| between pieces of the sizes it was split into, and
+    the pieces' spectra together are G_k's within that coupling (Weyl)."""
+    for prob, own in zip(problems, _sector_pieces(problems, pieces), strict=True):
+        if own == [prob]:
+            continue
+        d_b, d_a = prob.dim_in, prob.dim_out
+        g = herm_part(prob.objective)
+        norm = np.linalg.norm(g)
+        v, labels = optdec._propose_pieces(g.reshape(d_b, d_a, d_b, d_a), norm)
+        assert sorted(np.bincount(labels)) == sorted(q.dim_in for q in own)
+        lift = kron(v, np.eye(d_a))
+        rot = (dag(lift) @ g @ lift).reshape(d_b, d_a, d_b, d_a)
+        cut = labels[:, None] != labels[None, :]
+        assert np.linalg.norm(rot.transpose(0, 2, 1, 3)[cut]) <= optdec.SECTOR_TOL * norm
+        spectrum = np.sort(np.concatenate([np.linalg.eigvalsh(herm_part(q.objective)) for q in own]))
+        assert np.abs(spectrum - np.linalg.eigvalsh(g)).max() <= (optdec.SECTOR_TOL + 1e-14) * norm
+
+
+@pytest.mark.parametrize("setting", ["bitflip3", "lncy4", "fivequbit"])
+def test_refined_pieces_match_unrefined_sectors(setting):
+    tol = 1e-7
+    for p in list(GRID_21) + REFINE_EXTREME_P:
+        problems = optdec._sector_problems(*SETTINGS[setting].build(float(p)))
+        pieces = optdec._refine_sectors(problems)
+        primal, gap = optdec._solve_sectors(pieces, tol)
+        old_primal, old_gap = optdec._solve_sectors(problems, tol)
+        # both sums are within their certified gaps of the same optimum
+        assert abs(primal - old_primal) <= abs(gap) + abs(old_gap)
+        assert abs(gap) <= tol * (1 + abs(primal))
+        _assert_pieces_certified(problems, pieces)
+
+
+# lncy4's 6-wide sector splits 3 + 2 + 1 and each 3-wide one 2 + 1, bitflip3's
+# 4-wide one 2 + 2; fivequbit's sectors are irreducible and kept whole
+@pytest.mark.parametrize(
+    "setting, points, sizes",
+    [
+        ("bitflip3", (0.1, 0.9), [2, 2, 2, 2]),
+        ("lncy4", (0.1, 0.5, 0.9), [1, 1, 1, 1, 1, 2, 2, 2, 2, 3]),
+        ("fivequbit", (0.1, 0.5, 0.9), [6, 6, 6, 6, 8]),
+    ],
+)
+def test_piece_sizes(setting, points, sizes):
+    for p in points:
+        problems = optdec._sector_problems(*SETTINGS[setting].build(p))
+        pieces = optdec._refine_sectors(problems)
+        assert sorted(q.dim_in for q in pieces) == sizes
+        assert {q.dim_out for q in pieces} == {2}
+        if setting == "fivequbit":
+            assert all(a is b for a, b in zip(pieces, problems, strict=True))
+
+
+@pytest.mark.parametrize("setting", ["lncy4", "fivequbit"])
+def test_copied_sectors_reuse_their_representatives_proposal(monkeypatch, setting):
+    # one proposal per distinct sector wider than 1: lncy4's 6-wide sector and
+    # two of its three 3-wide ones, fivequbit's 8-wide and two of its four
+    # 6-wide ones; a copy's pieces stay copies in the padded run
+    problems = optdec._sector_problems(*SETTINGS[setting].build(0.5))
+    real = optdec._propose_pieces
+    proposed = []
+    monkeypatch.setattr(
+        optdec, "_propose_pieces", lambda g4, norm: proposed.append(len(g4)) or real(g4, norm)
+    )
+    pieces = optdec._refine_sectors(problems)
+    monkeypatch.undo()
+    assert len(proposed) == _distinct_objectives([q for q in problems if q.dim_in > 1]) == 3
+    wide = [q for q in pieces if q.dim_in > 1]
+    stacks = [(stack, 1e-7 / len(pieces)) for stack in _shape_stacks(wide)]
+    assert _first_iteration_members(monkeypatch, stacks) == _distinct_objectives(wide)
+
+
+def test_bitflip3_half_refines_to_one_wide_pieces(monkeypatch):
+    problems = optdec._sector_problems(*SETTINGS["bitflip3"].build(0.5))
+    pieces = optdec._refine_sectors(problems)
+    assert [q.dim_in for q in pieces] == [1] * 8
+    stacks = _record_stacks(monkeypatch)
+    primal, gap = optdec._solve_sectors(pieces, 1e-7)
+    assert stacks == []
+    assert abs(primal - 0.5) <= 1e-14
+    assert 0 < gap <= 1e-14
+
+
+def test_piece_split_falls_back_on_one_perturbed_coupling(monkeypatch):
+    problems = optdec._sector_problems(*SETTINGS["lncy4"].build(0.3))
+    k = next(i for i, q in enumerate(problems) if q.dim_in == 6)
+    d_b, d_a = problems[k].dim_in, problems[k].dim_out
+    g = herm_part(problems[k].objective)
+    v, labels = optdec._propose_pieces(g.reshape(d_b, d_a, d_b, d_a), np.linalg.norm(g))
+    assert sorted(np.bincount(labels)) == [1, 2, 3]
+    lift = kron(v, np.eye(d_a))
+    rot = dag(lift) @ g @ lift
+    rot0 = rot.copy()
+    # couple the first vectors of two pieces, far below the sector's norm
+    i, j = (np.flatnonzero(labels == label)[0] * d_a for label in (0, 1))
+    rot[i, j] += 1e-9 * np.linalg.norm(g)
+    rot[j, i] = np.conj(rot[i, j])
+    real = optdec._propose_pieces
+    monkeypatch.setattr(
+        optdec, "_propose_pieces", lambda g4, norm: (v, labels) if len(g4) == d_b else real(g4, norm)
+    )
+
+    def refined(objective):
+        sector = SdpProblem(objective=lift @ objective @ dag(lift), dim_in=d_b, dim_out=d_a)
+        return sector, optdec._refine_sectors(problems[:k] + [sector] + problems[k + 1 :])
+
+    # the same proposal splits the unperturbed sector and is refused on the
+    # perturbed one, which is kept whole
+    sector, pieces = refined(rot)
+    assert any(q is sector for q in pieces)
+    assert sorted(q.dim_in for q in pieces if q.dim_out == d_a) == [1, 1, 1, 1, 2, 2, 2, 6]
+    sector, pieces = refined(rot0)
+    assert not any(q is sector for q in pieces)
+    assert len(pieces) == 10
+
+
+def test_failed_proposal_keeps_every_sector_whole(monkeypatch):
+    problems = optdec._sector_problems(*SETTINGS["lncy4"].build(0.5))
+
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("eigh failed")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    pieces = optdec._refine_sectors(problems)
+    assert all(a is b for a, b in zip(pieces, problems, strict=True))
+
+
+def _hidden_blocks(rng, widths, d_out):
+    """A complex problem on the direct sum of reduced random problems of the
+    given input widths, in a random basis of that sum, and its blocks."""
+    blocks = [reduce_problem(*_random_instance(rng, d_out, w))[0] for w in widths]
+    d_b = sum(widths)
+    g = np.zeros((d_b, d_out, d_b, d_out), dtype=complex)
+    for lo, block in zip(np.cumsum([0] + widths), blocks):
+        w = block.dim_in
+        g[lo : lo + w, :, lo : lo + w] = block.objective.reshape(w, d_out, w, d_out)
+    u = np.linalg.qr(rng.standard_normal((d_b, d_b)) + 1j * rng.standard_normal((d_b, d_b)))[0]
+    lift = kron(u, np.eye(d_out))
+    n = d_b * d_out
+    return SdpProblem(objective=lift @ g.reshape(n, n) @ dag(lift), dim_in=d_b, dim_out=d_out), blocks
+
+
+def test_refined_random_complex_instances_agree_within_gaps(monkeypatch, rng):
+    tol = 1e-7
+    for widths, d_out in [([[2, 1], [2, 2]], 2), ([[1, 1], [3, 2]], 2), ([[2, 1], [2]], 3)]:
+        hidden = [_hidden_blocks(rng, w, d_out) for w in widths]
+        problems = [prob for prob, _ in hidden]
+        blocks = [block for _, own in hidden for block in own]
+        pieces = optdec._refine_sectors(problems)
+        assert sorted(q.dim_in for q in pieces) == sorted(b.dim_in for b in blocks)
+        assert all(q.objective.imag.any() for q in pieces if q.dim_in > 1)
+        _assert_pieces_certified(problems, pieces)
+        dtypes = _cholesky_dtypes(monkeypatch)
+        primal, gap = optdec._solve_sectors(pieces, tol)
+        monkeypatch.undo()
+        assert dtypes and set(dtypes) == {np.dtype(np.complex128)}
+        old_primal, old_gap = optdec._solve_sectors(problems, tol)
+        assert abs(primal - old_primal) <= abs(gap) + abs(old_gap)
+        refs = [solve_sdp(b, tol=tol / len(blocks)) for b in blocks]
+        assert abs(primal - sum(r.primal for r in refs)) <= abs(gap) + sum(abs(r.gap) for r in refs)
+
+
+def test_one_wide_pieces_share_one_eigvalsh(monkeypatch):
+    for setting, p in [("bitflip3", 0.5), ("lncy4", 0.3)]:
+        pieces = optdec._refine_sectors(optdec._sector_problems(*SETTINGS[setting].build(p)))
+        ones = [q for q in pieces if q.dim_in == 1]
+        assert len(ones) == {"bitflip3": 8, "lncy4": 5}[setting]
+        # each optimum bit for bit as from an eigvalsh of its own objective
+        for (value, bound), q in zip(optdec._solve_one_wide_stack(ones), ones, strict=True):
+            g = herm_part(q.objective).real
+            assert value == np.linalg.eigvalsh(g)[-1]
+            own = 4 * q.dim_out**2 * np.finfo(float).eps * np.linalg.norm(g)
+            assert bound == pytest.approx(own, rel=1e-14)
+    # bitflip3 at p = 0.5 is all 1-wide pieces: one eigvalsh for the point
+    pieces = optdec._refine_sectors(optdec._sector_problems(*SETTINGS["bitflip3"].build(0.5)))
+    real = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+    optdec._solve_sectors(pieces, 1e-7)
+    assert calls == [(8, 2, 2)]
+
+
 # -- one Cholesky factorization and one SVD per interior-point iteration -----------------
 
 
