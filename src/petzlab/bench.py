@@ -391,11 +391,15 @@ def audit_invariants(setting: str, points: int = 21, include_sdp: bool = True) -
     optimal^2 - BK_TOL <= petz <= optimal + BK_TOL; plus one normalization
     check of the beta0 quadrature. The paper's identity F_e(Petz) =
     2^(-I_1/2(R;E)) is checked on the same simulation (``thm_complementary``).
-    A series that raises gives a failing row flagged ``error:<Type>``, and the
-    checks that read its NaN value fail; a simulation that raises fails both
-    rows it feeds. A skipped SDP gives no bracket row. The setting and
-    ``points`` (the grid's ``p_count`` on [0, 1]) are held to the rules of
-    :class:`SweepConfig`.
+    ``twirled_quadrature`` reports the quadrature's slack: the sweep's
+    twirled row, at ``QUAD_TOL``, against the exact transform
+    :meth:`~petzlab.decoders.RotatedFidelity.exact_twirled`, within
+    10 * ``QUAD_TOL``. A series that raises gives a failing row flagged
+    ``error:<Type>``, and the checks that read its NaN value fail; a
+    simulation that raises fails both rows it feeds, and a failing exact
+    sum only its own row. A skipped SDP gives no bracket row. The setting
+    and ``points`` (the grid's ``p_count`` on [0, 1]) are held to the rules
+    of :class:`SweepConfig`.
     """
     cfg = SweepConfig(setting, p_count=points)
     rows: list[AuditRow] = []
@@ -429,6 +433,14 @@ def audit_invariants(setting: str, points: int = 21, include_sdp: bool = True) -
         for name, value in closed_forms.items():
             detail = error or f"|{f_sim:.12g} - {value:.12g}|"
             checks.append((name, abs(f_sim - value) <= THM2_TOL, detail))
+        try:
+            rho, ch = SETTINGS[setting].build(p)
+            kernel = decoders.RotatedFidelity(channel_on_purification(purify(rho), ch))
+            slack = abs(v["twirled"] - kernel.exact_twirled())
+            detail = f"|twirled - exact| = {slack:.3g}"
+        except Exception as exc:  # contained on its own: it needs no decoder
+            slack, detail = math.nan, f"error:{type(exc).__name__}"
+        checks.append(("twirled_quadrature", slack <= 10 * QUAD_TOL, detail))
 
         petz, twirled, lower = v["petz"], v["twirled"], v["lower_twirled"]
         checks.append(

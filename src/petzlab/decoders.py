@@ -6,16 +6,21 @@ F_e = sum |tr(rho D_l K_k)|^2 and, for the Petz family, from closed-form
 expressions in the channeled purification sigma_RB. The Petz-family maps
 and the SDP reduction split the spectra of rho and sigma_B = N(rho) once
 per call (:func:`_spectra`). The twirled decoder averages the rotated
-decoders against the density beta0(t) = (pi/2) / (cosh(pi t) + 1): the
-adaptive quadrature evaluates the rotated fidelity spectrally at a whole
-panel of nodes per call, on the distinct values of the log-ratio spectrum
-theta: values within ``THETA_TIE`` are merged, which moves F(t) by at most
-petz * THETA_TIE * |t|, so by <= 8e-12 on the nodes. F(t) is even, so the
-twirled fidelity is integrated on the half line t >= 0. The twirled decoder's
-Kraus operators are the eigenvectors of its (r_B r_A)^2 core, the Petz
-Choi matrix in the eigenbases of (sigma_B, rho) multiplied entrywise by the
-averaged phases and renormalized to trace preservation on supp sigma_B;
-its kernel gets the completion the Petz map uses. The SW decoder is the
+decoders against the density beta0(t) = (pi/2) / (cosh(pi t) + 1), whose
+Fourier transform is exactly kappa(x) = x / sinh(x)
+(:func:`_beta0_transform`; Junge, Renner, Sutter, Wilde and Winter,
+arXiv:1509.07127). So the twirled fidelity is sum_jk c_jk kappa(delta_jk)
+(:meth:`RotatedFidelity.exact_twirled`), and the twirled decoder's Kraus
+operators are the eigenvectors of its (r_B r_A)^2 core, the Petz Choi
+matrix in the eigenbases of (sigma_B, rho) multiplied entrywise by the
+averaged phases kappa((theta_j - theta_k)/2) and renormalized to trace
+preservation on supp sigma_B; its kernel gets the completion the Petz map
+uses. The adaptive quadrature (:meth:`RotatedFidelity.twirled`) serves the
+sweep's scalar series: it evaluates the rotated fidelity spectrally at a
+whole panel of nodes per call, on the distinct values of the log-ratio
+spectrum theta: values within ``THETA_TIE`` are merged, which moves F(t) by
+at most petz * THETA_TIE * |t|, so by <= 8e-12 on the nodes. F(t) is even,
+so it is integrated on the half line t >= 0. The SW decoder is the
 Uhlmann polar factor of one overlap matrix, from the eigendecompositions
 of sigma_E and sigma_B and one SVD (:func:`build_sw`).
 """
@@ -258,6 +263,12 @@ class RotatedFidelity:
         value, _, _ = _beta0_panels(self.value, tol, even=True)
         return value
 
+    def exact_twirled(self) -> float:
+        """The beta0 average of F(t) in closed form, sum_jk c_jk kappa(delta_jk)
+        with kappa = :func:`_beta0_transform`, on the ungrouped spectrum (no
+        ``THETA_TIE``), with no quadrature or truncation error."""
+        return float(np.sum(self._coeff * _beta0_transform(self._delta)))
+
 
 def fe_closed_form(sigma_rb: DensityOperator, variant: str = "petz", t: float = 0.0) -> float:
     """Closed-form decoder fidelity from sigma_RB = N(|rho><rho|).
@@ -273,6 +284,20 @@ def fe_closed_form(sigma_rb: DensityOperator, variant: str = "petz", t: float = 
     if variant == "twirled":
         return kernel.twirled()
     raise InvalidParameter(f"unknown fidelity variant {variant!r}")
+
+
+def _beta0_transform(x):
+    """kappa(x) = integral beta0(t) e^(i x t) dt = x / sinh(x), kappa(0) = 1,
+    elementwise (Junge, Renner, Sutter, Wilde and Winter, arXiv:1509.07127).
+
+    It is taken as 2|x| e^(-|x|) / (1 - e^(-2|x|)), which neither overflows
+    nor loses digits to cancellation near 0; beyond |x| = 700, where kappa is
+    below 1e-300, it is 0. So it is finite for every finite x.
+    """
+    a = np.abs(np.asarray(x, dtype=np.float64))
+    safe = np.where(a > 0, np.minimum(a, 700.0), 1.0)
+    kappa = 2 * safe * np.exp(-safe) / -np.expm1(-2 * safe)
+    return np.where(a == 0, 1.0, np.where(a > 700.0, 0.0, kappa))
 
 
 @functools.lru_cache(maxsize=8)
@@ -383,34 +408,38 @@ def beta0_quadrature(g, tol: float = 1e-9) -> float:
     heuristic target, not an error bound. A panel is accepted when its two
     halves agree with it, which can happen before either is accurate: on
     lncy4 at p = 0.0625 the twirled fidelity at tol = 1e-9 is 5.9e-9 from
-    the exact transform sum c_jk delta_jk / sinh(delta_jk), and 2.4e-11
-    from it at tol = 1e-12. The integral is also truncated at |t| <= 8,
-    which drops beta0 mass 2.4e-11.
+    the exact transform sum c_jk kappa(delta_jk)
+    (:meth:`RotatedFidelity.exact_twirled`), and 2.4e-11 from it at
+    tol = 1e-12. The integral is also truncated at |t| <= 8, which drops
+    beta0 mass 2.4e-11. The twirled decoder uses the exact transform, not
+    this quadrature; the sweep's scalar ``twirled`` series still does.
     """
     value, _, _ = _beta0_adaptive(g, tol)
     return value
 
 
-def _twirled_decoder(
-    rho_a: DensityOperator, ch: KrausChannel, nodes: np.ndarray, weights: np.ndarray
-) -> Decoder:
-    """sum_i w_i R^(t_i) over the rotated Petz maps, renormalized to trace
-    preservation, with its Kraus operators taken from the spectral core.
+def _twirled_decoder(ch: KrausChannel, petz, phases: np.ndarray) -> Decoder:
+    """The average of the rotated Petz maps R^t with averaged phase matrix
+    ``phases``, renormalized to trace preservation, with its Kraus operators
+    taken from the spectral core. ``petz`` is :func:`_petz_eigenbasis` of
+    the source and ``ch``.
 
     R^t = rho^(-it/2) R^0(sigma_B^(it/2) . sigma_B^(-it/2)) rho^(it/2), so in
     the eigenbases U_B of sigma_B and U_A of rho, restricted to the supports,
     Choi(R^t) is the Petz core C times z(t) z(t)^dagger entrywise, with
-    z_(b,a)(t) = exp(-i t theta_ab / 2) and theta_ab = ln lam_a - ln mu_b. The
-    weighted sum is the (r_B r_A)^2 core C o (Z diag(w) Z^dagger), renormalized
-    here to tr_A = 1 on supp sigma_B. Each support eigenvector c of it, scaled
-    by the root of its eigenvalue and reshaped to r_B x r_A, gives the Kraus
-    operator U_A c^T U_B^dagger. The Petz map's kernel completion
+    z_(b,a)(t) = exp(-i t theta_ab / 2) and theta_ab = ln lam_a - ln mu_b. An
+    average of R^t is the (r_B r_A)^2 core C o P for the n x n average P of
+    z(t) z(t)^dagger: P_jk = kappa((theta_j - theta_k)/2) for the beta0
+    average (:func:`_beta0_transform`), or Z diag(w) Z^dagger at quadrature
+    nodes t_i with weights w_i. The core is renormalized here to tr_A = 1 on
+    supp sigma_B. Each support eigenvector c of it, scaled by the root of its
+    eigenvalue and reshaped to r_B x r_A, gives the Kraus operator
+    U_A c^T U_B^dagger. The Petz map's kernel completion
     (:func:`_kernel_completion`) does not depend on t, so its weight is 1.
     """
-    (u_a, u_b, kernel), vecs, theta = _petz_eigenbasis(rho_a, ch)
+    (u_a, u_b, kernel), vecs, _ = petz
     r_b, r_a = u_b.shape[1], u_a.shape[1]
-    z = np.exp(-0.5j * np.multiply.outer(theta, nodes))
-    core = (vecs.T @ vecs.conj()) * ((z * weights) @ dag(z))
+    core = (vecs.T @ vecs.conj()) * phases
 
     tr_a = partial_trace(core, (r_b, r_a), keep=0)
     fix = np.kron(matrix_power_on_support(tr_a, -0.5), np.eye(r_a))
@@ -421,32 +450,37 @@ def _twirled_decoder(
 def _twirled_choi(
     rho_a: DensityOperator, ch: KrausChannel, nodes: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Choi matrix (input factor first) of :func:`_twirled_decoder`."""
-    return choi_of_channel(_twirled_decoder(rho_a, ch, nodes, weights).channel)
+    """Choi matrix (input factor first) of :func:`_twirled_decoder` averaged
+    at the quadrature nodes t_i with weights w_i, P = Z diag(w) Z^dagger."""
+    petz = _petz_eigenbasis(rho_a, ch)
+    z = np.exp(-0.5j * np.multiply.outer(petz[2], nodes))
+    return choi_of_channel(_twirled_decoder(ch, petz, (z * weights) @ dag(z)).channel)
 
 
 def build_twirled_petz(
     rho_a: DensityOperator, ch: KrausChannel, tol: float = 1e-7
 ) -> Decoder:
-    """Twirled Petz decoder, materialized from the spectral core at the
-    quadrature nodes of the scalar fidelity formula (see :func:`_twirled_decoder`).
+    """Twirled Petz decoder, the beta0 average of the rotated Petz maps,
+    materialized from the spectral core with the exact averaged phases
+    kappa((theta_j - theta_k)/2) (see :func:`_twirled_decoder`); no
+    quadrature runs.
 
     The averaged core is renormalized to exact trace preservation; the
-    materialized fidelity is checked against the scalar twirled value
-    within 10 * tol.
+    materialized fidelity is checked against
+    :meth:`RotatedFidelity.exact_twirled` within 10 * tol, so ``tol`` must
+    be finite and positive (else :class:`InvalidParameter`).
     """
-    pur = purify(rho_a)
-    sigma_rb = channel_on_purification(pur, ch)
-    kernel = RotatedFidelity(sigma_rb)
-    quad_tol = min(1e-9, tol / 10)
-    scalar_value, nodes, weights = _beta0_panels(kernel.value, quad_tol)
-
-    decoder = _twirled_decoder(rho_a, ch, nodes, weights)
+    if not 0 < tol < math.inf:
+        raise InvalidParameter(f"tol must be finite and positive, got {tol!r}")
+    petz = _petz_eigenbasis(rho_a, ch)
+    theta = petz[2]
+    decoder = _twirled_decoder(ch, petz, _beta0_transform(np.subtract.outer(theta, theta) / 2))
     materialized = fe_of_decoder(rho_a, ch, decoder)
-    if abs(materialized - scalar_value) > 10 * tol:
+    exact = RotatedFidelity(channel_on_purification(purify(rho_a), ch)).exact_twirled()
+    if abs(materialized - exact) > 10 * tol:
         raise ToleranceNotMet(
             f"materialized twirled fidelity {materialized:.12g} deviates from "
-            f"closed form {scalar_value:.12g} beyond {10 * tol:g}"
+            f"closed form {exact:.12g} beyond {10 * tol:g}"
         )
     return decoder
 

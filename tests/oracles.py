@@ -300,23 +300,25 @@ def twirled_choi_per_node(rho, ch, nodes, weights):
     return fix @ choi @ dag(fix)
 
 
-def twirled_decoder_dense(rho, ch, nodes, weights):
-    """The twirled decoder as a Kraus channel B -> A from its full
-    (d_B d_A)^2 Choi matrix: the spectral core C o (Z diag(w) Z^dagger) and
-    the kernel completion (weight sum_i w_i) in the full product basis,
-    renormalized through the d_B x d_B partial trace, then split into Kraus
-    operators by the eigendecomposition of :func:`channel_from_choi`."""
+def twirled_decoder_dense(rho, ch, phases, completion_weight):
+    """An averaged rotated-Petz decoder as a Kraus channel B -> A from its full
+    (d_B d_A)^2 Choi matrix: the spectral core C o P for the n x n averaged
+    phase matrix P and the kernel completion (weight ``completion_weight``)
+    in the full product basis, renormalized through the d_B x d_B partial
+    trace, then split into Kraus operators by the eigendecomposition of
+    :func:`channel_from_choi`. The beta0 average passes
+    P_jk = kappa((theta_j - theta_k)/2) and weight 1; quadrature nodes t_i
+    with weights w_i pass P = Z diag(w) Z^dagger, Z_ji = exp(-i t_i theta_j / 2),
+    and sum_i w_i."""
     (lam, u_a), (mu, u_b, kernel) = _spectra(rho, ch)
     proj = dag(u_b) @ np.stack(ch.kraus_ops) @ u_a
     vecs = (proj.conj() * np.sqrt(lam) / np.sqrt(mu)[:, None]).reshape(len(ch.kraus_ops), -1)
     petz = vecs.T @ vecs.conj()
-    theta = (np.log(lam)[None, :] - np.log(mu)[:, None]).reshape(-1)
-    z = np.exp(-0.5j * np.multiply.outer(theta, nodes))
     basis = np.kron(u_b.conj(), u_a)
-    choi = basis @ (petz * ((z * weights) @ dag(z))) @ dag(basis)
+    choi = basis @ (petz * phases) @ dag(basis)
     if kernel.shape[1]:
         completion = np.kron(kernel.conj() @ kernel.T, u_a @ dag(u_a)) / u_a.shape[1]
-        choi += float(np.sum(weights)) * completion
+        choi += completion_weight * completion
     d_in, d_out = ch.dim_out, ch.dim_in
     tr_out = partial_trace(choi, (d_in, d_out), keep=0)
     fix = kron(matrix_power_on_support(tr_out, -0.5), np.eye(d_out))

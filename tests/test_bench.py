@@ -421,6 +421,24 @@ def test_audit_checks_the_sweep_rows(monkeypatch):
     assert failed == {"thm2_petz_closed_form", "cor2c_chain", "bk_bracket"}
 
 
+def test_audit_reports_the_twirled_quadrature_slack(monkeypatch):
+    report = audit_invariants("bitflip3", points=3, include_sdp=False)
+    rows = [r for r in report.rows if r.check == "twirled_quadrature"]
+    assert [r.p for r in rows] == [0.0, 0.5, 1.0] and all(r.passed for r in rows)
+    real = bench._series_values
+
+    def twirled_shifted(setting, p, wanted, tol):
+        return [
+            dataclasses.replace(c, value=c.value - 1e-7) if c.series == "twirled" else c
+            for c in real(setting, p, wanted, tol)
+        ]
+
+    monkeypatch.setattr(bench, "_series_values", twirled_shifted)
+    report = audit_invariants("bitflip3", points=3, include_sdp=False)
+    rows = [r for r in report.rows if r.check == "twirled_quadrature"]
+    assert [r.detail for r in rows if not r.passed] == ["|twirled - exact| = 1e-07"] * 3
+
+
 def test_audit_skipped_sdp_gives_no_bracket_row(monkeypatch):
     monkeypatch.setattr(bench, "SDP_DIM_LIMIT", 0)
     report = audit_invariants("identity", points=2)

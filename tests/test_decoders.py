@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from petzlab import decoders, quantum
 from petzlab.bench import SETTINGS
@@ -189,6 +191,55 @@ def test_twirled_quadrature_error_within_tol_lncy4():
     weight = np.where(x == 0, 1.0, x / np.sinh(np.where(x == 0, 1.0, x)))
     exact = float(np.sum(kernel._coeff * weight))
     assert abs(kernel.twirled(1e-9) - exact) <= 1e-9
+
+
+# -- exact beta0 transform -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("omega", [0.0, 1e-9, 0.3, 1.0, 5.0, 30.0])
+def test_beta0_transform_matches_fourier_integral(omega):
+    def beta0(t):  # (pi/2) / (cosh(pi t) + 1), in a form that cannot overflow
+        e = math.exp(-math.pi * abs(t))
+        return math.pi * e / (1 + e) ** 2
+
+    half, _ = quad(
+        lambda t: beta0(t) * math.cos(omega * t),
+        0.0,
+        30.0,
+        epsabs=1e-14,
+        epsrel=1e-13,
+        limit=1000,
+    )
+    assert abs(decoders._beta0_transform(omega) - 2 * half) <= 1e-14
+
+
+@pytest.mark.parametrize("x", [1e-300, 60.0, 1e3, 1e308])
+def test_beta0_transform_is_finite_without_warnings(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kappa = decoders._beta0_transform(np.array([x, -x]))
+    assert np.isfinite(kappa).all() and kappa[0] == kappa[1]
+    assert 0.0 <= kappa[0] <= 1.0
+
+
+def _exact_twirled_instances(setting):
+    """The 21-point grid and p in {1e-10, 1 - 1e-10} of a setting, or random
+    instances, rank-deficient ones with d_A != d_B among them."""
+    if setting == "random":
+        rng = np.random.default_rng(11)
+        return [*_rank_deficient_instances(rng), *(_random_instance(rng) for _ in range(6))]
+    return [SETTINGS[setting].build(float(p)) for p in [*GRID_21, 1e-10, 1 - 1e-10]]
+
+
+EXACT_TWIRLED_CASES = ["bitflip3", "lncy4", "fivequbit", "random"]
+
+
+@pytest.mark.parametrize("setting", EXACT_TWIRLED_CASES)
+def test_exact_twirled_matches_tight_quadrature(setting):
+    # the quadrature at tol 1e-12 is off by about its |t| <= 8 tail, 2.4e-11
+    for rho, ch in _exact_twirled_instances(setting):
+        kernel = RotatedFidelity(_sigma_rb(rho, ch))
+        assert abs(kernel.exact_twirled() - kernel.twirled(1e-12)) <= 1e-10
 
 
 # -- batched and spectral fast paths against the paths they replace ------------------
@@ -527,6 +578,31 @@ def test_twirled_never_beats_petz(rng):
         assert f_tw <= f_petz + 1e-9
 
 
+@pytest.mark.parametrize("setting", EXACT_TWIRLED_CASES)
+def test_twirled_decoder_attains_exact_twirled(setting):
+    for rho, ch in _exact_twirled_instances(setting):
+        exact = RotatedFidelity(_sigma_rb(rho, ch)).exact_twirled()
+        assert abs(fe_of_decoder(rho, ch, build_twirled_petz(rho, ch)) - exact) <= 1e-13
+
+
+def test_twirled_decoder_runs_no_quadrature(monkeypatch):
+    def quadrature(*args, **kwargs):
+        raise AssertionError("the twirled decoder evaluated F(t) at quadrature nodes")
+
+    monkeypatch.setattr(RotatedFidelity, "value", quadrature)
+    monkeypatch.setattr(decoders, "_beta0_panels", quadrature)
+    for p in (np.arange(7) + 0.5) / 7:  # a decoders_bitflip3 pass at the default seed
+        rho, ch = SETTINGS["bitflip3"].build(float(p))
+        fe_of_decoder(rho, ch, build_twirled_petz(rho, ch))
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+def test_twirled_decoder_rejects_a_tol_that_disables_its_check(tol):
+    rho, ch = SETTINGS["bitflip3"].build(0.25)
+    with pytest.raises(InvalidParameter, match="tol"):
+        build_twirled_petz(rho, ch, tol=tol)
+
+
 # -- SW decoder ------------------------------------------------------------------------
 
 
@@ -845,9 +921,13 @@ def test_rotated_petz_choi_matches_literal_powers_random(rng):
 
 
 def _assert_twirled_matches_dense_oracle(rho, ch):
-    kernel = RotatedFidelity(_sigma_rb(rho, ch))
-    _, nodes, weights = _beta0_panels(kernel.value, 1e-9)  # build_twirled_petz's nodes
-    dense = oracles.twirled_decoder_dense(rho, ch, nodes, weights)
+    # build_twirled_petz's exact beta0 average: phases kappa((theta_j - theta_k)/2)
+    # with kappa(x) = x / sinh(x), and the kernel completion at weight 1
+    (lam, _), (mu, _, _) = decoders._spectra(rho, ch)
+    theta = (np.log(lam)[None, :] - np.log(mu)[:, None]).reshape(-1)
+    x = np.subtract.outer(theta, theta) / 2
+    phases = np.where(x == 0, 1.0, x / np.sinh(np.where(x == 0, 1.0, x)))
+    dense = oracles.twirled_decoder_dense(rho, ch, phases, 1.0)
     dec = build_twirled_petz(rho, ch)
     diff = choi_of_channel(dec.channel) - choi_of_channel(dense)
     assert np.linalg.norm(diff) <= 1e-12
