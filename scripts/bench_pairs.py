@@ -4,13 +4,14 @@
     scripts/bench_pairs.py --parent HEAD --tag my_change \\
         --claim decoders_bitflip3:wall_rel --seed 0:10 --seed 7:1
 
-Each side runs ``perfbench/run.py --workload W --seed S --seconds T`` from
-its own copy, made once in a temporary directory: the parent from a
-``git archive`` of the commit, the change from a snapshot of the working
-tree (the tracked and untracked files git does not ignore). The benchmark's
-own files (``perfbench/`` and ``BENCHMARK.json``) must not differ between
-the two, so both sides are measured by the same benchmark. Runs go one at a
-time. ``--seed S:N`` asks for N pairs on seed S; within a seed, pair k runs
+Each side runs ``perfbench/run.py --workload W --seed S`` for the
+benchmark's ``run_seconds`` (``BENCHMARK.json``) from its own copy, made
+once in a temporary directory: the parent from a ``git archive`` of the
+commit, the change from a snapshot of the working tree (the tracked and
+untracked files git does not ignore). The benchmark's own files
+(``perfbench/`` and ``BENCHMARK.json``) must not differ between the two and
+must have no untracked files, so both sides are measured by the same
+benchmark. Runs go one at a time. ``--seed S:N`` asks for N pairs on seed S; within a seed, pair k runs
 the parent first when k is odd and the change first when k is even.
 
 After every pair the script writes ``BENCH_<tag>.json`` at the repository
@@ -20,8 +21,9 @@ percentiles) and runs, the pairs the change won and lost, and a verdict:
 
 - the claimed metric (``--claim WORKLOAD:METRIC``) is met on a seed when
   the change wins at least nine tenths of its pairs, ties counting for
-  neither, and the medians differ by more than the distance between the
-  parent's quartiles; with fewer than ten pairs the seed only reports its
+  neither, the medians differ by more than the distance between the
+  parent's quartiles, and the change's runs of that workload failed no
+  more rows than the parent's; with fewer than ten pairs the seed only reports its
   wins;
 - any other metric is ``worse`` when the change's median is worse than the
   parent's by more than its relative bound in ``BENCHMARK.json``,
@@ -122,8 +124,12 @@ def _stats(values: list[float]) -> dict:
     }
 
 
-def _compare(parent: list[float], change: list[float], lower_better: bool, bound: float, claimed: bool):
-    """Pair wins, medians and the verdict for one metric of one seed."""
+def _compare(
+    parent: list[float], change: list[float], lower_better: bool, bound: float,
+    claimed: bool, failed: dict,
+):
+    """Pair wins, medians and the verdict for one metric of one seed;
+    ``failed`` holds each side's failed rows on the workload."""
     sign = 1.0 if lower_better else -1.0
     better = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     worse = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
@@ -142,7 +148,9 @@ def _compare(parent: list[float], change: list[float], lower_better: bool, bound
     if claimed:
         if len(parent) >= 10:
             out["claim_met"] = bool(
-                better >= 0.9 * len(parent) and sign * (p_med - c_med) > iqr
+                better >= 0.9 * len(parent)
+                and sign * (p_med - c_med) > iqr
+                and failed["change"] <= failed["parent"]
             )
         return out
     every_run_better = max(change) < min(parent) if lower_better else min(change) > max(parent)
@@ -169,6 +177,10 @@ def _summary(runs: list[dict], metrics: dict, claim: tuple[str, str] | None) -> 
             continue
         per_workload = {}
         for workload in complete[0]["parent"]:
+            failed = {
+                side: sum(p[side][workload]["failed"] for p in complete if workload in p[side])
+                for side in ("parent", "change")
+            }
             entry = {}
             for metric, (lower_better, bound) in metrics.items():
                 values = [
@@ -180,12 +192,9 @@ def _summary(runs: list[dict], metrics: dict, claim: tuple[str, str] | None) -> 
                 if values:
                     parent, change = map(list, zip(*values))
                     entry[metric] = _compare(
-                        parent, change, lower_better, bound, claim == (workload, metric)
+                        parent, change, lower_better, bound, claim == (workload, metric), failed
                     )
-            entry["failed_rows"] = {
-                side: sum(p[side][workload]["failed"] for p in complete if workload in p[side])
-                for side in ("parent", "change")
-            }
+            entry["failed_rows"] = failed
             entry["attempted_rows"] = {
                 side: sum(p[side][workload]["attempted"] for p in complete if workload in p[side])
                 for side in ("parent", "change")
@@ -204,7 +213,6 @@ def main(argv=None) -> int:
         "--seed", action="append", default=None, metavar="SEED[:PAIRS]",
         help="PAIRS pairs on SEED (default 0:10); repeatable",
     )
-    parser.add_argument("--seconds", type=float, default=None, help="default: BENCHMARK.json")
     parser.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC")
     args = parser.parse_args(argv)
     try:
@@ -214,13 +222,16 @@ def main(argv=None) -> int:
     claim = tuple(args.claim.split(":", 1)) if args.claim else None
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds if args.seconds is not None else float(benchmark["run_seconds"])
+    seconds = float(benchmark["run_seconds"])
     metrics = {
         m["name"]: (m["better"] == "lower", float(m["bound"])) for m in benchmark["end_to_end"]
     }
     commit = _git("rev-parse", "--short", args.parent).strip()
     if _git("diff", "--name-only", commit, "--", *BENCHMARK_FILES).strip():
         print(f"{' and '.join(BENCHMARK_FILES)} differ from {commit}", file=sys.stderr)
+        return 2
+    if _git("ls-files", "--others", "--exclude-standard", "--", *BENCHMARK_FILES).strip():
+        print(f"{' and '.join(BENCHMARK_FILES)} have untracked files", file=sys.stderr)
         return 2
 
     out_path = ROOT / f"BENCH_{args.tag}.json"

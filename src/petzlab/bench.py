@@ -396,10 +396,10 @@ def audit_invariants(setting: str, points: int = 21, include_sdp: bool = True) -
     :meth:`~petzlab.decoders.RotatedFidelity.exact_twirled`, within
     10 * ``QUAD_TOL``. A series that raises gives a failing row flagged
     ``error:<Type>``, and the checks that read its NaN value fail; a
-    simulation that raises fails both rows it feeds, and a failing exact
-    sum only its own row. A skipped SDP gives no bracket row. The setting
-    and ``points`` (the grid's ``p_count`` on [0, 1]) are held to the rules
-    of :class:`SweepConfig`.
+    simulation that raises fails both rows it feeds, a failing exact sum
+    only its own row, and a failing build of the setting all three. A
+    skipped SDP gives no bracket row. The setting and ``points`` (the grid's
+    ``p_count`` on [0, 1]) are held to the rules of :class:`SweepConfig`.
     """
     cfg = SweepConfig(setting, p_count=points)
     rows: list[AuditRow] = []
@@ -421,25 +421,29 @@ def audit_invariants(setting: str, points: int = 21, include_sdp: bool = True) -
         v = {c.series: c.value for c in curve}
         skipped = {c.series for c in curve if c.flags.startswith("skipped")}
         checks = [(c.series, False, c.flags) for c in curve if c.flags.startswith("error")]
-        try:
+        f_sim = f_comp = exact = math.nan
+        try:  # each failure is contained like a sweep row
             rho, ch = SETTINGS[setting].build(p)
-            f_sim = decoders.fe_of_decoder(rho, ch, decoders.build_petz(rho, ch))
-            f_comp = _complementary_petz(rho, ch)
-            error = None
-        except Exception as exc:  # contained like a sweep row
-            f_sim = f_comp = math.nan
-            error = f"error:{type(exc).__name__}"
+        except Exception as exc:  # fails the three rows below
+            error = exact_error = f"error:{type(exc).__name__}"
+        else:
+            error = exact_error = None
+            try:
+                f_sim = decoders.fe_of_decoder(rho, ch, decoders.build_petz(rho, ch))
+                f_comp = _complementary_petz(rho, ch)
+            except Exception as exc:  # fails the two rows the simulation feeds
+                error = f"error:{type(exc).__name__}"
+            try:
+                sigma_rb = channel_on_purification(purify(rho), ch)
+                exact = decoders.RotatedFidelity(sigma_rb).exact_twirled()
+            except Exception as exc:  # needs no decoder, so fails only its own row
+                exact_error = f"error:{type(exc).__name__}"
         closed_forms = {"thm2_petz_closed_form": v["petz"], "thm_complementary": f_comp}
         for name, value in closed_forms.items():
             detail = error or f"|{f_sim:.12g} - {value:.12g}|"
             checks.append((name, abs(f_sim - value) <= THM2_TOL, detail))
-        try:
-            rho, ch = SETTINGS[setting].build(p)
-            kernel = decoders.RotatedFidelity(channel_on_purification(purify(rho), ch))
-            slack = abs(v["twirled"] - kernel.exact_twirled())
-            detail = f"|twirled - exact| = {slack:.3g}"
-        except Exception as exc:  # contained on its own: it needs no decoder
-            slack, detail = math.nan, f"error:{type(exc).__name__}"
+        slack = abs(v["twirled"] - exact)
+        detail = exact_error or f"|twirled - exact| = {slack:.3g}"
         checks.append(("twirled_quadrature", slack <= 10 * QUAD_TOL, detail))
 
         petz, twirled, lower = v["petz"], v["twirled"], v["lower_twirled"]

@@ -52,7 +52,6 @@ from .quantum import (
     KrausChannel,
     apply_channel,
     channel_on_purification,
-    choi_of_channel,
     dilate,
     purify,
     validate_cptp,
@@ -208,8 +207,9 @@ class RotatedFidelity:
     (as its cosines and sines) and two m x m by m x T products. Since every
     c_jk >= 0 and each phase moves by at most THETA_TIE |t| / 2,
     |F_bar(t) - F(t)| <= petz * THETA_TIE * |t|, at most 8e-12 on the
-    quadrature nodes (|t| <= 8).
-    ``_theta``, ``_coeff`` and ``_delta`` keep the ungrouped spectrum.
+    quadrature nodes (|t| <= 8). The groups are formed on the first call of
+    :meth:`value`; ``_theta``, ``_coeff`` and ``_delta`` keep the ungrouped
+    spectrum, which is all :meth:`petz` and :meth:`exact_twirled` read.
     """
 
     def __init__(self, sigma_rb: DensityOperator):
@@ -226,15 +226,24 @@ class RotatedFidelity:
         self._coeff = np.abs(s) ** 2 * np.exp(
             (self._theta[:, None] + self._theta[None, :]) / 2
         )
-        firsts, group = [], np.empty(self._theta.size, dtype=np.intp)
-        for j in np.argsort(self._theta, kind="stable"):
-            if not firsts or self._theta[j] - firsts[-1] > THETA_TIE:
-                firsts.append(self._theta[j])
-            group[j] = len(firsts) - 1
-        onehot = np.zeros((self._theta.size, len(firsts)))
+
+    @functools.cached_property
+    def _group_theta(self) -> np.ndarray:
+        """The first (smallest) theta of each group, ascending."""
+        firsts: list[float] = []
+        for theta in np.sort(self._theta):
+            if not firsts or theta - firsts[-1] > THETA_TIE:
+                firsts.append(theta)
+        return np.array(firsts)
+
+    @functools.cached_property
+    def _group_coeff(self) -> np.ndarray:
+        """C_bar = P^T C P; theta belongs to the last group whose first value
+        does not exceed it."""
+        group = np.searchsorted(self._group_theta, self._theta, side="right") - 1
+        onehot = np.zeros((self._theta.size, self._group_theta.size))
         onehot[np.arange(self._theta.size), group] = 1.0
-        self._group_theta = np.array(firsts)
-        self._group_coeff = onehot.T @ self._coeff @ onehot
+        return onehot.T @ self._coeff @ onehot
 
     @property
     def _delta(self) -> np.ndarray:
@@ -445,16 +454,6 @@ def _twirled_decoder(ch: KrausChannel, petz, phases: np.ndarray) -> Decoder:
     fix = np.kron(matrix_power_on_support(tr_a, -0.5), np.eye(r_a))
     w, c, _ = psd_eig(fix @ core @ dag(fix)).split()
     return _decoder(_eigenbasis_kraus(u_a, u_b, kernel, (c * np.sqrt(w)).T), ch, "twirled")
-
-
-def _twirled_choi(
-    rho_a: DensityOperator, ch: KrausChannel, nodes: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Choi matrix (input factor first) of :func:`_twirled_decoder` averaged
-    at the quadrature nodes t_i with weights w_i, P = Z diag(w) Z^dagger."""
-    petz = _petz_eigenbasis(rho_a, ch)
-    z = np.exp(-0.5j * np.multiply.outer(petz[2], nodes))
-    return choi_of_channel(_twirled_decoder(ch, petz, (z * weights) @ dag(z)).channel)
 
 
 def build_twirled_petz(

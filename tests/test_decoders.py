@@ -13,7 +13,8 @@ from petzlab.decoders import (
     beta0_quadrature,
     _beta0_adaptive,
     _beta0_panels,
-    _twirled_choi,
+    _petz_eigenbasis,
+    _twirled_decoder,
     build_petz,
     build_rotated_petz,
     build_sw,
@@ -502,6 +503,14 @@ def test_grouping_merges_only_within_theta_tie():
 def test_code_settings_evaluate_on_few_groups(setting, p, n, most):
     kernel = RotatedFidelity(_sigma_rb(*SETTINGS[setting].build(p)))
     assert kernel._theta.size == n and kernel._group_theta.size <= most
+
+
+def _twirled_choi(rho, ch, nodes, weights):
+    """Choi matrix (input factor first) of the spectral twirled decoder
+    averaged at quadrature nodes t_i with weights w_i, P = Z diag(w) Z^dagger."""
+    petz = _petz_eigenbasis(rho, ch)
+    z = np.exp(-0.5j * np.multiply.outer(petz[2], nodes))
+    return choi_of_channel(_twirled_decoder(ch, petz, (z * weights) @ dag(z)).channel)
 
 
 def _assert_choi_matches_oracle(rho, ch):
