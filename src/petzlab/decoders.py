@@ -48,6 +48,7 @@ from .matcore import (
     psd_eig,
 )
 from .quantum import (
+    CPTP_TOL,
     DensityOperator,
     KrausChannel,
     apply_channel,
@@ -153,9 +154,23 @@ def _petz_family_kraus(rho_a: DensityOperator, ch: KrausChannel, t: float):
     of sigma_B = N(rho): the Petz operators of :func:`_petz_eigenbasis` with
     the phase exp(-i t theta / 2) on each eigenbasis entry.
     :func:`_kernel_completion` covers the kernel.
+
+    In exact arithmetic the support Kraus sum S = sum_l c_l^* c_l^T over the
+    Choi vectors c_l (each r_B x r_A) is 1; in floating point it carries
+    roundoff amplified by the condition number of sigma_B. Where
+    ||S - 1||_F misses :func:`~petzlab.quantum.validate_cptp`'s bound
+    CPTP_TOL sqrt(d_B), each c_l becomes (S^(-1/2))^T c_l, which makes the
+    sum 1 on supp sigma_B, as :func:`_twirled_decoder` renormalizes its core;
+    otherwise the vectors are used as they are.
     """
     (u_a, u_b, kernel), vecs, theta = _petz_eigenbasis(rho_a, ch)
-    return _eigenbasis_kraus(u_a, u_b, kernel, vecs * np.exp(-0.5j * t * theta))
+    r_b = u_b.shape[1]
+    c = (vecs * np.exp(-0.5j * t * theta)).reshape(-1, r_b, u_a.shape[1])
+    rows = c.transpose(1, 0, 2).reshape(r_b, -1)  # row b: every c_l[b, :]
+    s = rows.conj() @ rows.T
+    if np.linalg.norm(s - np.eye(r_b)) > CPTP_TOL * math.sqrt(ch.dim_out):
+        c = matrix_power_on_support(s, -0.5).T @ c
+    return _eigenbasis_kraus(u_a, u_b, kernel, c)
 
 
 def _decoder(ops, ch: KrausChannel, kind: str, t: float | None = None) -> Decoder:

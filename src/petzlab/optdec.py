@@ -16,24 +16,26 @@ block-diagonal with respect to the sum of the S_k tensor (output), pinching
 any feasible X onto those blocks keeps tr_out X = 1 and tr[G X], so the
 optimum is the sum of the sector optima and the block sum of the sector
 duals is dual feasible (Gatermann-Parrilo, J. Pure Appl. Algebra 192
-(2004)). The sectors are proposed by the qubit permutations that leave the
-source and the support of the channel output invariant (:func:`_stabilizers`,
-from one table of permuted row indices; the sectors are the eigenspaces of
-one fixed combination of them, :func:`_sector_bases`); only the check that
-the coupling of G between sectors is at most SECTOR_TOL * ||G|| certifies a
-split. Without a certified split the reduced problem is solved whole.
+(2004)). Every split is a proposal plus one certificate. A proposal is an
+orthonormal basis of the input with a label on each basis vector; the
+certificate, :func:`_split`, keeps the split only if the coupling of G
+between basis vectors of different labels is at most SECTOR_TOL * ||G||,
+and then cuts G into the pieces. Without a certified split the problem is
+solved whole.
 
-The permutation sectors need not be irreducible, and :func:`_refine_sectors`
-splits each further into the pieces of its objective's own block algebra
-(Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27 (2010)
-125). With G_k = sum_ab G_ab tensor |a><b| over the output indices, one
-eigh of a fixed generic Hermitian combination h = sum_ab c_ab (G_ab + G_ba)
-gives a basis of the sector's input; the pieces are the connected components
-of the graph on that basis with an edge where some entry of a rotated G_ab
-exceeds SECTOR_TOL * ||G_k|| (:func:`_propose_pieces`). The split is
-certified by the same rule as the permutation split, a coupling of G_k
-between the pieces of at most SECTOR_TOL * ||G_k||, and a refused split
-keeps the sector whole. A sector within SECTOR_TOL of an earlier one (the
+There are two proposals, applied in turn. The qubit permutations that leave
+the source and the support of the channel output invariant
+(:func:`_stabilizers`, from one table of permuted row indices) propose the
+sectors, the eigenspaces of one fixed combination of them
+(:func:`_sector_bases`). The permutation sectors need not be irreducible,
+and :func:`_refine_sectors` splits each further into the pieces of its
+objective's own block algebra (Murota, Kanno, Kojima and Kojima, Japan J.
+Indust. Appl. Math. 27 (2010) 125). With G_k = sum_ab G_ab tensor |a><b|
+over the output indices, one eigh of a fixed generic Hermitian combination
+h = sum_ab c_ab (G_ab + G_ba) gives a basis of the sector's input; the
+pieces are the connected components of the graph on that basis with an
+edge where some entry of a rotated G_ab exceeds SECTOR_TOL * ||G_k||
+(:func:`_propose_pieces`). A sector within SECTOR_TOL of an earlier one (the
 aligned copies below) reuses that sector's basis and pieces, so its pieces
 stay copies. lncy4's sectors (1, 3, 3, 3, 6 wide) become pieces 1 to 3 wide,
 bitflip3's (2, 2, 4) pieces 2 wide (1 wide at p = 0.5); fivequbit's sectors
@@ -92,7 +94,7 @@ import numpy as np
 
 from .decoders import _spectra, fe_closed_form
 from .errors import BracketViolated, DimensionMismatch, MaxIterations, NumericalBreakdown
-from .matcore import dag, herm_eig, herm_part, kron
+from .matcore import dag, herm_eig, herm_part
 from .quantum import (
     DensityOperator,
     KrausChannel,
@@ -104,8 +106,8 @@ from .quantum import (
 
 MAX_ITER = 100
 STEP_FRACTION = 0.98
-# A sector split is certified when the coupling of the reduced objective
-# between sectors is at most SECTOR_TOL * ||G|| (Frobenius norms). The
+# A split is certified (_split) when the coupling of the objective between
+# its pieces is at most SECTOR_TOL * ||G|| (Frobenius norms). The
 # symmetry tests and the eigenvalue grouping only propose sectors; they use
 # the looser PROPOSAL_TOL, so that roundoff in a support projector does not
 # hide a symmetry the check then certifies.
@@ -192,22 +194,6 @@ def reduce_problem(
     )
     prob = build_fidelity_sdp(rho_red, ch_red)
     return prob, ReductionEmbedding(v_in=v_in, v_out=v_out)
-
-
-def lift_choi(x_reduced: np.ndarray, emb: ReductionEmbedding) -> np.ndarray:
-    """Lift a reduced feasible Choi matrix to the full problem.
-
-    Off-support inputs are routed to the maximally mixed state on the
-    source support, preserving both feasibility and the objective value.
-    """
-    v_in, v_out = emb.v_in, emb.v_out
-    d_b, r_a = v_in.shape[0], v_out.shape[1]
-    lift = kron(v_in.conj(), v_out)
-    full = lift @ x_reduced @ dag(lift)
-    pi_b = v_in @ dag(v_in)
-    omega = v_out @ dag(v_out) / r_a
-    full += kron((np.eye(d_b) - pi_b).T, omega)
-    return full
 
 
 def _nt_scaling(lx: np.ndarray, lz: np.ndarray) -> np.ndarray:
@@ -541,28 +527,15 @@ def _sector_problems(rho_a: DensityOperator, ch: KrausChannel) -> list[SdpProble
     """The reduced fidelity SDP (:func:`reduce_problem`) as independent sector
     problems, or as [the reduced problem] when no split is certified.
 
-    Sector k has the objective G_k = B_k^dagger G B_k with B_k = V_k tensor
-    1_A over the bases V_k of :func:`_sector_bases`. The split is certified
-    only if the coupling of G between sectors is at most SECTOR_TOL * ||G||.
+    The permutations propose the sectors (:func:`_sector_bases`), one label
+    per sector on the basis vectors of their concatenated bases V, and
+    :func:`_split` certifies and cuts them: sector k has the objective
+    G_k = B_k^dagger G B_k with B_k = V_k tensor 1_A.
     """
     prob, emb = reduce_problem(rho_a, ch)
     bases = _sector_bases(rho_a, emb.v_in)
-    if len(bases) == 1:
-        return [prob]
-    r_a = prob.dim_out
-    lift = kron(np.concatenate(bases, axis=1), np.eye(r_a))
-    g = dag(lift) @ prob.objective @ lift
-    edges = np.cumsum([0] + [v.shape[1] * r_a for v in bases])
-    blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    coupling = g.copy()
-    for b in blocks:
-        coupling[b, b] = 0
-    if np.linalg.norm(coupling) > SECTOR_TOL * np.linalg.norm(prob.objective):
-        return [prob]
-    return [
-        SdpProblem(objective=g[b, b], dim_in=v.shape[1], dim_out=r_a)
-        for b, v in zip(blocks, bases)
-    ]
+    labels = np.repeat(np.arange(len(bases)), [v.shape[1] for v in bases])
+    return _split(prob, prob.objective, np.concatenate(bases, axis=1), labels)
 
 
 def _refine_sectors(problems: list[SdpProblem]) -> list[SdpProblem]:
@@ -572,12 +545,12 @@ def _refine_sectors(problems: list[SdpProblem]) -> list[SdpProblem]:
     With G_k = sum_ab G_ab tensor |a><b| over the output indices a, b, a
     split of the input into orthogonal subspaces that block-diagonalizes
     every G_ab is a split of the sector, by the pinching argument of the
-    module docstring. The pieces are proposed by :func:`_propose_pieces` and
-    certified, as the permutation sectors are, by a coupling of G_k between
-    them of at most SECTOR_TOL * ||G_k|| (Frobenius norms). A sector within
-    SECTOR_TOL of an earlier one of its shape (the aligned copies of
-    :func:`_sector_bases`) reuses that sector's proposal, so that its pieces
-    stay copies for :func:`_solve_stack`. A non-finite objective raises
+    module docstring. The algebra proposes the pieces
+    (:func:`_propose_pieces`) and :func:`_split` certifies and cuts them, as
+    it does the permutation sectors. A sector within SECTOR_TOL of an
+    earlier one of its shape (the aligned copies of :func:`_sector_bases`)
+    reuses that sector's proposal, so that its pieces stay copies for
+    :func:`_solve_stack`. A non-finite objective raises
     :class:`NumericalBreakdown` (:func:`_objectives`).
 
     A list of one problem, a reduced problem that no certified permutation
@@ -591,28 +564,44 @@ def _refine_sectors(problems: list[SdpProblem]) -> list[SdpProblem]:
         if prob.dim_in == 1:
             refined.append(prob)
             continue
-        d_b, d_a = prob.dim_in, prob.dim_out
         g = _objectives([prob])[0]
-        g4, norm = g.reshape(d_b, d_a, d_b, d_a), np.linalg.norm(g)
         for g_r, v, labels in proposals:
             if g_r.shape == g.shape and np.linalg.norm(g - g_r) <= SECTOR_TOL * np.linalg.norm(g_r):
                 break
         else:
-            v, labels = _propose_pieces(g4, norm)
+            d_b, d_a = prob.dim_in, prob.dim_out
+            v, labels = _propose_pieces(g.reshape(d_b, d_a, d_b, d_a), np.linalg.norm(g))
             proposals.append((g, v, labels))
-        if not labels.any():  # one piece
-            refined.append(prob)
-            continue
-        rot = _rotated(g4, v)
-        if np.linalg.norm(rot.transpose(0, 2, 1, 3)[labels[:, None] != labels]) > SECTOR_TOL * norm:
-            refined.append(prob)
-            continue
-        for label in range(labels.max() + 1):
-            idx = np.flatnonzero(labels == label)
-            n = len(idx) * d_a
-            piece = rot[idx][:, :, idx].reshape(n, n)
-            refined.append(SdpProblem(objective=piece, dim_in=len(idx), dim_out=d_a))
+        refined += _split(prob, g, v, labels)
     return refined
+
+
+def _split(prob: SdpProblem, g: np.ndarray, v: np.ndarray, labels: np.ndarray) -> list[SdpProblem]:
+    """``prob`` cut into the pieces that ``labels`` proposes on the basis
+    vectors of its input, or [prob] (the same object) when the split is
+    not certified.
+
+    g is prob's objective, its input is rotated into the orthonormal basis v
+    (:func:`_rotated`), and the piece of label k has the objective
+    (V_k tensor 1)^dagger G (V_k tensor 1) over the columns V_k of v with
+    that label, the pieces in label order. The split is certified when the
+    coupling of G between basis vectors of different labels is at most
+    SECTOR_TOL * ||G|| (Frobenius norms); one label is no split.
+    """
+    if not labels.any():
+        return [prob]
+    d_b, d_a = prob.dim_in, prob.dim_out
+    rot = _rotated(g.reshape(d_b, d_a, d_b, d_a), v)
+    coupling = rot.transpose(0, 2, 1, 3)[labels[:, None] != labels]
+    if np.linalg.norm(coupling) > SECTOR_TOL * np.linalg.norm(g):
+        return [prob]
+    pieces = []
+    for label in range(labels.max() + 1):
+        idx = np.flatnonzero(labels == label)
+        n = len(idx) * d_a
+        piece = rot[idx][:, :, idx].reshape(n, n)
+        pieces.append(SdpProblem(objective=piece, dim_in=len(idx), dim_out=d_a))
+    return pieces
 
 
 def _propose_pieces(g4: np.ndarray, norm: float) -> tuple[np.ndarray, np.ndarray]:

@@ -179,17 +179,6 @@ def apply_channel(ch: KrausChannel, x, dims=None, acting_on: int = 0) -> np.ndar
     return out.reshape((left * d_out * right,) * 2)
 
 
-def apply_to_density(ch: KrausChannel, rho: DensityOperator, acting_on: str) -> DensityOperator:
-    """Apply a channel to the labeled subsystem of a density operator."""
-    axis = rho.axis_of(acting_on)
-    out = apply_channel(ch, rho.matrix, dims=rho.dims, acting_on=axis)
-    dims = list(rho.dims)
-    labels = list(rho.labels)
-    dims[axis] = ch.dim_out
-    labels[axis] = ch.label_out
-    return DensityOperator(matrix=out, dims=tuple(dims), labels=tuple(labels))
-
-
 def adjoint_apply(ch: KrausChannel, y) -> np.ndarray:
     """Adjoint (Heisenberg) action sum K^dagger Y K."""
     y = as_cmatrix(y)

@@ -1,8 +1,10 @@
 import dataclasses
+import importlib.util
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -448,6 +450,12 @@ def test_audit_skipped_sdp_gives_no_bracket_row(monkeypatch):
     assert [r.check for r in no_sdp.rows] == [r.check for r in report.rows]
 
 
+@pytest.mark.parametrize("setting", ["bitflip3", "lncy4", "fivequbit"])
+def test_audit_passes_on_the_101_point_grid(setting):
+    report = audit_invariants(setting, 101)
+    assert report.ok, report.failures()
+
+
 def test_audit_unknown_setting():
     with pytest.raises(ValidationError):
         audit_invariants("nosuch")
@@ -886,3 +894,43 @@ def test_none_closed_form_matches_identity_decoder_random(rng):
             ch = quantum.kraus_channel(oracles.random_kraus(rng, d, d, n_kraus))
             direct = quantum.entanglement_fidelity_direct(rho, ch)
             assert abs(direct - _identity_decoder_fidelity(rho, ch)) <= 1e-14
+
+
+# -- the benchmark's tracer ------------------------------------------------------
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench_files():
+    return sorted(
+        (str(f.relative_to(PERFBENCH)), f.stat().st_size, f.stat().st_mtime_ns)
+        for f in PERFBENCH.rglob("*")
+    )
+
+
+def test_benchmark_tracer_resolves_and_restores_every_binding(monkeypatch):
+    # perfbench/spans.py wraps its FUNCTIONS by name; a deleted or renamed
+    # one would fail every traced benchmark run with a KeyError
+    files = _perfbench_files()
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name, owner, attr, _ in spans.FUNCTIONS:
+        assert callable(vars(owner).get(attr)), name
+    holders = list(spans.MODULES) + [o for _, o, _, _ in spans.FUNCTIONS if isinstance(o, type)]
+    before = [dict(vars(holder)) for holder in holders]
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        for name, owner, attr, _ in spans.FUNCTIONS:
+            assert vars(owner)[attr] is not before[holders.index(owner)][attr], name
+        matcore.herm_eig(np.eye(2))
+        assert [span[0] for span in tracer.spans] == ["matcore.herm_eig"]
+    finally:
+        restore()
+    for holder, old in zip(holders, before):
+        now = vars(holder)
+        assert all(now[key] is value for key, value in old.items()), holder
+    assert _perfbench_files() == files

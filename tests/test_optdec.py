@@ -11,7 +11,6 @@ from petzlab.optdec import (
     _schur_solve,
     bk_bracket_check,
     build_fidelity_sdp,
-    lift_choi,
     optimal_fidelity,
     reduce_problem,
     solve_sdp,
@@ -173,19 +172,6 @@ def test_reduction_soundness_random(rng):
         prob, _ = reduce_problem(rho, ch)
         reduced = solve_sdp(prob, tol=1e-8).primal
         assert abs(full - reduced) <= 1e-6
-
-
-def test_lifted_solution_feasible_for_full_problem(rng):
-    rho, ch = _random_instance(rng, 3, 2)
-    prob_red, emb = reduce_problem(rho, ch)
-    sol = solve_sdp(prob_red, tol=1e-8)
-    full_prob = build_fidelity_sdp(rho, ch)
-    lifted = lift_choi(sol.x, emb)
-    tr_out = partial_trace(lifted, (full_prob.dim_in, full_prob.dim_out), keep=0)
-    assert np.linalg.norm(tr_out - np.eye(full_prob.dim_in)) <= 1e-7
-    assert np.linalg.eigvalsh(herm_part(lifted))[0] >= -1e-8
-    lifted_value = np.trace(lifted @ full_prob.objective).real
-    assert abs(lifted_value - sol.primal) <= 1e-8
 
 
 # -- decoder feasibility triangle -------------------------------------------------------
@@ -421,6 +407,34 @@ def test_sector_sizes(setting, sizes):
         problems = optdec._sector_problems(*SETTINGS[setting].build(p))
         assert sorted(q.dim_in for q in problems) == sizes
         assert {q.dim_out for q in problems} == {2}
+
+
+CUT_POINTS = [*GRID_21, 1e-6, 0.99, 0.999, 1 - 1e-6]
+
+
+@pytest.mark.parametrize("setting", sorted(SETTINGS))
+def test_sector_objectives_are_blocks_of_the_kron_lift(setting):
+    """optdec._split cuts the sectors from the rotated objective; each sector
+    objective equals, bit for bit, the diagonal block of
+    kron(V, 1)^dagger G kron(V, 1) over the concatenated sector bases V."""
+    cut = 0
+    for p in CUT_POINTS:
+        rho, ch = SETTINGS[setting].build(float(p))
+        problems = optdec._sector_problems(rho, ch)
+        prob, emb = reduce_problem(rho, ch)
+        if len(problems) == 1:  # kept whole
+            assert np.array_equal(problems[0].objective, prob.objective)
+            continue
+        bases = optdec._sector_bases(rho, emb.v_in)
+        lift = kron(np.concatenate(bases, axis=1), np.eye(prob.dim_out))
+        g = dag(lift) @ prob.objective @ lift
+        edges = np.cumsum([0] + [v.shape[1] * prob.dim_out for v in bases])
+        assert len(problems) == len(bases)
+        for q, lo, hi in zip(problems, edges[:-1], edges[1:]):
+            assert np.array_equal(q.objective, g[lo:hi, lo:hi])
+            cut += 1
+    # the identity setting's reduced input (2 wide) is one permutation sector
+    assert (cut > 0) == (setting != "identity")
 
 
 def test_sector_split_falls_back_on_one_perturbed_coupling(monkeypatch):

@@ -6,15 +6,15 @@ map to d_B in {2, 3, 4} with one to three Kraus operators (more when
 d_B < d_A needs them for an isometry).
 
 The decoders that need no inverse power of a near-singular spectrum hold
-over the whole range. The Petz decoder materialization holds where the
-smallest eigenvalue ratio is at least 1e-5; below it it fails by amplified
-roundoff, pinned by a strict xfail on one instance. The lower_sw chain and
-the twirled chain down to 2^(-eps) are checked on one instance each, at
-ratios 1e-6 and 1e-10.
+over the whole range. So does the Petz and rotated-Petz decoder
+materialization, since its Kraus sum is renormalized on supp sigma_B where
+roundoff amplified by the condition number of sigma_B would otherwise break
+trace preservation; the unitary channel at ratio 1e-10 that used to fail
+keeps its own test. The lower_sw chain and the twirled chain down to
+2^(-eps) are checked on one instance each, at ratios 1e-6 and 1e-10.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +27,6 @@ from petzlab.decoders import (
     build_twirled_petz,
     fe_of_decoder,
 )
-from petzlab.errors import NotTracePreserving
 from petzlab.infomeasures import epsilon_sw, min_petz_mi_order2
 from petzlab.matcore import matrix_power_on_support
 from petzlab.quantum import channel_on_purification, density_operator, kraus_channel, purify
@@ -100,6 +99,17 @@ def test_closed_forms_match_simulated_decoders(instance, t):
 
 
 @PROPERTY_SETTINGS
+@given(instances(), st.floats(-4.0, 4.0))
+def test_petz_decoders_match_closed_forms_near_rank_cut(instance, t):
+    rho, ch = instance
+    kernel = RotatedFidelity(channel_on_purification(purify(rho), ch))
+    petz = fe_of_decoder(rho, ch, build_petz(rho, ch))
+    rotated = fe_of_decoder(rho, ch, build_rotated_petz(rho, ch, t))
+    assert abs(petz - kernel.petz()) <= CLOSED_FORM_TOL
+    assert abs(rotated - kernel.value(t)) <= CLOSED_FORM_TOL
+
+
+@PROPERTY_SETTINGS
 @given(instances(CONDITIONED_DECADES))
 def test_bound_chains_hold(instance):
     rho, ch = instance
@@ -114,15 +124,9 @@ def test_bound_chains_hold(instance):
     assert lower_sw >= lower - CHAIN_SLACK
 
 
-# -- faults below the well-conditioned range, one instance each --------------------
+# -- below the well-conditioned range, one instance each -------------------------------
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=NotTracePreserving,
-    reason="the Petz Kraus sum carries roundoff amplified by the condition number of "
-    "sigma_B (2.8e-10 here) against validate_cptp's 1e-10",
-)
 def test_petz_decoder_builds_for_unitary_channel_at_ratio_1e_10():
     rho, ch = _instance(0, 2, 2, 1, (0.0, -10.0))
     build_petz(rho, ch)

@@ -11,11 +11,9 @@ from petzlab.errors import (
 )
 from petzlab.matcore import dag, kron, partial_trace
 from petzlab.quantum import (
-    DensityOperator,
     KrausChannel,
     adjoint_apply,
     apply_channel,
-    apply_to_density,
     channel_from_choi,
     channel_on_purification,
     choi_of_channel,
@@ -202,19 +200,6 @@ def test_apply_bitflip_by_hand():
     zero = np.diag([1.0, 0.0]).astype(complex)
     out = apply_channel(ch, zero)
     assert np.allclose(out, np.diag([1 - p, p]))
-
-
-def test_apply_on_labeled_slot(rng):
-    rho_a = oracles.random_state(rng, 2)
-    rho_b = oracles.random_state(rng, 3)
-    state = DensityOperator(
-        matrix=kron(rho_a, rho_b), dims=(2, 3), labels=("R", "A")
-    )
-    ch = _random_channel(rng, 3, 2, 2, label_in="A", label_out="B")
-    out = apply_to_density(ch, state, acting_on="A")
-    assert out.dims == (2, 2)
-    assert out.labels == ("R", "B")
-    assert np.allclose(out.marginal("R"), rho_a)
 
 
 def test_apply_channel_matches_kronecker_padded_sum(rng):
