@@ -32,16 +32,20 @@ percentiles) and runs, the pairs the change won and lost, and a verdict:
   every parent run, and ``no worse`` otherwise.
 
 Exit code 0 when every run finished, 1 when one failed (its output is kept
-in the JSON), 2 on a usage error.
+in the JSON), 2 on a usage error. Each perfbench run starts in its own
+session; however the script ends, SIGTERM included, the run's process group
+is killed and the temporary directory with both copies is removed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
 import shutil
+import signal
 import subprocess
 import sys
 import tarfile
@@ -87,15 +91,49 @@ def _parse_seeds(texts: list[str]) -> list[tuple[int, int]]:
     return plan
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+@contextlib.contextmanager
+def _scratch_dir():
+    """A temporary directory, removed however the block ends: SIGTERM raises
+    SystemExit while the block runs, so the cleanup of every enclosing
+    ``finally`` (the runs' process groups first) runs too."""
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+            yield Path(tmp)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _communicate(argv: list[str], cwd: Path, timeout: float) -> tuple[int, str, str]:
+    """Run argv in its own session and return its exit code, stdout and
+    stderr. On any exit, a timeout or an exception included, the session's
+    process group is killed, so no child or grandchild outlives the call."""
+    proc = subprocess.Popen(
+        argv, cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = proc.communicate(timeout=timeout)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    return proc.returncode, stdout, stderr
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run: per workload its correct/attempted/failed/metrics."""
     argv = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0",
     ]
-    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    returncode, stdout, stderr = _communicate(argv, tree, RUN_TIMEOUT_S)
     results, environment, name = {}, None, None
-    for line in done.stdout.splitlines():
+    for line in stdout.splitlines():
         if line.startswith("environment "):
             environment = json.loads(line[len("environment "):])
         elif line.startswith("run "):
@@ -109,9 +147,9 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
                 "metrics": {m: v["value"] for m, v in result["metrics"].items()},
             }
             name = None
-    run = {"returncode": done.returncode, "environment": environment, "results": results}
-    if done.returncode != 0 or not results:
-        run["stderr_tail"] = done.stderr[-2000:]
+    run = {"returncode": returncode, "environment": environment, "results": results}
+    if returncode != 0 or not results:
+        run["stderr_tail"] = stderr[-2000:]
     return run
 
 
@@ -248,8 +286,8 @@ def main(argv=None) -> int:
         "runs": [],
     }
     status = 0
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+    with _scratch_dir() as tmp:
+        trees = {"parent": tmp / "parent", "change": tmp / "change"}
         for tree in trees.values():
             tree.mkdir()
         _parent_tree(commit, trees["parent"])

@@ -70,10 +70,24 @@ Sectors that carry the same irreducible representation of the permutation
 group have one objective up to a change of basis (the isotypic blocks repeat
 once per dimension of the irrep). :func:`_sector_bases` aligns their bases
 so that the objectives coincide up to roundoff, and :func:`_solve_stack`
-iterates only on the distinct objectives of its stack: a member within
-SECTOR_TOL * ||G|| of an earlier one (Frobenius norms) is a copy, takes that
-representative's iterates, and widens its dual and its certified gap by
-d_in times the difference.
+iterates only on the distinct objectives of its stack. The SDP is invariant
+under X -> M^dagger X M for every product unitary M = V tensor W, V on the
+input and W on the output, since tr_out is unchanged (Gatermann-Parrilo), so
+a member whose G_i is within e <= SECTOR_TOL * ||G_r|| of M^dagger G_r M for
+an earlier distinct member r (Frobenius norms) is a copy: it takes
+X_i = M^dagger X_r M and Y_i = V^dagger Y_r V + e 1, and widens its dual
+and its certified gap by d_in e. M = 1 is tried first, as the only case
+before. Then V diagonal and W = 1, the sign or phase freedom of the
+eigensolvers that made the pieces' bases, found by putting every member in
+one gauge of its phases (:func:`_phase_gauge`). Last, for a two-dimensional
+output, :func:`_propose_products` proposes V and W: W from the rotation of
+the Gram matrix of the objective's output-Pauli components (when its
+spectrum is simple, so that the rotation is fixed up to signs), V as the
+intertwiner of the rotated components. Only the copy check accepts, so a
+wrong proposal costs a solve, never a wrong value. So fivequbit's padded run
+iterates on 2 members (its four 6-wide pieces become one class, by W = a
+quarter turn about z), and so does lncy4's (its four 2-wide pieces differ by
+signs); bitflip3's 2-wide pieces stay 3 classes.
 
 Whether a problem is solved in real or in complex arithmetic is decided
 once, from its objectives (:func:`_objectives`): a stack whose imaginary part
@@ -266,44 +280,274 @@ def _solve_stack(problems: list[SdpProblem], tol: float) -> list[SdpSolution]:
     problems that share (dim_in, dim_out).
 
     Only the distinct objectives are iterated on (:func:`_interior_point`).
-    A member whose objective G_i is within SECTOR_TOL * ||G_r|| of an earlier
-    member's G_r (Frobenius norms) is a copy of that representative and takes
-    its X, primal value and iteration count. With e = ||G_i - G_r||, its dual
-    iterate is Y + e 1, dual feasible for G_i because G_i <= G_r + e 1, so
-    its dual and its gap grow by d_in e; the representative's X is feasible
-    for G_i, and |tr[(G_i - G_r) X]| <= e tr X = d_in e. The solutions come
-    back in the order of ``problems``. A non-finite objective raises
+    A member whose objective G_i is within e <= SECTOR_TOL * ||G_r|| of
+    M^dagger G_r M, for an earlier distinct member's G_r and a product
+    unitary M = V tensor W (Frobenius norms; :func:`_copies`), is a copy of
+    that representative. Its dual iterate is V^dagger Y V + e 1, dual
+    feasible for G_i because G_i <= M^dagger G_r M + e 1, so its dual and
+    its gap grow by d_in e. With M = 1 it takes the representative's X and
+    primal value: X is feasible for G_i, and |tr[(G_i - G_r) X]| <=
+    e tr X = d_in e. Otherwise it takes X_i = M^dagger X M, feasible since
+    tr_out X_i = V^dagger (tr_out X) V, and reports tr[G_i X_i] as its
+    primal, with its gap the difference of its dual and primal (in real
+    arithmetic, X_i and Y_i are the real parts, feasible for a real G_i as
+    well). A copy keeps its representative's iteration count. The solutions
+    come back in the order of ``problems``. A non-finite objective raises
     :class:`NumericalBreakdown` before any member is compared or solved. A
     stack whose imaginary part is exactly 0 is solved in real arithmetic
     (:func:`_objectives`).
     """
     d_b, d_a = problems[0].dim_in, problems[0].dim_out
     g = _objectives(problems)
+    copies = _copies(g, (d_b, d_a))
+    distinct = [i for i, (r, _, _) in enumerate(copies) if r == i]
+    solved = dict(zip(distinct, _interior_point(g[distinct], (d_b, d_a), tol)))
+    moved = [i for i, (_, vw, _) in enumerate(copies) if vw is not None]
+    if moved:  # the copies with M != 1, conjugated as one stack
+        v, w = (np.stack([copies[i][1][f] for i in moved]) for f in (0, 1))
+        m = _products(v, w)
+        x = herm_part(dag(m) @ np.stack([solved[copies[i][0]].x for i in moved]) @ m)
+        y = herm_part(dag(v) @ np.stack([solved[copies[i][0]].y for i in moved]) @ v)
+        if not np.iscomplexobj(g):
+            x, y = x.real, y.real
+        primal = np.einsum("kij,kji->k", g[moved], x).real.tolist()
+        conjugated = dict(zip(moved, zip(x, y, primal)))
+    solutions = []
+    for i, (r, vw, diff) in enumerate(copies):
+        sol = solved[r]
+        if r != i:
+            shift = d_b * diff
+            if vw is None:
+                y = sol.y + diff * np.eye(d_b)
+                sol = replace(sol, y=y, dual=sol.dual + shift, gap=sol.gap + shift)
+            else:
+                x, y, primal = conjugated[i]
+                dual = sol.dual + shift
+                y = y + diff * np.eye(d_b)
+                sol = replace(sol, x=x, y=y, primal=primal, dual=dual, gap=dual - primal)
+        solutions.append(sol)
+    return solutions
 
-    reps, diffs = [], []  # each member's representative and ||G_i - G_r||
+
+def _copies(g: np.ndarray, dims: tuple[int, int]) -> list[tuple[int, tuple | None, float]]:
+    """Each member's (r, (V, W), e) in the stack g: its representative r,
+    the product unitary M = V tensor W of the copy (None for M = 1) and a
+    bound e >= ||G_i - M^dagger G_r M|| (Frobenius norms). A representative
+    has (i, None, 0.0).
+
+    Member i is a copy of an earlier distinct member r when
+    e <= SECTOR_TOL * ||G_r||. M = 1 is tried first, against every distinct
+    member in order, with e = ||G_i - G_r||. Then a member i left distinct
+    becomes a copy of an earlier one r with M != 1, tried only where the
+    norms agree to SECTOR_TOL * ||G_r|| (conjugation keeps norms), when
+    e = ||G_i - M^dagger G_r M|| <= SECTOR_TOL * ||G_r||. The M = 1 copies of
+    i then follow it to r with the same M, their differences added to e,
+    and i is taken only if they all stay within the bound. Two proposals,
+    in turn:
+
+    - V diagonal and W = 1, the sign or phase of each basis vector of a
+      piece being an arbitrary choice of the eigensolver that made it: in
+      the gauge of :func:`_phase_gauge` such an M is 1, and e is the
+      distance of the gauged objectives plus their rounding;
+    - for dim_out = 2, the search of :func:`_propose_products`, against the
+      members whose sorted eigenvalues agree with G_i's to
+      SECTOR_TOL * ||G_r|| (one stacked eigvalsh) and only between Pauli
+      Gram blocks with a simple spectrum (:func:`_pauli_frames`), each
+      proposal checked directly; one that fails to factor proposes
+      nothing.
+    """
+    d_b, d_a = dims
+    norms = np.linalg.norm(g, axis=(-2, -1))
+    bounds = SECTOR_TOL * norms
+    copies: list[tuple[int, tuple | None, float]] = []
     distinct: list[int] = []
     for i in range(len(g)):
         for r in distinct:
             diff = float(np.linalg.norm(g[i] - g[r]))
-            if diff <= SECTOR_TOL * np.linalg.norm(g[r]):
-                reps.append(r)
-                diffs.append(diff)
+            if diff <= bounds[r]:
+                copies.append((r, None, diff))
                 break
         else:
             distinct.append(i)
-            reps.append(i)
-            diffs.append(0.0)
+            copies.append((i, None, 0.0))
+    if len(distinct) < 2:
+        return copies
 
-    solved = dict(zip(distinct, _interior_point(g[distinct], (d_b, d_a), tol)))
-    solutions = []
-    for i, (r, diff) in enumerate(zip(reps, diffs)):
-        sol = solved[r]
-        if r != i:
-            shift = d_b * diff
-            y = sol.y + diff * np.eye(d_b)
-            sol = replace(sol, y=y, dual=sol.dual + shift, gap=sol.gap + shift)
-        solutions.append(sol)
-    return solutions
+    # conjugation keeps norms: only members whose norms agree can be copies
+    near = (np.abs(norms[distinct, None] - norms[distinct]) <= bounds[distinct, None]).tolist()
+    if not any(near[a][b] for b in range(len(distinct)) for a in range(b)):
+        return copies
+    slack = dict.fromkeys(distinct, 0.0)  # the largest e of each member's M = 1 copies
+    for r, _, e in copies:
+        slack[r] = max(slack[r], e)
+    gauged, phases = _phase_gauge(g[distinct], norms[distinct], dims)
+    # ||G_i - M^dagger G_r M|| in the gauge, where M is 1, plus the rounding
+    # of the two gauged objectives (none on a real stack: signs only)
+    rounding = 8 * np.finfo(float).eps * norms[distinct] * np.iscomplexobj(g)
+    apart = (np.linalg.norm(gauged[:, None] - gauged, axis=(2, 3)) + rounding + rounding[:, None])
+    apart = apart.tolist()
+    spectra = frames = None
+
+    def check(i, r, proposals):
+        for v, w in proposals:
+            m = _products(v[None], w[None])[0]
+            diff = float(np.linalg.norm(g[i] - dag(m) @ g[r] @ m))
+            if diff + slack[i] <= bounds[r]:
+                return r, (v, w), diff
+        return None
+
+    def match(b, reps):
+        i = distinct[b]
+        for a in reps:
+            if apart[a][b] + slack[i] <= bounds[distinct[a]]:
+                v = np.diag(phases[a].conj() * phases[b])
+                return distinct[a], (v, np.eye(d_a)), apart[a][b]
+        nonlocal spectra, frames
+        if d_a != 2 or not reps:
+            return None
+        if frames is None:
+            spectra = np.linalg.eigvalsh(g[distinct])
+            frames = _pauli_frames(g[distinct], d_b)
+        paulis, simple = frames
+        agree = np.abs(spectra[reps] - spectra[b]).max(axis=1) <= bounds[distinct][reps]
+        for a in [a for a, ok in zip(reps, agree) if ok and simple[a] and simple[b]]:
+            try:
+                if found := check(i, distinct[a], _propose_products(paulis[[a, b]], d_b)):
+                    return found
+            except np.linalg.LinAlgError:
+                continue
+        return None
+
+    kept = [0]
+    for b in range(1, len(distinct)):
+        found = match(b, [a for a in kept if near[a][b]])
+        if found is None:
+            kept.append(b)
+            continue
+        r, vw, e = found
+        i = distinct[b]
+        copies = [(r, vw, e + d) if rep == i else (rep, m, d) for rep, m, d in copies]
+    return copies
+
+
+def _products(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The Kronecker products V_k tensor W_k of two stacks, as one stack."""
+    k, d_b, d_a = len(v), v.shape[-1], w.shape[-1]
+    return (v[:, :, None, :, None] * w[:, None, :, None, :]).reshape(k, d_b * d_a, d_b * d_a)
+
+
+def _phase_gauge(
+    g: np.ndarray, norms: np.ndarray, dims: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stack g with each member's input in a gauge of its basis phases:
+    F G F^dagger with F = diag(f) tensor 1, and the phases f (k x d_b).
+
+    Under G -> (D tensor 1)^dagger G (D tensor 1) for a diagonal unitary D,
+    C = sum_ab w_ab G_ab (over the output indices, fixed and generic w) and
+    every power of A = ||G|| 1 + C (``norms``) go to D^dagger . D. So f_j,
+    the phase of (A^m)_0j, goes to conj(d_0) d_j f_j, and F G F^dagger is
+    unchanged. With m >= d_b - 1 that entry is nonzero, but for a
+    cancellation, for every input that the blocks of G connect to input 0,
+    and f_j is 1 where it is 0 (the zero padding of :func:`_pad_input`). So
+    two members whose gauged objectives agree are copies with
+    V = diag(conj(f_r) f_i) and W = 1. The phases are signs on a real stack,
+    and then the gauge is exact.
+    """
+    d_b, d_a = dims
+    g4 = g.reshape(len(g), d_b, d_a, d_b, d_a)
+    c = np.einsum("kiajb,ab->kij", g4, np.cos(np.arange(1, d_a * d_a + 1)).reshape(d_a, d_a))
+    a = c + norms[:, None, None] * np.eye(d_b)
+    for _ in range((d_b - 2).bit_length()):  # to the power 2^s >= d_b - 1
+        a = a @ a
+    row = a[:, 0]
+    f = np.divide(row, np.abs(row), out=np.ones_like(row), where=row != 0)
+    gauged = f[:, :, None, None, None] * g4 * f.conj()[:, None, None, :, None]
+    return gauged.reshape(g.shape), f
+
+
+# The output Paulis sigma_0 = 1, sigma_x, sigma_y, sigma_z.
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _pauli_frames(g: np.ndarray, d_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each member of the stack g with a two-dimensional output: its
+    output-Pauli components H_mu (k x 4 x d_b x d_b), with
+    G = sum_mu H_mu tensor sigma_mu, and whether its Pauli Gram block
+    tr(H_mu H_nu) (mu, nu = x, y, z) has a simple spectrum, its eigenvalues
+    apart by more than PROPOSAL_TOL of the largest. Only then do the
+    eigenbases of two such blocks fix the rotation between them up to signs
+    (:func:`_propose_products`). Eigenvalues only: one stacked eigvalsh."""
+    h = np.einsum("kiajb,mba->kmij", g.reshape(len(g), d_b, 2, d_b, 2), _PAULI) / 2
+    lam = np.linalg.eigvalsh(np.einsum("kmij,knji->kmn", h[:, 1:], h[:, 1:]).real)
+    return h, np.diff(lam, axis=1).min(axis=1) > PROPOSAL_TOL * lam[:, -1]
+
+
+def _propose_products(h: np.ndarray, d_b: int):
+    """Proposed product unitaries (V, W), V on the input (d_b) and W on a
+    two-dimensional output, with G_i = (V tensor W)^dagger G_r (V tensor W),
+    most likely first, from the output-Pauli components h (2 x 4 x d_b x d_b)
+    of G_r and G_i (:func:`_pauli_frames`). Only proposes: :func:`_copies`
+    checks each.
+
+    With G = sum_mu H_mu tensor sigma_mu over the output Paulis, V leaves
+    the Gram matrix tr(H_mu H_nu) fixed and W rotates its Pauli block
+    (mu, nu = x, y, z) by the R in SO(3) with
+    W^dagger sigma_mu W = tau_mu = sum_nu R_mu,nu sigma_nu. So R = Q_r S Q_i^T,
+    with Q_r and Q_i eigenbases of the two Pauli blocks and S = diag(s) a
+    sign matrix, four choices with det R = 1. In the eigenbases,
+    G = sum_l h_l tensor t_l with h_l = sum_mu Q_mu,l H_mu (Q extended by 1
+    on sigma_0), and V must carry s_l h_l of G_r to h_l of G_i, so V also
+    carries the generic combination sum_l c_l s_l h_l of G_r to that of
+    G_i. A choice whose combinations differ in spectrum (by more than
+    PROPOSAL_TOL of the largest eigenvalue) is dropped, and the others are
+    tried in the order of that difference. For each,
+    sum_mu tau_mu X sigma_mu = 2 tr(W X) W^dagger gives W from the Pauli X
+    with the largest such sum, and V comes from the two eigenbases
+    (:func:`_intertwiner`) on the inputs up to the last one where either
+    objective is nonzero, and is the identity on the rest (the zero padding
+    of :func:`_pad_input` comes after a piece's inputs).
+    """
+    k = 1 + np.flatnonzero((h != 0).any(axis=(0, 1, 3)))[-1]  # the padding comes last
+    h = h[:, :, :k, :k]
+    q = np.repeat(np.eye(4)[None], 2, axis=0)
+    q[:, 1:, 1:] = np.linalg.eigh(np.einsum("smij,snji->smn", h[:, 1:], h[:, 1:]).real)[1]
+    h = np.einsum("sml,smij->slij", q, h)
+    signs = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
+    signs[:, 1] *= int(np.sign(np.prod(np.linalg.det(q))))
+    c = np.cos(np.arange(1, 5))  # fixed and generic
+    combos = np.einsum("kl,lij->kij", c * signs, h[0])  # one per sign choice
+    lam, u = np.linalg.eigh(np.concatenate([combos, np.einsum("l,lij->ij", c, h[1])[None]]))
+    mismatch = np.abs(lam[:4] - lam[4]).max(axis=1)
+    for choice in np.argsort(mismatch):
+        if mismatch[choice] > PROPOSAL_TOL * np.abs(lam[4]).max():
+            return
+        s = signs[choice]
+        tau = np.einsum("ml,nl,nij->mij", q[0] * s, q[1], _PAULI)
+        sums = np.einsum("mij,xjk,mkl->xil", tau, _PAULI, _PAULI)
+        norms = np.linalg.norm(sums, axis=(1, 2))
+        w = dag(sums[norms.argmax()]) * (np.sqrt(2) / norms.max())
+        v = np.eye(d_b, dtype=np.complex128)
+        v[:k, :k] = _intertwiner(u[choice], u[4], s[:, None, None] * h[0], h[1])
+        yield v, w
+
+
+def _intertwiner(u_a: np.ndarray, u_b: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A unitary X with a_k X = X b_k for stacks a, b (k, d, d), given
+    eigenbases U_a and U_b of one generic combination of the a_k and of the
+    same combination of the b_k, if that combination has a simple spectrum.
+
+    Then X maps U_b to U_a up to phases: X = U_a D U_b^dagger with D
+    diagonal and unitary, and B_k = D^dagger C_k D for
+    C_k = U_a^dagger a_k U_a and B_k = U_b^dagger b_k U_b. So the Hermitian
+    N = sum_k conj(C_k) * B_k (entrywise) is D^dagger P D with
+    P = sum_k |C_k|^2 entrywise, whose top eigenvector is positive (Perron,
+    for a connected P), and D is the conjugate of the phases of N's top
+    eigenvector.
+    """
+    pair = np.stack([u_a, u_b])
+    rot = dag(pair)[:, None] @ np.stack([a, b]) @ pair[:, None]
+    top = np.linalg.eigh(np.einsum("kjl,kjl->jl", rot[0].conj(), rot[1]))[1][:, -1]
+    return (u_a * np.exp(-1j * np.angle(top))) @ dag(u_b)
 
 
 def _interior_point(g: np.ndarray, dims: tuple[int, int], tol: float) -> list[SdpSolution]:

@@ -7,6 +7,7 @@ invariants at construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -422,8 +423,17 @@ def code_logical_states(kind: str) -> tuple[np.ndarray, np.ndarray, int]:
     raise InvalidParameter(f"unknown code kind {kind!r}")
 
 
+@functools.cache
 def make_code_source(kind: str) -> DensityOperator:
-    """Maximally mixed state on the code space, (|0_L><0_L| + |1_L><1_L|)/2."""
+    """Maximally mixed state on the code space, (|0_L><0_L| + |1_L><1_L|)/2.
+
+    The state does not depend on the channel, so it is built and checked
+    once per kind and process and then shared: every call with one kind
+    returns the same object, whose matrix and spectrum arrays are read-only.
+    An unknown kind raises :class:`InvalidParameter` and is not cached."""
     zero, one, _ = code_logical_states(kind)
     m = (np.outer(zero, zero.conj()) + np.outer(one, one.conj())) / 2
-    return density_operator(m)
+    rho = density_operator(m)
+    for array in (rho.matrix, rho.spectrum.eigenvalues, rho.spectrum.eigenvectors):
+        array.flags.writeable = False
+    return rho

@@ -1,9 +1,12 @@
+import contextlib
 import dataclasses
 import importlib.util
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -855,6 +858,55 @@ def test_csv_moved_rows_allows_only_optimal_moves(tmp_path):
     code, lines = _moved_rows(tmp_path, base, flagged)
     assert code == 1 and lines[0] == "lncy4 1 optimal 0 flags ok -> error:NumericalBreakdown"
     assert _moved_rows(tmp_path, base, base[:2])[0] == 1
+
+
+def _exited(pid):
+    """True once the process pid has exited; a zombie counts as exited."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def test_bench_pairs_stops_its_run_and_removes_its_copies_on_sigterm(tmp_path):
+    # the cleanup path of scripts/bench_pairs.py against a sleep 60 child: a
+    # shell in the run's session and its sleep, as perfbench/run.py and its
+    # per-workload process are
+    scripts = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts")
+    pids = tmp_path / "pids"
+    child = ["sh", "-c", f"sleep 60 & echo $$ $! > {pids}; wait"]
+    program = (
+        f"import sys\nsys.path.insert(0, {scripts!r})\nimport bench_pairs\n"
+        "with bench_pairs._scratch_dir() as tmp:\n"
+        "    print(tmp, flush=True)\n"
+        f"    bench_pairs._communicate({child!r}, tmp, 120)\n"
+    )
+    proc = subprocess.Popen([sys.executable, "-c", program], stdout=subprocess.PIPE, text=True)
+    children = []
+    try:
+        scratch = Path(proc.stdout.readline().strip())
+        deadline = time.monotonic() + 60
+        while len(children) < 2:
+            assert time.monotonic() < deadline, "the child did not start"
+            time.sleep(0.05)
+            children = [int(pid) for pid in pids.read_text().split()] if pids.exists() else []
+        assert scratch.is_dir() and not any(map(_exited, children))
+        proc.terminate()
+        assert proc.wait(timeout=20) == 128 + signal.SIGTERM
+        deadline = time.monotonic() + 10
+        while not all(map(_exited, children)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert all(map(_exited, children))
+        assert not scratch.exists()
+    finally:
+        proc.kill()  # a no-op once it has been waited for
+        proc.wait()
+        proc.stdout.close()
+        for pid in children:
+            if not _exited(pid):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
 
 
 # -- the no-decoder series in closed form -------------------------------------------------

@@ -512,6 +512,21 @@ def test_code_source_rank_two():
         assert np.linalg.matrix_rank(rho.matrix, tol=1e-10) == 2
 
 
+def test_code_source_is_built_once_and_read_only():
+    for kind in ("bitflip3", "lncy4", "fivequbit"):
+        rho = make_code_source(kind)
+        assert make_code_source(kind) is rho
+        for array in (rho.matrix, rho.spectrum.eigenvalues, rho.spectrum.eigenvectors):
+            with pytest.raises(ValueError):
+                array[...] = 0
+    # an unknown kind still raises, and nothing is cached for it
+    hits = make_code_source.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(InvalidParameter):
+            make_code_source("steane")
+    assert make_code_source.cache_info().currsize == hits
+
+
 # -- entanglement fidelity -------------------------------------------------------
 
 
