@@ -84,7 +84,7 @@ class Decoder:
 
 def identity_decoder(dim: int) -> Decoder:
     ch = KrausChannel(
-        kraus_ops=np.eye(dim, dtype=np.complex128)[None],
+        kraus_ops=np.eye(dim)[None],
         dim_in=dim,
         dim_out=dim,
         label_in="B",
@@ -152,7 +152,8 @@ def _petz_family_kraus(rho_a: DensityOperator, ch: KrausChannel, t: float):
 
     The map is rho^((1-it)/2) K_i^dagger sigma_B^((-1+it)/2) on the support
     of sigma_B = N(rho): the Petz operators of :func:`_petz_eigenbasis` with
-    the phase exp(-i t theta / 2) on each eigenbasis entry.
+    the phase exp(-i t theta / 2) on each eigenbasis entry, applied only for
+    t != 0, so that the Petz map of real data stays real.
     :func:`_kernel_completion` covers the kernel.
 
     In exact arithmetic the support Kraus sum S = sum_l c_l^* c_l^T over the
@@ -165,7 +166,9 @@ def _petz_family_kraus(rho_a: DensityOperator, ch: KrausChannel, t: float):
     """
     (u_a, u_b, kernel), vecs, theta = _petz_eigenbasis(rho_a, ch)
     r_b = u_b.shape[1]
-    c = (vecs * np.exp(-0.5j * t * theta)).reshape(-1, r_b, u_a.shape[1])
+    if t != 0:
+        vecs = vecs * np.exp(-0.5j * t * theta)
+    c = vecs.reshape(-1, r_b, u_a.shape[1])
     rows = c.transpose(1, 0, 2).reshape(r_b, -1)  # row b: every c_l[b, :]
     s = rows.conj() @ rows.T
     if np.linalg.norm(s - np.eye(r_b)) > CPTP_TOL * math.sqrt(ch.dim_out):

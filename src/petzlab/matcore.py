@@ -1,9 +1,16 @@
-"""Dense complex-matrix kernel.
+"""Dense matrix kernel, in real or complex arithmetic.
 
 Hermitian eigendecomposition, SVD, matrix powers on the support (including
 imaginary exponents), Schatten norms, partial trace, and fidelity. All
 functions operate on plain ``numpy`` arrays in row-major dense layout and
 reject non-finite input.
+
+Arithmetic policy: a matrix whose imaginary part is exactly 0 is held as
+float64, any other as complex128 (:func:`real_if_exact`, the one place this
+is decided: for states, channels and SDP objectives alike). The kernels
+keep the dtype they are given, so real data stays in real arithmetic and
+only a genuinely complex factor, such as sigma^(it) at t != 0, makes a
+result complex. The test is exact, not a tolerance.
 
 Support policy: the support of a Hermitian matrix with descending spectrum
 w is the set of eigenvalues above RANK_CUT * max(w[0], 0); the rest is its
@@ -36,12 +43,23 @@ HERM_TOL = 1e-10
 STATE_TOL = 1e-10
 
 
+def real_if_exact(x) -> np.ndarray:
+    """``x`` as a C-contiguous float64 array when its imaginary part is
+    exactly 0 (a real input always), else as complex128. A complex input
+    with a NaN imaginary part stays complex."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x) and x.imag.any():
+        return np.ascontiguousarray(x, dtype=np.complex128)
+    return np.ascontiguousarray(x.real, dtype=np.float64)
+
+
 def as_cmatrix(x) -> np.ndarray:
-    """Validate and return ``x`` as a finite, 2-d complex128 array."""
-    m = np.asarray(x, dtype=np.complex128)
+    """Validate and return ``x`` as a finite, 2-d array, float64 or
+    complex128 by :func:`real_if_exact`."""
+    m = real_if_exact(x)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise NonFinite("matrix contains NaN or Inf entries")
     return m
 
@@ -98,9 +116,11 @@ def herm_eig(h, tol: float = HERM_TOL) -> HermEig:
 
     The input must be Hermitian within ``tol`` (Frobenius, relative to
     max(1, ||h||)); small asymmetry is repaired by symmetrization, larger
-    asymmetry raises :class:`NotHermitian`.
+    asymmetry raises :class:`NotHermitian`. A real h is decomposed in real
+    arithmetic, a complex one in complex arithmetic.
     """
-    h = np.asarray(h, dtype=np.complex128)
+    h = np.asarray(h)
+    h = h.astype(np.result_type(h, np.float64), copy=False)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionMismatch(f"matrix is {h.shape}, not square")
     if not np.isfinite(h).all():
@@ -130,19 +150,21 @@ def svd(m) -> Svd:
 
 def on_support(eig: HermEig, f) -> np.ndarray:
     """V diag(f(w)) V^dagger with f taken on the support of ``eig`` and 0 on
-    its kernel."""
+    its kernel, real when f(w) and the eigenvectors are."""
     w = eig.eigenvalues
     kept = support_mask(w)
-    out = np.zeros(w.shape, dtype=np.complex128)
-    out[kept] = f(w[kept])
+    vals = f(w[kept])
+    out = np.zeros(w.shape, dtype=np.result_type(vals, w))
+    out[kept] = vals
     v = eig.eigenvectors
     return (v * out) @ dag(v)
 
 
 def power_on_support(eig: HermEig, z: complex) -> np.ndarray:
     """The matrix of ``eig`` raised to z = exp(z ln w) on its support, 0 on
-    its kernel, so negative and complex exponents are well defined."""
-    z = np.asarray(z, dtype=np.complex128)
+    its kernel, so negative and complex exponents are well defined. A real
+    z (by :func:`real_if_exact`) keeps the arithmetic of the eigenvectors."""
+    z = real_if_exact(z)
     return on_support(eig, lambda w: np.exp(z * np.log(w)))
 
 
@@ -238,7 +260,10 @@ def fidelity(rho, sigma) -> float:
 
 
 def kron(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of two or more matrices."""
+    """Kronecker product of two or more matrices, in complex128 whatever
+    their dtype: a product with a real lift is summed by dgemm in another
+    order than by zgemm, so a real kron would move the last bits of the
+    lifts it builds."""
     out = np.asarray(factors[0], dtype=np.complex128)
     for f in factors[1:]:
         out = np.kron(out, f)

@@ -90,13 +90,15 @@ quarter turn about z), and so does lncy4's (its four 2-wide pieces differ by
 signs); bitflip3's 2-wide pieces stay 3 classes.
 
 Whether a problem is solved in real or in complex arithmetic is decided
-once, from its objectives (:func:`_objectives`): a stack whose imaginary part
-is exactly 0 is solved in real (float64) arithmetic, since for real G, Re X
-is feasible whenever X is and has the same objective value, so the real and
-the complex SDP share their optimum. Every step of the solve, the Schur
-solve included, then runs in the objective's own arithmetic. The test is
-exact, not a tolerance; a stack with any nonzero imaginary entry stays
-complex.
+once, from its objectives (:func:`_objectives`), by the rule that also
+decides the dtype of states and channels
+(:func:`~petzlab.matcore.real_if_exact`): a stack whose imaginary part is
+exactly 0 is solved in real (float64) arithmetic, since for real G, Re X is
+feasible whenever X is and has the same objective value, so the real and
+the complex SDP share their optimum. Real states and channels give real
+objectives. Every step of the solve, the Schur solve included, then runs in
+the objective's own arithmetic. The test is exact, not a tolerance; a stack
+with any nonzero imaginary entry stays complex.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ import numpy as np
 
 from .decoders import _spectra, fe_closed_form
 from .errors import BracketViolated, DimensionMismatch, MaxIterations, NumericalBreakdown
-from .matcore import dag, herm_eig, herm_part
+from .matcore import dag, herm_eig, herm_part, real_if_exact
 from .quantum import (
     DensityOperator,
     KrausChannel,
@@ -267,12 +269,13 @@ def _schur_solve(lc: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _objectives(problems: list[SdpProblem]) -> np.ndarray:
     """The Hermitian parts of the problems' objectives as one stack, in real
-    (float64) arithmetic when its imaginary part is exactly 0. A non-finite
-    objective raises :class:`NumericalBreakdown`."""
+    (float64) arithmetic when its imaginary part is exactly 0
+    (:func:`~petzlab.matcore.real_if_exact`). A non-finite objective raises
+    :class:`NumericalBreakdown`."""
     g = herm_part(np.stack([prob.objective for prob in problems]))
     if not np.isfinite(g).all():
         raise NumericalBreakdown("non-finite objective")
-    return g if g.imag.any() else g.real
+    return real_if_exact(g)
 
 
 def _solve_stack(problems: list[SdpProblem], tol: float) -> list[SdpSolution]:

@@ -22,22 +22,24 @@ from .errors import (
     NotTracePreserving,
     TooManyKraus,
 )
-from .matcore import as_cmatrix, dag, herm_eig
+from .matcore import as_cmatrix, dag, herm_eig, real_if_exact
 
 CPTP_TOL = 1e-10
 CHOI_TOL = 1e-8
 
 _PAULI = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+    "I": np.eye(2),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]]),
 }
 
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Positive unit-trace operator on a labeled tensor-factor system."""
+    """Positive unit-trace operator on a labeled tensor-factor system; its
+    matrix is float64 when its imaginary part is exactly 0, else complex128
+    (:func:`~petzlab.matcore.real_if_exact`)."""
 
     matrix: np.ndarray
     dims: tuple[int, ...]
@@ -88,9 +90,11 @@ def density_operator(matrix, dims=None, labels=None) -> DensityOperator:
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """CPTP map stored as one C-contiguous complex128 stack of Kraus
-    operators, of shape (L, d_out, d_in). Any sequence of d_out x d_in
-    matrices, or an array of that stack shape, is accepted."""
+    """CPTP map stored as one C-contiguous stack of Kraus operators, of
+    shape (L, d_out, d_in): float64 when the stack's imaginary part is
+    exactly 0, else complex128 (:func:`~petzlab.matcore.real_if_exact`). Any
+    sequence of d_out x d_in matrices, or an array of that stack shape, is
+    accepted."""
 
     kraus_ops: np.ndarray
     dim_in: int
@@ -104,7 +108,7 @@ class KrausChannel:
             raise DimensionMismatch("a channel needs at least one Kraus operator")
         shape = (self.dim_out, self.dim_in)
         try:
-            stack = np.asarray(ops, dtype=np.complex128)
+            stack = real_if_exact(ops)
         except ValueError:  # operators of different shapes
             stack = None
         if stack is None or stack.shape != (len(ops),) + shape:
@@ -114,7 +118,7 @@ class KrausChannel:
             raise DimensionMismatch(f"Kraus operator is {bad}, expected {shape}")
         if not np.isfinite(stack).all():
             raise NonFinite("matrix contains NaN or Inf entries")
-        object.__setattr__(self, "kraus_ops", np.ascontiguousarray(stack))
+        object.__setattr__(self, "kraus_ops", stack)
 
     def kraus_sum(self) -> np.ndarray:
         """Sum of K^dagger K over all Kraus operators, as one stacked product
@@ -234,7 +238,7 @@ def dilate(ch: KrausChannel, min_env: int) -> StinespringIsometry:
         if len(ops) > d_a * d_b:
             raise TooManyKraus(f"{len(ops)} Kraus operators exceed d_A*d_B = {d_a * d_b}")
     d_e = max(len(ops), min_env)
-    v = np.zeros((d_b, d_e, d_a), dtype=np.complex128)
+    v = np.zeros((d_b, d_e, d_a), dtype=ops.dtype)
     v[:, : len(ops), :] = ops.transpose(1, 0, 2)
     v = v.reshape(d_b * d_e, d_a)
     return StinespringIsometry(v=v, dim_in=d_a, dim_out=d_b, dim_env=d_e)
@@ -362,8 +366,8 @@ def make_channel(kind: str, p: float = 0.0, n: int = 1) -> KrausChannel:
     if kind == "bitflip":
         ops = [math.sqrt(1 - p) * eye, math.sqrt(p) * _PAULI["X"]]
     elif kind == "amplitude_damping":
-        k0 = np.array([[1, 0], [0, math.sqrt(1 - p)]], dtype=np.complex128)
-        k1 = np.array([[0, math.sqrt(p)], [0, 0]], dtype=np.complex128)
+        k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1 - p)]])
+        k1 = np.array([[0.0, math.sqrt(p)], [0.0, 0.0]])
         ops = [k0, k1]
     elif kind == "identity":
         ops = [eye]
@@ -399,21 +403,21 @@ _FIVEQUBIT_STABILIZERS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 def code_logical_states(kind: str) -> tuple[np.ndarray, np.ndarray, int]:
     """Logical |0_L>, |1_L> and qubit count for the named code."""
     if kind == "bitflip3":
-        zero = np.zeros(8, dtype=np.complex128)
-        one = np.zeros(8, dtype=np.complex128)
+        zero = np.zeros(8)
+        one = np.zeros(8)
         zero[0b000] = 1.0
         one[0b111] = 1.0
         return zero, one, 3
     if kind == "lncy4":
-        zero = np.zeros(16, dtype=np.complex128)
-        one = np.zeros(16, dtype=np.complex128)
+        zero = np.zeros(16)
+        one = np.zeros(16)
         zero[0b0000] = zero[0b1111] = 1 / math.sqrt(2)
         one[0b0011] = one[0b1100] = 1 / math.sqrt(2)
         return zero, one, 4
     if kind == "fivequbit":
         # Project |00000> onto the code space of the standard cyclic
         # stabilizer generators; the logical X is X^{tensor 5}.
-        vec = np.zeros(32, dtype=np.complex128)
+        vec = np.zeros(32)
         vec[0] = 1.0
         for s in _FIVEQUBIT_STABILIZERS:
             vec = (vec + pauli_string(s) @ vec) / 2

@@ -87,11 +87,17 @@ def test_kraus_stack_check_raises_as_per_operator_check(case):
     assert _raised(kraus_channel, ops) == _raised(oracles.kraus_channel_checked_per_operator, ops)
 
 
+def _stack_dtype(ops):
+    """float64 when every operator's imaginary part is exactly 0, else complex128."""
+    return np.complex128 if any(np.imag(k).any() for k in ops) else np.float64
+
+
 def test_kraus_stack_check_keeps_values_and_converts_once(monkeypatch, rng):
     lists = [
         [np.eye(2, dtype=int), [[0, 1], [1, 0]]],
         list(oracles.random_kraus(rng, 3, 4, 3)),
         list(make_channel("amplitude_damping", 0.3, 5).kraus_ops),
+        [np.eye(2, dtype=complex) / np.sqrt(2), [[0, 1 / np.sqrt(2)], [1 / np.sqrt(2), 0]]],
     ]
     for ops in lists:
         ref = oracles.kraus_ops_checked_per_operator(ops, len(ops[0][0]), len(ops[0]))
@@ -102,16 +108,19 @@ def test_kraus_stack_check_keeps_values_and_converts_once(monkeypatch, rng):
         monkeypatch.undo()
         assert calls == []
         assert len(ch.kraus_ops) == len(ref)
+        assert ch.kraus_ops.dtype == _stack_dtype(ops)
         for k, r in zip(ch.kraus_ops, ref):
-            assert k.dtype == np.complex128 and np.array_equal(k, r)
+            assert np.array_equal(k, r)
 
 
 def _assert_one_stack(ch, ref=None):
-    """kraus_ops is one C-contiguous complex128 (L, d_out, d_in) array, equal
-    to the per-operator list ``ref`` if given, and its Kraus sum is the sum
-    taken one operator at a time, bit for bit."""
+    """kraus_ops is one C-contiguous (L, d_out, d_in) array, float64 exactly
+    when the operators (``ref`` if given) are real and complex128 otherwise,
+    equal to the per-operator list ``ref`` if given, and its Kraus sum is
+    the sum taken one operator at a time, bit for bit."""
     ops = ch.kraus_ops
-    assert type(ops) is np.ndarray and ops.dtype == np.complex128 and ops.flags.c_contiguous
+    assert type(ops) is np.ndarray and ops.flags.c_contiguous
+    assert ops.dtype == _stack_dtype(ops if ref is None else ref)
     assert ops.ndim == 3 and ops.shape[1:] == (ch.dim_out, ch.dim_in)
     if ref is not None:
         assert len(ops) == len(ref)
@@ -169,6 +178,12 @@ def test_kraus_ops_is_one_stack_in_built_decoders(p):
         assert len(tail) == len(completion)
         assert all(np.array_equal(k, r) for k, r in zip(tail, completion))
     _assert_one_stack(decoders.build_sw(rho, ch)[0].channel)
+    # bitflip3 is real; the rotation's phases exp(-0.35i theta) make the
+    # stack complex, except at p = 0, where every log-ratio theta is 0
+    assert decoders.build_petz(rho, ch).channel.kraus_ops.dtype == np.float64
+    rotated = decoders.build_rotated_petz(rho, ch, 0.7).channel
+    _assert_one_stack(rotated)
+    assert rotated.kraus_ops.dtype == (np.complex128 if p else np.float64)
 
 
 def test_validate_rejects_double_identity():
