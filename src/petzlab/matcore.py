@@ -8,9 +8,12 @@ reject non-finite input.
 Arithmetic policy: a matrix whose imaginary part is exactly 0 is held as
 float64, any other as complex128 (:func:`real_if_exact`, the one place this
 is decided: for states, channels and SDP objectives alike). The kernels
-keep the dtype they are given, so real data stays in real arithmetic and
-only a genuinely complex factor, such as sigma^(it) at t != 0, makes a
-result complex. The test is exact, not a tolerance.
+keep the dtype they are given, so every eigendecomposition, SVD and solve
+on real data is real and only a genuinely complex factor, such as
+sigma^(it) at t != 0, makes a result complex. The exception is
+:func:`kron`, which returns complex128 for any input, so a product with
+it is complex until its result is stored. The test is exact, not a
+tolerance.
 
 Support policy: the support of a Hermitian matrix with descending spectrum
 w is the set of eigenvalues above RANK_CUT * max(w[0], 0); the rest is its

@@ -174,13 +174,15 @@ def test_kraus_ops_is_one_stack_in_built_decoders(p):
     assert len(completion) == (12 if p == 0.0 else 0)
     for dec in (decoders.build_petz(rho, ch), decoders.build_twirled_petz(rho, ch)):
         _assert_one_stack(dec.channel)
+        assert dec.channel.kraus_ops.dtype == np.float64, dec.kind
         tail = dec.channel.kraus_ops[len(dec.channel.kraus_ops) - len(completion) :]
         assert len(tail) == len(completion)
         assert all(np.array_equal(k, r) for k, r in zip(tail, completion))
-    _assert_one_stack(decoders.build_sw(rho, ch)[0].channel)
+    sw = decoders.build_sw(rho, ch)[0].channel
+    _assert_one_stack(sw)
+    assert sw.kraus_ops.dtype == np.float64
     # bitflip3 is real; the rotation's phases exp(-0.35i theta) make the
     # stack complex, except at p = 0, where every log-ratio theta is 0
-    assert decoders.build_petz(rho, ch).channel.kraus_ops.dtype == np.float64
     rotated = decoders.build_rotated_petz(rho, ch, 0.7).channel
     _assert_one_stack(rotated)
     assert rotated.kraus_ops.dtype == (np.complex128 if p else np.float64)

@@ -129,12 +129,3 @@ def test_every_series_runs_in_real_arithmetic(monkeypatch, setting):
     assert [pt.flags for pt in points] == ["ok"] * len(series)
     assert calls and all(dtype == np.float64 for _, dtype in calls), sorted(set(calls))
 
-
-def test_decoders_of_real_data_are_real():
-    rho, ch = SETTINGS["bitflip3"].build(0.3)
-    for dec in (
-        decoders.build_petz(rho, ch),
-        decoders.build_twirled_petz(rho, ch),
-        decoders.build_sw(rho, ch)[0],
-    ):
-        assert dec.channel.kraus_ops.dtype == np.float64, dec.kind
