@@ -199,7 +199,8 @@ def min_petz_mi_order2(sigma_rb: DensityOperator, w_r) -> float:
         raise DimensionMismatch(f"W_R is {w_r.shape}, expected {(d_r, d_r)}")
     eig = psd_eig(w_r)
     pi_w = power_on_support(eig, 0.0)
-    leak = np.trace(m @ kron(np.eye(d_r) - pi_w, np.eye(d_b))).real
+    # tr[sigma ((1 - Pi_W) tensor 1)] = tr[tr_B(sigma) (1 - Pi_W)]
+    leak = np.einsum("ij,ji->", partial_trace(m, (d_r, d_b), keep=0), np.eye(d_r) - pi_w).real
     if leak > SUPPORT_LEAK_TOL:
         raise SupportViolation(f"state has mass {leak:.3e} outside supp(W_R) tensor 1")
     n = d_r * d_b
@@ -220,7 +221,8 @@ def singly_min_petz_mi_half(sigma_re: DensityOperator) -> float:
     m, d_r, d_e = _bipartite(sigma_re)
     sig_r = partial_trace(m, (d_r, d_e), keep=0)
     sqrt_re = herm_part(power_on_support(sigma_re.spectrum, 0.5))
-    z = partial_trace(kron(psd_sqrt(sig_r), np.eye(d_e)) @ sqrt_re, (d_r, d_e), keep=1)
+    sqrt_re = sqrt_re.reshape(d_r, d_e, d_r, d_e)
+    z = np.einsum("rs,serf->ef", psd_sqrt(sig_r), sqrt_re)
     z = (z + dag(z)) / 2
     return float(-np.log2(np.trace(z @ z).real))
 

@@ -76,18 +76,22 @@ input and W on the output, since tr_out is unchanged (Gatermann-Parrilo), so
 a member whose G_i is within e <= SECTOR_TOL * ||G_r|| of M^dagger G_r M for
 an earlier distinct member r (Frobenius norms) is a copy: it takes
 X_i = M^dagger X_r M and Y_i = V^dagger Y_r V + e 1, and widens its dual
-and its certified gap by d_in e. M = 1 is tried first, as the only case
-before. Then V diagonal and W = 1, the sign or phase freedom of the
-eigensolvers that made the pieces' bases, found by putting every member in
-one gauge of its phases (:func:`_phase_gauge`). Last, for a two-dimensional
-output, :func:`_propose_products` proposes V and W: W from the rotation of
-the Gram matrix of the objective's output-Pauli components (when its
-spectrum is simple, so that the rotation is fixed up to signs), V as the
-intertwiner of the rotated components. Only the copy check accepts, so a
-wrong proposal costs a solve, never a wrong value. So fivequbit's padded run
-iterates on 2 members (its four 6-wide pieces become one class, by W = a
-quarter turn about z), and so does lncy4's (its four 2-wide pieces differ by
-signs); bitflip3's 2-wide pieces stay 3 classes.
+and its certified gap by d_in e. :func:`_copies` finds the copies in one
+ordered pass: each member joins the class of the first earlier member it
+matches, taking that member's representative and M and adding its own
+distance to e. It is compared with every earlier member first directly
+(M = 1), then in one gauge of the stack's basis phases
+(:func:`_phase_gauge`), which finds V diagonal and W = 1, the sign or phase
+freedom of the eigensolvers that made the pieces' bases. Only a member that
+matches none, and only for a two-dimensional output, tries
+:func:`_propose_products` against the earlier representatives of its norm:
+W from the rotation of the Gram matrix of the objective's output-Pauli
+components (when its spectrum is simple, so that the rotation is fixed up
+to signs), V as the intertwiner of the rotated components. Only the copy
+check accepts, so a wrong proposal costs a solve, never a wrong value. So
+fivequbit's padded run iterates on 2 members (its four 6-wide pieces become
+one class, by W = a quarter turn about z), and so does lncy4's (its four
+2-wide pieces differ by signs); bitflip3's 2-wide pieces stay 3 classes.
 
 Whether a problem is solved in real or in complex arithmetic is decided
 once, from its objectives (:func:`_objectives`), by the rule that also
@@ -338,98 +342,72 @@ def _copies(g: np.ndarray, dims: tuple[int, int]) -> list[tuple[int, tuple | Non
     bound e >= ||G_i - M^dagger G_r M|| (Frobenius norms). A representative
     has (i, None, 0.0).
 
-    Member i is a copy of an earlier distinct member r when
-    e <= SECTOR_TOL * ||G_r||. M = 1 is tried first, against every distinct
-    member in order, with e = ||G_i - G_r||. Then a member i left distinct
-    becomes a copy of an earlier one r with M != 1, tried only where the
-    norms agree to SECTOR_TOL * ||G_r|| (conjugation keeps norms), when
-    e = ||G_i - M^dagger G_r M|| <= SECTOR_TOL * ||G_r||. The M = 1 copies of
-    i then follow it to r with the same M, their differences added to e,
-    and i is taken only if they all stay within the bound. Two proposals,
-    in turn:
+    One ordered pass. Member i joins the class of the first earlier member j
+    it matches: it takes j's representative r and e = e_j + d, with d its own
+    distance to j, and the match holds when e <= SECTOR_TOL * ||G_r||. The
+    earlier members are tried directly first, with d = ||G_i - G_j|| and
+    M_i = M_j, and then in the gauge of :func:`_phase_gauge`. There a copy
+    with V diagonal and W = 1 (the sign or phase of each basis vector of a
+    piece is an arbitrary choice of the eigensolver that made it) has M = 1,
+    so d is the distance of the gauged objectives plus their rounding, and
+    M_i = M_j (D tensor 1) with D = diag(conj(f_j) f_i) from the gauges'
+    phases.
 
-    - V diagonal and W = 1, the sign or phase of each basis vector of a
-      piece being an arbitrary choice of the eigensolver that made it: in
-      the gauge of :func:`_phase_gauge` such an M is 1, and e is the
-      distance of the gauged objectives plus their rounding;
-    - for dim_out = 2, the search of :func:`_propose_products`, against the
-      members whose sorted eigenvalues agree with G_i's to
-      SECTOR_TOL * ||G_r|| (one stacked eigvalsh) and only between Pauli
-      Gram blocks with a simple spectrum (:func:`_pauli_frames`), each
-      proposal checked directly; one that fails to factor proposes
-      nothing.
+    A member that matches no earlier one and has a two-dimensional output
+    tries the search of :func:`_propose_products` against the
+    representatives whose norms agree with its own to SECTOR_TOL * ||G_r||
+    (conjugation keeps norms) and whose sorted eigenvalues agree with its own
+    to the same bound (one stacked eigvalsh), only between Pauli Gram blocks
+    with a simple spectrum (:func:`_pauli_frames`, formed only when such a
+    representative exists). Each proposal is checked directly, with
+    e = ||G_i - M^dagger G_r M||; one that fails to factor proposes nothing.
+    A member that nothing matches is a representative.
     """
     d_b, d_a = dims
     norms = np.linalg.norm(g, axis=(-2, -1))
     bounds = SECTOR_TOL * norms
-    copies: list[tuple[int, tuple | None, float]] = []
-    distinct: list[int] = []
-    for i in range(len(g)):
-        for r in distinct:
-            diff = float(np.linalg.norm(g[i] - g[r]))
-            if diff <= bounds[r]:
-                copies.append((r, None, diff))
-                break
-        else:
-            distinct.append(i)
-            copies.append((i, None, 0.0))
-    if len(distinct) < 2:
-        return copies
+    gauged, phases = _phase_gauge(g, norms, dims)
+    # the distance d of each pair, directly and in the gauge, where it adds the
+    # rounding of the two gauged objectives (none on a real stack: signs only)
+    rounding = 8 * np.finfo(float).eps * norms * np.iscomplexobj(g)
+    apart = [np.linalg.norm(s[:, None] - s, axis=(2, 3)) for s in (g, gauged)]
+    apart = [apart[0].tolist(), (apart[1] + rounding + rounding[:, None]).tolist()]
+    frames = None
 
-    # conjugation keeps norms: only members whose norms agree can be copies
-    near = (np.abs(norms[distinct, None] - norms[distinct]) <= bounds[distinct, None]).tolist()
-    if not any(near[a][b] for b in range(len(distinct)) for a in range(b)):
-        return copies
-    slack = dict.fromkeys(distinct, 0.0)  # the largest e of each member's M = 1 copies
-    for r, _, e in copies:
-        slack[r] = max(slack[r], e)
-    gauged, phases = _phase_gauge(g[distinct], norms[distinct], dims)
-    # ||G_i - M^dagger G_r M|| in the gauge, where M is 1, plus the rounding
-    # of the two gauged objectives (none on a real stack: signs only)
-    rounding = 8 * np.finfo(float).eps * norms[distinct] * np.iscomplexobj(g)
-    apart = (np.linalg.norm(gauged[:, None] - gauged, axis=(2, 3)) + rounding + rounding[:, None])
-    apart = apart.tolist()
-    spectra = frames = None
-
-    def check(i, r, proposals):
-        for v, w in proposals:
-            m = _products(v[None], w[None])[0]
-            diff = float(np.linalg.norm(g[i] - dag(m) @ g[r] @ m))
-            if diff + slack[i] <= bounds[r]:
-                return r, (v, w), diff
-        return None
-
-    def match(b, reps):
-        i = distinct[b]
-        for a in reps:
-            if apart[a][b] + slack[i] <= bounds[distinct[a]]:
-                v = np.diag(phases[a].conj() * phases[b])
-                return distinct[a], (v, np.eye(d_a)), apart[a][b]
-        nonlocal spectra, frames
-        if d_a != 2 or not reps:
-            return None
-        if frames is None:
-            spectra = np.linalg.eigvalsh(g[distinct])
-            frames = _pauli_frames(g[distinct], d_b)
-        paulis, simple = frames
-        agree = np.abs(spectra[reps] - spectra[b]).max(axis=1) <= bounds[distinct][reps]
-        for a in [a for a, ok in zip(reps, agree) if ok and simple[a] and simple[b]]:
+    def searched(i, r):  # the proposals of the product search that pass the check
+        spectra, paulis, simple = frames
+        if simple[r] and simple[i] and np.abs(spectra[r] - spectra[i]).max() <= bounds[r]:
             try:
-                if found := check(i, distinct[a], _propose_products(paulis[[a, b]], d_b)):
-                    return found
+                for v, w in _propose_products(paulis[[r, i]], d_b):
+                    m = _products(v[None], w[None])[0]
+                    diff = float(np.linalg.norm(g[i] - dag(m) @ g[r] @ m))
+                    if diff <= bounds[r]:
+                        yield r, (v, w), diff
             except np.linalg.LinAlgError:
-                continue
-        return None
+                return
 
-    kept = [0]
-    for b in range(1, len(distinct)):
-        found = match(b, [a for a in kept if near[a][b]])
-        if found is None:
-            kept.append(b)
+    copies: list[tuple[int, tuple | None, float]] = []
+    for i in range(len(g)):
+        joins = [  # the earlier members i matches, directly first
+            (j, gauge)
+            for gauge in (0, 1)
+            for j, (r, _, e) in enumerate(copies)
+            if e + apart[gauge][j][i] <= bounds[r]
+        ]
+        if joins:
+            j, gauge = joins[0]
+            r, vw, e = copies[j]
+            if gauge:
+                p = phases[j].conj() * phases[i]
+                vw = (np.diag(p), np.eye(d_a)) if vw is None else (vw[0] * p, vw[1])
+            copies.append((r, vw, e + apart[gauge][j][i]))
             continue
-        r, vw, e = found
-        i = distinct[b]
-        copies = [(r, vw, e + d) if rep == i else (rep, m, d) for rep, m, d in copies]
+        copies.append((i, None, 0.0))
+        reps = [r for r in range(i) if copies[r][0] == r and abs(norms[i] - norms[r]) <= bounds[r]]
+        if d_a == 2 and reps:
+            if frames is None:
+                frames = (np.linalg.eigvalsh(g), *_pauli_frames(g, d_b))
+            copies[i] = next((c for r in reps for c in searched(i, r)), copies[i])
     return copies
 
 
@@ -732,10 +710,11 @@ def _sector_bases(rho_a: DensityOperator, v_in: np.ndarray) -> list[np.ndarray]:
     Q_P = v_in^dagger P v_in, with the rows of v_in gathered by P. With the
     fixed coefficients c_P = 1/j over the permutations in enumeration order,
     a = sum_P c_P Q_P, and the sectors are the eigenspaces of its Hermitian
-    part h = a + a^dagger. A G that commutes with every Q_P tensor 1
-    commutes with h tensor 1 and so preserves these eigenspaces;
-    :func:`_sector_problems` checks that it does. One sector when the
-    dimensions are not 2^n or no permutation qualifies.
+    part h = a + a^dagger. The objective G transforms by conj(Q_P) tensor 1
+    (its input factor is the conjugate of the channel output's), so a G
+    invariant under every permutation preserves the conjugates of these
+    eigenspaces, which :func:`_sector_problems` cuts and checks. One sector
+    when the dimensions are not 2^n or no permutation qualifies.
 
     Sectors of one width that carry the same irrep are aligned: for sector i
     and an earlier representative r of its width, M = V_i^dagger a V_r is a
@@ -775,14 +754,17 @@ def _sector_problems(rho_a: DensityOperator, ch: KrausChannel) -> list[SdpProble
     problems, or as [the reduced problem] when no split is certified.
 
     The permutations propose the sectors (:func:`_sector_bases`), one label
-    per sector on the basis vectors of their concatenated bases V, and
-    :func:`_split` certifies and cuts them: sector k has the objective
-    G_k = B_k^dagger G B_k with B_k = V_k tensor 1_A.
+    per sector on the basis vectors of the conjugate V of their concatenated
+    bases, since G transforms by conj(Q_P) tensor 1, and :func:`_split`
+    certifies and cuts them: sector k has the objective
+    G_k = B_k^dagger G B_k with B_k = V_k tensor 1_A. On real data the
+    conjugate is the basis itself; a phase-gauged or complex input takes the
+    same sectors as the real one.
     """
     prob, emb = reduce_problem(rho_a, ch)
     bases = _sector_bases(rho_a, emb.v_in)
     labels = np.repeat(np.arange(len(bases)), [v.shape[1] for v in bases])
-    return _split(prob, prob.objective, np.concatenate(bases, axis=1), labels)
+    return _split(prob, prob.objective, np.concatenate(bases, axis=1).conj(), labels)
 
 
 def _refine_sectors(problems: list[SdpProblem]) -> list[SdpProblem]:
@@ -929,36 +911,36 @@ def _pad_input(prob: SdpProblem, dim_in: int) -> SdpProblem:
     return SdpProblem(objective=g.reshape(n, n), dim_in=dim_in, dim_out=d_a)
 
 
-def _by_dim_out(problems: list[SdpProblem]) -> list[list[SdpProblem]]:
-    """The problems grouped by dim_out, in order of first appearance."""
-    widths = dict.fromkeys(prob.dim_out for prob in problems)
-    return [[prob for prob in problems if prob.dim_out == d_a] for d_a in widths]
-
-
 def _solve_sectors(problems: list[SdpProblem], tol: float) -> tuple[float, float]:
     """The optimum and its certified gap, summed over the sector problems
     (the permutation sectors, or their pieces from :func:`_refine_sectors`).
 
     The sectors with dim_in = 1 of one dim_out are solved in closed form
     from one stacked eigvalsh (:func:`_solve_one_wide_stack`), with gaps at
-    roundoff. The wider sectors of one dim_out (every sector of a split
-    shares r_A) are zero-padded to the widest input among them
-    (:func:`_pad_input`, which keeps each optimum) and solved as one stacked
-    run of :func:`_solve_stack`, in which every member converges on its own
-    and leaves the stack; its primal, dual and gap certify its sector. A
-    copy in that run widens its gap by the padded width times the difference
-    of objectives, which holds since every padded feasible X has that trace.
-    A failure of any member fails the sum. Each of the K sectors is solved at
-    tol/K, and K counts the closed-form sectors too. The summed gap then
-    obeys the whole problem's convergence rule,
+    roundoff. The wider sectors of one dim_out are zero-padded to the
+    widest input among them (:func:`_pad_input`, which keeps each optimum)
+    and solved as one stacked run of :func:`_solve_stack`, in which every
+    member converges on its own and leaves the stack; its primal, dual and
+    gap certify its sector. A copy in that run widens its gap by the padded
+    width times the difference of objectives, which holds since every padded
+    feasible X has that trace. A failure of any member fails the sum. Each
+    of the K sectors is solved at tol/K, and K counts the closed-form
+    sectors too. The summed gap then obeys the whole problem's convergence
+    rule,
     sum |gap_k| <= (tol/K) sum (1 + p_k) <= tol (1 + F) because every
     p_k >= 0, and the sector residuals add in quadrature to below
-    0.1 tol / sqrt(K).
+    0.1 tol / sqrt(K). The stacks are keyed by (dim_in > 1, dim_out), the
+    closed-form ones first. Every sector of one split shares r_A, so a
+    reduced problem makes at most one stack of each kind.
     """
+    stacks: dict[tuple[bool, int], list[SdpProblem]] = {}
+    for prob in sorted(problems, key=lambda q: q.dim_in > 1):  # the 1-wide ones first
+        stacks.setdefault((prob.dim_in > 1, prob.dim_out), []).append(prob)
     terms = []
-    for stack in _by_dim_out([prob for prob in problems if prob.dim_in == 1]):
-        terms += _solve_one_wide_stack(stack)
-    for stack in _by_dim_out([prob for prob in problems if prob.dim_in > 1]):
+    for (wide, _), stack in stacks.items():
+        if not wide:
+            terms += _solve_one_wide_stack(stack)
+            continue
         width = max(prob.dim_in for prob in stack)
         padded = [_pad_input(prob, width) for prob in stack]
         terms += [(s.primal, s.gap) for s in _solve_stack(padded, tol / len(problems))]

@@ -1281,8 +1281,9 @@ def test_interior_point_matches_untrimmed_loop_on_random_complex_stacks(rng):
 @pytest.mark.xfail(
     strict=True,
     raises=NumericalBreakdown,
-    reason="the primal residual stalls at 6.2e-11 above feas_tol 1e-11 while the gap "
-    "is 9.5e-12, until the Cholesky of [X; Z] fails at iteration 26",
+    reason="the gap falls to 1.1e-11 at iteration 23, but from there the primal residual "
+    "stays at 4.6e-11 to 3.9e-10, above feas_tol 1e-11; the dual residual and the gap "
+    "then grow until the Cholesky of [X; Z] fails at iteration 57, gap 5.5e-8",
 )
 def test_solve_sdp_reaches_tol_1e_10_on_fivequbit_8_wide_sector():
     problems = optdec._sector_problems(*SETTINGS["fivequbit"].build(0.5))
@@ -1386,3 +1387,44 @@ def test_random_product_conjugate_is_a_copy_and_a_perturbed_one_is_not(rng):
         assert e <= optdec.SECTOR_TOL * np.linalg.norm(g)
         copies = optdec._copies(np.stack([g, perturbed]), (d_in, d_out))
         assert [r for r, _, _ in copies] == [0, 1]
+
+
+def test_a_copy_of_a_copy_inherits_its_product_and_its_distance(rng):
+    # [G, M^dagger G M, M^dagger G M + delta]: the third member matches the
+    # second directly, so it takes the second's representative and (V, W),
+    # and its e adds its own distance to the second's e. Once that sum
+    # passes SECTOR_TOL * ||G||, it does not join class 0 through the second,
+    # although its own distance alone is within the bound.
+    pieces = optdec._refine_sectors(optdec._sector_problems(*SETTINGS["fivequbit"].build(0.5)))
+    prob = pieces[1]
+    d_in, d_out = prob.dim_in, prob.dim_out
+    g = herm_part(prob.objective)
+    bound = optdec.SECTOR_TOL * np.linalg.norm(g)
+    m = np.kron(_random_unitary(rng, d_in), _random_unitary(rng, d_out))
+    second = herm_part(dag(m) @ g @ m)
+    h = oracles.random_hermitian(rng, prob.dim)
+    h /= np.linalg.norm(h)
+    _, (r, (v2, w2), e2) = optdec._copies(np.stack([g, second]), (d_in, d_out))
+    assert r == 0 and 0 < e2 < bound / 10
+    budget = bound - e2
+
+    # a fourth member, a phase conjugate of the second, joins it in the gauge
+    # and composes the second's V with the gauge's phases
+    d = np.kron(np.diag(np.exp(2j * np.pi * rng.uniform(size=d_in))), np.eye(d_out))
+    third = second + 0.5 * budget * h
+    fourth = herm_part(dag(d) @ second @ d)
+    copies = optdec._copies(np.stack([g, second, third, fourth]), (d_in, d_out))
+    assert [r for r, _, _ in copies] == [0, 0, 0, 0]
+    assert copies[1][2] == e2
+    (v3, w3), e3 = copies[2][1:]
+    assert np.array_equal(v3, v2) and np.array_equal(w3, w2)
+    assert abs(e3 - (e2 + np.linalg.norm(third - second))) <= 1e-12 * e3
+    (v4, w4), e4 = copies[3][1:]
+    assert np.array_equal(w4, w2) and e2 < e4 <= bound
+    m4 = np.kron(v4, w4)
+    assert np.linalg.norm(fourth - dag(m4) @ g @ m4) <= e4
+
+    third = second + 1.01 * budget * h
+    assert np.linalg.norm(third - second) <= bound
+    r3, vw3, _ = optdec._copies(np.stack([g, second, third]), (d_in, d_out))[2]
+    assert r3 != 0 or vw3 is None or not np.array_equal(vw3[0], v2)

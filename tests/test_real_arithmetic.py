@@ -61,25 +61,46 @@ def _optimal(rho, ch, tol=1e-7):
     return optdec._solve_sectors(optdec._refine_sectors(optdec._sector_problems(rho, ch)), tol)
 
 
-def _assert_paths_agree(rho, ch, optimal=True):
+def _assert_paths_agree(rho, ch):
     assert rho.matrix.dtype == ch.kraus_ops.dtype == np.float64
     rho_g, ch_g = _gauged(rho, ch)
     real, cplx = _values(rho, ch), _values(rho_g, ch_g)
     for name in real:
         assert abs(real[name] - cplx[name]) <= ROUNDOFF, name
-    if optimal:
-        (opt_r, gap_r), (opt_c, gap_c) = _optimal(rho, ch), _optimal(rho_g, ch_g)
-        assert abs(opt_r - opt_c) <= abs(gap_r) + abs(gap_c)
+    (opt_r, gap_r), (opt_c, gap_c) = _optimal(rho, ch), _optimal(rho_g, ch_g)
+    assert abs(opt_r - opt_c) <= abs(gap_r) + abs(gap_c)
 
 
 @pytest.mark.parametrize("setting", ["bitflip3", "lncy4", "fivequbit"])
 def test_real_path_agrees_with_gauged_complex_path_on_the_grid(setting):
-    # The gauged fivequbit SDP is solved whole, 32 wide (no permutation split
-    # is certified on it), about 3 s a point: its optimum is compared at
-    # p = 0.25, 0.5 and 0.75 only.
-    for i, p in enumerate(GRID):
-        optimal = setting != "fivequbit" or i % 5 == 4
-        _assert_paths_agree(*SETTINGS[setting].build(float(p)), optimal)
+    for p in GRID:
+        _assert_paths_agree(*SETTINGS[setting].build(float(p)))
+
+
+def _route(rho, ch):
+    """The input widths of a point's pieces, and the representative of each
+    member of their padded stack (optdec._copies), as _solve_sectors
+    stacks them."""
+    pieces = optdec._refine_sectors(optdec._sector_problems(rho, ch))
+    widths = [q.dim_in for q in pieces]
+    wide = [q for q in pieces if q.dim_in > 1]
+    if not wide:
+        return widths, []
+    width = max(q.dim_in for q in wide)
+    padded = [optdec._pad_input(q, width) for q in wide]
+    copies = optdec._copies(optdec._objectives(padded), (width, padded[0].dim_out))
+    return widths, [r for r, _, _ in copies]
+
+
+@pytest.mark.parametrize("setting", ["bitflip3", "lncy4", "fivequbit"])
+def test_gauged_instance_takes_the_real_route(setting):
+    # G transforms by conj(Q_P) tensor 1 under a permutation, so the sectors
+    # are cut in the conjugate basis; on real data the two coincide
+    for p in GRID:
+        rho, ch = SETTINGS[setting].build(float(p))
+        widths, classes = _route(rho, ch)
+        assert len(widths) > 1
+        assert _route(*_gauged(rho, ch)) == (widths, classes)
 
 
 def test_real_path_agrees_with_gauged_complex_path_on_random_instances(rng):
